@@ -3,9 +3,10 @@
 
 Walks the phantom sequence through polar-sector pooling, standardize+PCA,
 k-means-seeded RBF training on the one-step state differences, and the
-residual-energy remap that yields the Echo-Dynamics Graph. Prints the
-training curve and the per-frame EDG totals so the diastole/systole
-energy pattern is visible in the terminal.
+residual-energy remap that yields the Echo-Dynamics Graph, all in one
+`echodyn.pipeline.run_edg` call. Prints the training curve and the
+per-frame EDG totals so the diastole/systole energy pattern is visible
+in the terminal.
 
 Usage: python3 demos/02_edg_pipeline.py [-o OUTDIR]
 """
@@ -15,18 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from echodyn.descriptor import SectorGrid, descriptor_sequence
-from echodyn.dynamics import (
-    RbfConfig,
-    edg_sequence,
-    energy_sequence,
-    pedg_sequence,
-    save_dynamics_model,
-    save_edg_outputs,
-    save_pedg_csv,
-    train_dynamics,
-)
-from echodyn.flow import FlowParams, flow_sequence
+from echodyn.pipeline import PipelineConfig, run_edg, save_edg_result
 from echodyn.seqio import PhantomSpec, generate_phantom
 
 
@@ -35,33 +25,28 @@ def main():
     parser.add_argument("-o", "--out", default="demo_output/02_edg_pipeline")
     args = parser.parse_args()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     seq, _ = generate_phantom(PhantomSpec(seed=7))
-    flows = flow_sequence(seq, FlowParams())
-    grid = SectorGrid()  # 4 rings x 12 angular bins
-    print(f"pooling {len(flows)} flow fields over a "
+    config = PipelineConfig(seed=7)  # 4 rings x 12 angular bins, PCA k=10, 16 RBF centers
+    result = run_edg(seq, config)
+    grid = config.grid
+    print(f"pooled {len(result.flows)} flow fields over a "
           f"{grid.r_bins}x{grid.theta_bins} sector grid "
           f"({grid.descriptor_length} raw features per frame pair)")
 
-    z, scaler, pca = descriptor_sequence(seq, flows, grid, k=10)
+    z, pca = result.z, result.pca
     evr = pca.explained_variance / pca.explained_variance.sum()
     print(f"state trajectory z: {z.shape[0]} x {z.shape[1]}; "
           f"top-3 PCA components carry {100 * evr[:3].sum():.0f}% of the kept variance")
 
-    config = RbfConfig(m_centers=16, seed=11)
-    model = train_dynamics(z, config)
+    model = result.model
     hist = model.train_residual_history
-    print(f"\nRBF training ({config.m_centers} centers, sigma={model.sigma:.2f}, "
-          f"{config.epochs} epochs of cyclic LMS):")
+    print(f"\nRBF training ({config.rbf.m_centers} centers, sigma={model.sigma:.2f}, "
+          f"{config.rbf.epochs} epochs of cyclic LMS):")
     for e in (0, 9, 49, 99, 199):
         print(f"  epoch {e + 1:3d}: mse = {hist[e]:.3f}")
 
-    energies = energy_sequence(model, z)
-    maps = edg_sequence(model, z, pca, scaler, grid)
-    p, _ = pedg_sequence(energies, k2=8)
-
-    totals = np.array([m.sectors.sum() for m in maps])
+    totals = np.array([m.sectors.sum() for m in result.maps])
     print("\ntotal EDG energy per frame (DIASTOLE fills, SYSTOLE empties):")
     peak = totals.max()
     for t, v in enumerate(totals):
@@ -79,9 +64,7 @@ def main():
     print(f"\npeak-speed frames carry {busy / quiet:.1f}x the energy of the "
           "ED/ES-adjacent frames - the dynamic signature diminishes at the extremes.")
 
-    save_edg_outputs(maps, grid, seq.shape[0], seq.shape[1], out)
-    save_pedg_csv(p, out / "pedg.csv")
-    save_dynamics_model(model, out / "model.json")
+    save_edg_result(result, *seq.shape, out)
     print(f"EDG heatmaps, edg.csv, pedg.csv and model.json written to {out}/")
 
 

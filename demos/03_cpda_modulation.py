@@ -25,9 +25,7 @@ from echodyn.cpda import (
     save_feature_clip,
     seed_cpda_weights,
 )
-from echodyn.descriptor import SectorGrid, descriptor_sequence
-from echodyn.dynamics import RbfConfig, energy_sequence, pedg_sequence, train_dynamics
-from echodyn.flow import FlowParams, flow_sequence
+from echodyn.pipeline import PipelineConfig, run_edg
 from echodyn.seqio import PhantomSpec, generate_phantom
 
 
@@ -51,11 +49,7 @@ def main():
     clip = pooled_clip(seq)
     print(f"feature clip: {clip.data.shape} (T x H x W x C) from the phantom")
 
-    flows = flow_sequence(seq, FlowParams())
-    z, scaler, pca = descriptor_sequence(seq, flows, SectorGrid(), k=10)
-    model = train_dynamics(z, RbfConfig(seed=11))
-    p, _ = pedg_sequence(energy_sequence(model, z), k2=8)
-    pedg = align_pedg(p, clip.t_count)
+    pedg = align_pedg(run_edg(seq, PipelineConfig(seed=7)).pedg, clip.t_count)
     phase = phase_track(clip.t_count, seq.ed_index, seq.es_index)
     print(f"phase track: phi(ED)={phase.phi[seq.ed_index]:.2f}, "
           f"phi(ES)={phase.phi[seq.es_index]:.2f}; P_EDG rows aligned to T={clip.t_count}")

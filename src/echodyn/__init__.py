@@ -37,7 +37,6 @@ from .dynamics import (
     EdgMap,
     EnergyFrame,
     RbfConfig,
-    edg_from_energy,
     edg_sequence,
     energy_sequence,
     kmeans,

@@ -1,145 +1,57 @@
-"""Command-line pipeline driver.
+"""Command-line front end: parses flags and calls the library.
 
 One executable with subcommands::
 
     echodyn phantom      synthesize a beating-heart sequence + masks
     echodyn flow         dump dense optical flow for a sequence
-    echodyn edg          full dynamic pipeline: flow -> descriptors ->
-                         RBF training -> EDG heatmaps/CSV + P_EDG + model
+    echodyn edg          full dynamic pipeline (`pipeline.run_edg`): flow ->
+                         descriptors -> RBF training -> EDG heatmaps/CSV +
+                         P_EDG + model
     echodyn cpda-demo    run the attention forward pass on a feature clip
     echodyn eval         score predicted masks against ground truth
     echodyn seed-weights write a reproducible random CPDA weight file
 
-All randomness derives from one 64-bit ``--seed`` through named streams:
-stage_seed(seed, stage) = blake2b(seed_le8 || stage)[:8], with stages
-"phantom", "kmeans", and "cpda-weights". Exit codes: 0 success,
-1 runtime failure, 2 usage error. Single-file outputs are written to a
-temp file and renamed into place.
+Settings resolve as defaults < ``--config`` file < explicit flags; per-stage
+seeds derive from ``--seed`` (see `pipeline.stage_seed`). Exit codes:
+0 success, 1 runtime failure, 2 usage error. Single-file outputs are
+written to a temp file and renamed into place.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
-import json
-import os
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import cpda, descriptor, dynamics, flow, metrics, seqio
+from . import cpda, dynamics, flow, metrics, pipeline, seqio
 from .errors import EchodynError
+# benchmarks/workloads.py reads PipelineConfig, stage_seed and STAGE_CPDA_WEIGHTS from here
+from .pipeline import STAGE_CPDA_WEIGHTS, STAGE_PHANTOM, PipelineConfig, stage_seed
 
-STAGE_PHANTOM = "phantom"
-STAGE_KMEANS = "kmeans"
-STAGE_CPDA_WEIGHTS = "cpda-weights"
-
-
-def stage_seed(seed: int, stage: str) -> int:
-    """Derive a per-stage 64-bit seed: blake2b(seed_le8 || stage_name)."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update((seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
-    h.update(stage.encode("utf-8"))
-    return int.from_bytes(h.digest(), "little")
-
-
-@dataclass(frozen=True)
-class CpdaDims:
-    d_p: int = 8
-    d_e: int = 8
-    heads: int = 2
-    alpha: float = 0.5
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Every knob of the pipeline, serializable to one JSON file."""
-
-    seed: int = 7
-    grid: descriptor.SectorGrid = descriptor.SectorGrid()
-    flow: flow.FlowParams = flow.FlowParams()
-    pca_k: int = 10
-    rbf: dynamics.RbfConfig = dynamics.RbfConfig()
-    k2: int = 8
-    cpda: CpdaDims = CpdaDims()
-    in_dir: str | None = None
-    out_dir: str | None = None
-
-    def to_json(self, path: Path | str) -> None:
-        payload = dataclasses.asdict(self)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @staticmethod
-    def from_json(path: Path | str) -> "PipelineConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
-        return PipelineConfig.from_dict(raw)
-
-    @staticmethod
-    def from_dict(raw: dict) -> "PipelineConfig":
-        cfg = PipelineConfig()
-        grid_d = raw.get("grid", {})
-        flow_d = raw.get("flow", {})
-        rbf_d = raw.get("rbf", {})
-        cpda_d = raw.get("cpda", {})
-        grid = descriptor.SectorGrid(
-            r_bins=grid_d.get("r_bins", cfg.grid.r_bins),
-            theta_bins=grid_d.get("theta_bins", cfg.grid.theta_bins),
-            center=tuple(grid_d["center"]) if grid_d.get("center") else None,
-            r_max=grid_d.get("r_max", None),
-        )
-        fparams = flow.FlowParams(
-            alpha=flow_d.get("alpha", cfg.flow.alpha),
-            iterations=flow_d.get("iterations", cfg.flow.iterations),
-            presmooth_sigma=flow_d.get("presmooth_sigma", cfg.flow.presmooth_sigma),
-        )
-        rbf = dynamics.RbfConfig(
-            m_centers=rbf_d.get("m_centers", cfg.rbf.m_centers),
-            sigma=rbf_d.get("sigma", None),
-            learn_rate=rbf_d.get("learn_rate", cfg.rbf.learn_rate),
-            epochs=rbf_d.get("epochs", cfg.rbf.epochs),
-            ridge=rbf_d.get("ridge", cfg.rbf.ridge),
-            seed=rbf_d.get("seed", cfg.rbf.seed),
-        )
-        dims = CpdaDims(
-            d_p=cpda_d.get("d_p", cfg.cpda.d_p),
-            d_e=cpda_d.get("d_e", cfg.cpda.d_e),
-            heads=cpda_d.get("heads", cfg.cpda.heads),
-            alpha=cpda_d.get("alpha", cfg.cpda.alpha),
-        )
-        return PipelineConfig(
-            seed=raw.get("seed", cfg.seed),
-            grid=grid, flow=fparams, pca_k=raw.get("pca_k", cfg.pca_k),
-            rbf=rbf, k2=raw.get("k2", cfg.k2), cpda=dims,
-            in_dir=raw.get("in_dir"), out_dir=raw.get("out_dir"),
-        )
-
-
-def _atomic_write(path: Path, writer) -> None:
-    """Write through `writer(tmp_path)` then rename into place."""
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+# argparse dests of flags that override a config value carry this prefix + the dotted path
+_CONFIG_DEST = "config:"
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
+    for dest, value in vars(args).items():
+        if dest.startswith(_CONFIG_DEST) and value is not None:
+            cfg = pipeline.override(cfg, dest[len(_CONFIG_DEST):], value)
     return cfg
+
+
+def _config_flag(parser: argparse.ArgumentParser, flag: str, path: str, type,
+                 help: str | None = None) -> None:
+    """Add `flag`, which overrides the config value at dotted `path` when given."""
+    parser.add_argument(flag, dest=_CONFIG_DEST + path, type=type, default=None, help=help,
+                        metavar=flag.lstrip("-").upper().replace("-", "_"))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config overriding built-in defaults")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="master 64-bit seed (default 7)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism cap (reserved; current code is sequential)")
+    _config_flag(parser, "--seed", "seed", int, "master 64-bit seed (default 7)")
 
 
 def cmd_phantom(args: argparse.Namespace) -> int:
@@ -159,64 +71,24 @@ def cmd_phantom(args: argparse.Namespace) -> int:
 
 def cmd_flow(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    params = _flow_params(cfg, args)
     seq = seqio.load_sequence(args.in_dir)
-    fields = flow.flow_sequence(seq, params)
+    fields = flow.flow_sequence(seq, cfg.flow)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for t, f in enumerate(fields):
-        _atomic_write(out / f"flow_{t:04d}.bin", lambda p, f=f: flow.save_flow(f, p))
+        pipeline.atomic_write(out / f"flow_{t:04d}.bin", lambda p, f=f: flow.save_flow(f, p))
     print(f"wrote {len(fields)} flow fields to {out}")
     return 0
 
 
-def _flow_params(cfg: PipelineConfig, args: argparse.Namespace) -> flow.FlowParams:
-    return flow.FlowParams(
-        alpha=args.alpha if args.alpha is not None else cfg.flow.alpha,
-        iterations=args.iterations if args.iterations is not None else cfg.flow.iterations,
-        presmooth_sigma=(args.presmooth if args.presmooth is not None
-                         else cfg.flow.presmooth_sigma),
-    )
-
-
 def cmd_edg(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    grid = cfg.grid
-    if args.r_bins is not None or args.theta_bins is not None:
-        grid = descriptor.SectorGrid(
-            r_bins=args.r_bins if args.r_bins is not None else grid.r_bins,
-            theta_bins=args.theta_bins if args.theta_bins is not None else grid.theta_bins,
-            center=grid.center, r_max=grid.r_max,
-        )
-    rbf = replace(cfg.rbf, seed=stage_seed(cfg.seed, STAGE_KMEANS))
-    if args.m_centers is not None:
-        rbf = replace(rbf, m_centers=args.m_centers)
-    if args.epochs is not None:
-        rbf = replace(rbf, epochs=args.epochs)
-    pca_k = args.pca_k if args.pca_k is not None else cfg.pca_k
-    k2 = args.k2 if args.k2 is not None else cfg.k2
-
     seq = seqio.load_sequence(args.in_dir)
-    fields = flow.flow_sequence(seq, _flow_params(cfg, args))
-    if all(np.abs(f.u).max() == 0 and np.abs(f.v).max() == 0 for f in fields):
+    result = pipeline.run_edg(seq, cfg, method=args.fit)
+    if all(np.abs(f.u).max() == 0 and np.abs(f.v).max() == 0 for f in result.flows):
         print("warning: no motion detected", file=sys.stderr)
-    z, scaler, pca = descriptor.descriptor_sequence(seq, fields, grid, k=pca_k)
-    model = dynamics.train_dynamics(z, rbf, method=args.fit)
-    energies = dynamics.energy_sequence(model, z)
-    maps = dynamics.edg_sequence(model, z, pca, scaler, grid)
-    p, _ = dynamics.pedg_sequence(energies, k2=k2)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    h, w = seq.shape
-    dynamics.save_edg_outputs(maps, grid, h, w, out)
-    # one P_EDG row per flow frame: the final transition's row is repeated
-    p_rows = cpda.align_pedg(p, seq.t_count - 1)
-    _atomic_write(out / "pedg.csv", lambda pth: dynamics.save_pedg_csv(p_rows, pth))
-    _atomic_write(out / "model.json", lambda pth: dynamics.save_dynamics_model(model, pth))
-    _atomic_write(out / "descriptor_model.json",
-                  lambda pth: descriptor.save_feature_models(scaler, pca, pth))
-    print(f"final training mse={model.train_residual_history[-1]:.6e}")
+    pipeline.save_edg_result(result, *seq.shape, args.out)
+    print(f"final training mse={result.model.train_residual_history[-1]:.6e}")
     return 0
 
 
@@ -241,7 +113,7 @@ def cmd_cpda_demo(args: argparse.Namespace) -> int:
     else:
         pedg = np.zeros((t, weights.edg_w1.shape[0]))
     enhanced = cpda.cpda_forward(clip, phase, pedg, weights)
-    _atomic_write(Path(args.out), lambda p: cpda.save_feature_clip(enhanced, p))
+    pipeline.atomic_write(Path(args.out), lambda p: cpda.save_feature_clip(enhanced, p))
     delta = np.abs(enhanced.data - clip.data).mean(axis=(1, 2, 3))
     for i, d in enumerate(delta):
         print(f"frame {i}: mean_abs_delta={d:.6f}")
@@ -253,9 +125,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     gt = seqio.load_masks(args.gt_dir)
     report = metrics.evaluate(pred, gt)
     report_path = Path(args.report)
-    _atomic_write(report_path, lambda p: metrics.save_report_json(report, p))
-    _atomic_write(report_path.with_suffix(".csv"),
-                  lambda p: metrics.save_report_csv(report, p))
+    pipeline.atomic_write(report_path, lambda p: metrics.save_report_json(report, p))
+    pipeline.atomic_write(report_path.with_suffix(".csv"),
+                          lambda p: metrics.save_report_csv(report, p))
     dice_mean = float(np.mean([m.mean_dice for m in report.per_label.values()]))
     hd95_vals = [m.mean_hd95 for m in report.per_label.values() if m.mean_hd95 is not None]
     hd95_mean = float(np.mean(hd95_vals)) if hd95_vals else float("nan")
@@ -266,17 +138,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_seed_weights(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     weights = cpda.seed_cpda_weights(
-        channels=args.channels,
-        d_p=args.d_p if args.d_p is not None else cfg.cpda.d_p,
-        d_e=args.d_e if args.d_e is not None else cfg.cpda.d_e,
-        k2=args.k2 if args.k2 is not None else cfg.k2,
-        heads=args.heads if args.heads is not None else cfg.cpda.heads,
-        alpha=args.alpha if args.alpha is not None else cfg.cpda.alpha,
+        channels=args.channels, d_p=cfg.cpda.d_p, d_e=cfg.cpda.d_e, k2=cfg.k2,
+        heads=cfg.cpda.heads, alpha=cfg.cpda.alpha,
         seed=stage_seed(cfg.seed, STAGE_CPDA_WEIGHTS),
     )
-    _atomic_write(Path(args.out), lambda p: cpda.save_cpda_weights(weights, p))
+    pipeline.atomic_write(Path(args.out), lambda p: cpda.save_cpda_weights(weights, p))
     print(f"wrote weights (d={weights.d_model}, heads={weights.heads}) to {args.out}")
     return 0
+
+
+def _add_flow_flags(parser: argparse.ArgumentParser) -> None:
+    _config_flag(parser, "--alpha", "flow.alpha", float, "regularization weight (default 15.0)")
+    _config_flag(parser, "--iterations", "flow.iterations", int,
+                 "Jacobi iterations (default 100)")
+    _config_flag(parser, "--presmooth", "flow.presmooth_sigma", float,
+                 "Gaussian presmoothing sigma in px (default 1.0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,32 +178,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="compute and dump dense optical flow")
     _add_common(p)
     p.add_argument("in_dir")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="regularization weight (default 15.0)")
-    p.add_argument("--iterations", type=int, default=None,
-                   help="Jacobi iterations (default 100)")
-    p.add_argument("--presmooth", type=float, default=None,
-                   help="Gaussian presmoothing sigma in px (default 1.0)")
+    _add_flow_flags(p)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("edg", help="run the full dynamic-learning pipeline")
     _add_common(p)
     p.add_argument("in_dir")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--presmooth", type=float, default=None)
-    p.add_argument("--r-bins", type=int, default=None, help="rings R (default 4)")
-    p.add_argument("--theta-bins", type=int, default=None,
-                   help="angular bins TH (default 12)")
-    p.add_argument("--pca-k", type=int, default=None,
-                   help="descriptor PCA dimension (default 10)")
-    p.add_argument("--m-centers", type=int, default=None,
-                   help="RBF center count M (default 16)")
-    p.add_argument("--epochs", type=int, default=None,
-                   help="training epochs (default 200)")
-    p.add_argument("--k2", type=int, default=None,
-                   help="P_EDG dimension (default 8)")
+    _add_flow_flags(p)
+    _config_flag(p, "--r-bins", "grid.r_bins", int, "rings R (default 4)")
+    _config_flag(p, "--theta-bins", "grid.theta_bins", int, "angular bins TH (default 12)")
+    _config_flag(p, "--pca-k", "pca_k", int, "descriptor PCA dimension (default 10)")
+    _config_flag(p, "--m-centers", "rbf.m_centers", int, "RBF center count M (default 16)")
+    _config_flag(p, "--epochs", "rbf.epochs", int, "training epochs (default 200)")
+    _config_flag(p, "--k2", "k2", int, "P_EDG dimension (default 8)")
     p.add_argument("--fit", choices=("lms", "ls"), default="lms",
                    help="weight fit: incremental LMS or closed-form ridge")
     p.add_argument("-o", "--out", required=True)
@@ -356,13 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seed-weights", help="write a reproducible CPDA weight file")
     _add_common(p)
     p.add_argument("--channels", type=int, required=True)
-    p.add_argument("--d-p", type=int, default=None, help="phase MLP width (default 8)")
-    p.add_argument("--d-e", type=int, default=None, help="dynamics MLP width (default 8)")
-    p.add_argument("--k2", type=int, default=None, help="P_EDG dimension (default 8)")
-    p.add_argument("--heads", type=int, default=None,
-                   help="attention heads (default 2)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="modulation strength in (0,1] (default 0.5)")
+    _config_flag(p, "--d-p", "cpda.d_p", int, "phase MLP width (default 8)")
+    _config_flag(p, "--d-e", "cpda.d_e", int, "dynamics MLP width (default 8)")
+    _config_flag(p, "--k2", "k2", int, "P_EDG dimension (default 8)")
+    _config_flag(p, "--heads", "cpda.heads", int, "attention heads (default 2)")
+    _config_flag(p, "--alpha", "cpda.alpha", float, "modulation strength in (0,1] (default 0.5)")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_seed_weights)
     return parser

@@ -12,6 +12,7 @@ second time by PCA into the low-dimensional per-frame feature P_EDG.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -211,51 +212,43 @@ def predict_delta(model: DynamicsModel, z: np.ndarray) -> np.ndarray:
     return rbf_response(z, model.centers, model.sigma) @ model.weights
 
 
-def energy_sequence(model: DynamicsModel, z: np.ndarray) -> list[EnergyFrame]:
-    """E_t = Phi(z_t) * ||predicted dz_t - observed dz_t||_2 for each frame pair."""
+def _transition_residuals(model: DynamicsModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phi(z_t) and the residual (predicted - observed dz_t) for each frame pair."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 2:
         raise InsufficientDataError("need at least 2 state rows")
-    deltas = z[1:] - z[:-1]
     phi = rbf_response(z[:-1], model.centers, model.sigma)
-    pred = phi @ model.weights
-    res = np.linalg.norm(pred - deltas, axis=1)
+    return phi, phi @ model.weights - (z[1:] - z[:-1])
+
+
+def energy_sequence(model: DynamicsModel, z: np.ndarray) -> list[EnergyFrame]:
+    """E_t = Phi(z_t) * ||predicted dz_t - observed dz_t||_2 for each frame pair."""
+    phi, residual = _transition_residuals(model, z)
+    res = np.linalg.norm(residual, axis=1)
     return [EnergyFrame(e=phi[t] * res[t], residual_norm=float(res[t]), frame_index=t)
-            for t in range(z.shape[0] - 1)]
-
-
-def edg_from_energy(frame_energy: EnergyFrame, model: DynamicsModel,
-                    pca: PcaModel, scaler: ScalerModel, grid: SectorGrid,
-                    z_t: np.ndarray, delta_z: np.ndarray) -> EdgMap:
-    """Remap one frame's residual energy onto the R x TH sector grid.
-
-    The state-space prediction residual is pushed back through the PCA
-    components into raw descriptor space (components only, no mean) and
-    un-standardized; each sector then gets the L2 norm of its 6 feature
-    residuals, scaled by the mean kernel response at z_t.
-    """
-    residual = predict_delta(model, z_t) - np.asarray(delta_z, dtype=np.float64)
-    raw = (residual @ pca.components) * scaler.scale
-    if raw.shape[0] != grid.descriptor_length:
-        raise ModelError(
-            f"descriptor length {raw.shape[0]} does not match grid "
-            f"({grid.descriptor_length})"
-        )
-    per_sector = np.linalg.norm(raw.reshape(grid.sector_count, -1), axis=1)
-    phi_mean = float(np.mean(rbf_response(z_t, model.centers, model.sigma)))
-    sectors = np.maximum(per_sector * phi_mean, 0.0)
-    return EdgMap(sectors=sectors.reshape(grid.r_bins, grid.theta_bins),
-                  frame_index=frame_energy.frame_index)
+            for t in range(len(res))]
 
 
 def edg_sequence(model: DynamicsModel, z: np.ndarray, pca: PcaModel,
                  scaler: ScalerModel, grid: SectorGrid) -> list[EdgMap]:
-    """EDG maps for every frame pair of a state trajectory."""
-    energies = energy_sequence(model, z)
-    deltas = z[1:] - z[:-1]
-    return [edg_from_energy(en, model, pca, scaler, grid, z[en.frame_index],
-                            deltas[en.frame_index])
-            for en in energies]
+    """Remap every frame pair's prediction residual onto the R x TH sector grid.
+
+    The state-space residual is pushed back through the PCA components
+    into raw descriptor space (components only, no mean) and
+    un-standardized; each sector then gets the L2 norm of its 6 feature
+    residuals, scaled by the mean kernel response at z_t.
+    """
+    if pca.components.shape[1] != grid.descriptor_length:
+        raise ModelError(
+            f"descriptor length {pca.components.shape[1]} does not match grid "
+            f"({grid.descriptor_length})"
+        )
+    phi, residual = _transition_residuals(model, z)
+    raw = (residual @ pca.components) * scaler.scale
+    per_sector = np.linalg.norm(raw.reshape(raw.shape[0], grid.sector_count, -1), axis=2)
+    sectors = np.maximum(per_sector * phi.mean(axis=1, keepdims=True), 0.0)
+    return [EdgMap(sectors=s.reshape(grid.r_bins, grid.theta_bins), frame_index=t)
+            for t, s in enumerate(sectors)]
 
 
 def pedg_sequence(energies: list[EnergyFrame], k2: int = 8) -> tuple[np.ndarray, PcaModel]:
@@ -276,14 +269,7 @@ def save_dynamics_model(model: DynamicsModel, path: Path | str) -> None:
         "centers": model.centers.tolist(),
         "weights": model.weights.tolist(),
         "sigma": model.sigma,
-        "config": {
-            "m_centers": model.config.m_centers,
-            "sigma": model.config.sigma,
-            "learn_rate": model.config.learn_rate,
-            "epochs": model.config.epochs,
-            "ridge": model.config.ridge,
-            "seed": model.config.seed,
-        },
+        "config": dataclasses.asdict(model.config),
         "residual_history": model.train_residual_history.tolist(),
     }
     with open(path, "w") as fh:

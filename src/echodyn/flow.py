@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import convolve, gaussian_filter
 
-from .errors import DimensionError, FormatError
+from .errors import DimensionError, FormatError, ParameterError
 from .seqio import FrameSequence
 
 # weighted 8-neighbor average used by the Jacobi step
@@ -36,11 +36,11 @@ class FlowParams:
 
     def __post_init__(self):
         if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
+            raise ParameterError("alpha must be > 0")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ParameterError("iterations must be >= 1")
         if self.presmooth_sigma < 0:
-            raise ValueError("presmooth_sigma must be >= 0")
+            raise ParameterError("presmooth_sigma must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from echodyn.descriptor import SectorGrid, descriptor_sequence
-from echodyn.dynamics import RbfConfig, train_dynamics
-from echodyn.flow import FlowParams, flow_sequence
+from echodyn.descriptor import SectorGrid
+from echodyn.pipeline import PipelineConfig, run_edg
 from echodyn.seqio import PhantomSpec, generate_phantom
 
 
@@ -16,9 +15,15 @@ def phantom():
 
 
 @pytest.fixture(scope="session")
-def phantom_flows(phantom):
+def phantom_edg(phantom):
+    """The default edg pipeline (PipelineConfig()) run on the default phantom."""
     seq, _ = phantom
-    return flow_sequence(seq, FlowParams())
+    return run_edg(seq, PipelineConfig())
+
+
+@pytest.fixture(scope="session")
+def phantom_flows(phantom_edg):
+    return phantom_edg.flows
 
 
 @pytest.fixture(scope="session")
@@ -27,15 +32,13 @@ def phantom_grid():
 
 
 @pytest.fixture(scope="session")
-def phantom_descriptors(phantom, phantom_flows, phantom_grid):
-    seq, _ = phantom
-    return descriptor_sequence(seq, phantom_flows, phantom_grid, k=10)
+def phantom_descriptors(phantom_edg):
+    return phantom_edg.z, phantom_edg.scaler, phantom_edg.pca
 
 
 @pytest.fixture(scope="session")
-def phantom_model(phantom_descriptors):
-    z, _, _ = phantom_descriptors
-    return train_dynamics(z, RbfConfig(m_centers=16, seed=11))
+def phantom_model(phantom_edg):
+    return phantom_edg.model
 
 
 def make_frames(t, h, w, fn):

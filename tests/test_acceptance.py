@@ -21,10 +21,11 @@ from echodyn.cpda import (
     seed_cpda_weights,
 )
 from echodyn.cpda import _softmax_rows
-from echodyn.descriptor import SectorGrid, descriptor_sequence, fit_pca, project, back_project
-from echodyn.dynamics import RbfConfig, edg_sequence, rbf_response, train_dynamics
-from echodyn.flow import FlowParams, compute_flow, flow_sequence
+from echodyn.descriptor import fit_pca, project, back_project
+from echodyn.dynamics import RbfConfig, rbf_response, train_dynamics
+from echodyn.flow import FlowParams, compute_flow
 from echodyn.metrics import boundary_pixels, dice, hd95, tcd
+from echodyn.pipeline import PipelineConfig, run_edg
 from echodyn.seqio import MaskSequence, PhantomSpec, generate_phantom
 
 from test_cpda import oracle_cpda_forward, tiny_instance
@@ -97,11 +98,7 @@ def test_criterion_4_edg_physiology():
     spec = PhantomSpec(t_count=32, height=128, width=128,
                        contraction_fraction=0.3, seed=7)
     seq, _ = generate_phantom(spec)
-    flows = flow_sequence(seq, FlowParams())
-    grid = SectorGrid()
-    z, scaler, pca = descriptor_sequence(seq, flows, grid, k=10)
-    model = train_dynamics(z, RbfConfig(m_centers=16, seed=11))
-    maps = edg_sequence(model, z, pca, scaler, grid)
+    maps = run_edg(seq, PipelineConfig(seed=7)).maps
     elapsed = time.perf_counter() - t0
     totals = np.array([m.sectors.sum() for m in maps])
     # wall speed |dr/dt| peaks a quarter cycle after ED (transitions 7/8, 22/23);

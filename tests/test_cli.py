@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from echodyn.cli import PipelineConfig, main, stage_seed
+from echodyn.descriptor import SectorGrid
+from echodyn.errors import ParameterError
 from echodyn.cpda import load_feature_clip, save_feature_clip, FeatureClip, identity_conv_kernel, seed_cpda_weights, save_cpda_weights
 from echodyn.seqio import FrameSequence, MaskSequence, load_masks, save_masks, save_sequence
 
@@ -179,6 +181,18 @@ def test_exit_codes(tmp_path):
                  "-o", str(tmp_path / "g")]) == 1
 
 
+def test_bad_flow_flag_is_a_parameter_error(tmp_path, capsys):
+    src = tmp_path / "seq"
+    assert main(["phantom", "--t", "4", "--size", "64", "--base-radius", "12",
+                 "-o", str(src)]) == 0
+    capsys.readouterr()
+    assert main(["edg", str(src / "frames"), "--iterations", "0",
+                 "-o", str(tmp_path / "e")]) == 1
+    assert main(["flow", str(src / "frames"), "--alpha", "-1",
+                 "-o", str(tmp_path / "f")]) == 1
+    assert capsys.readouterr().err.count("error [ParameterError]") == 2
+
+
 def test_help_lists_defaults(capsys):
     for sub in ("phantom", "flow", "edg", "cpda-demo", "eval", "seed-weights"):
         with pytest.raises(SystemExit) as exc:
@@ -205,12 +219,24 @@ def test_flow_subcommand(tmp_path):
 
 
 def test_pipeline_config_roundtrip(tmp_path):
-    cfg = PipelineConfig()
-    cfg.to_json(tmp_path / "cfg.json")
-    back = PipelineConfig.from_json(tmp_path / "cfg.json")
-    assert back == cfg
+    for cfg in (PipelineConfig(), PipelineConfig(grid=SectorGrid(center=(30.0, 41.5)))):
+        cfg.to_json(tmp_path / "cfg.json")
+        back = PipelineConfig.from_json(tmp_path / "cfg.json")
+        assert back == cfg
     partial = {"seed": 99, "rbf": {"m_centers": 4}}
     (tmp_path / "partial.json").write_text(json.dumps(partial))
     got = PipelineConfig.from_json(tmp_path / "partial.json")
     assert got.seed == 99 and got.rbf.m_centers == 4
     assert got.pca_k == 10  # untouched default
+
+
+def test_pipeline_config_rejects_unknown_keys(tmp_path, capsys):
+    with pytest.raises(ParameterError, match="rbf.m_center"):
+        PipelineConfig.from_dict({"rbf": {"m_center": 4}})
+    src = tmp_path / "seq"
+    assert main(["phantom", "--t", "4", "--size", "64", "--base-radius", "12",
+                 "-o", str(src)]) == 0
+    (tmp_path / "typo.json").write_text(json.dumps({"flow": {"iteratons": 5}}))
+    assert main(["flow", str(src / "frames"), "--config", str(tmp_path / "typo.json"),
+                 "-o", str(tmp_path / "f")]) == 1
+    assert "flow.iteratons" in capsys.readouterr().err

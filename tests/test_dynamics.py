@@ -8,7 +8,6 @@ from echodyn.dynamics import (
     DynamicsModel,
     EnergyFrame,
     RbfConfig,
-    edg_from_energy,
     edg_sequence,
     energy_sequence,
     fit_rbf_weights,
@@ -258,11 +257,11 @@ def test_edg_zero_residual_all_zero():
                    input_mean=np.zeros(d), k=3)
     scaler = ScalerModel(mean=np.zeros(d), scale=np.ones(d))
     model = _toy_model(np.zeros((2, 3)), np.zeros((2, 3)))
-    z = np.zeros(3)
-    delta = np.zeros(3)  # prediction 0, target 0 -> zero residual
-    frame = EnergyFrame(e=np.zeros(2), residual_norm=0.0, frame_index=0)
-    edg = edg_from_energy(frame, model, pca, scaler, grid, z, delta)
+    z = np.zeros((2, 3))  # prediction 0, target 0 -> zero residual
+    (edg,) = edg_sequence(model, z, pca, scaler, grid)
     assert np.all(edg.sectors == 0.0)
+    with pytest.raises(ModelError):  # 24 descriptor columns against a 12-wide grid
+        edg_sequence(model, z, pca, scaler, SectorGrid(r_bins=1, theta_bins=2))
 
 
 def test_edg_single_sector_support():
@@ -276,12 +275,25 @@ def test_edg_single_sector_support():
                    input_mean=np.zeros(d), k=2)
     scaler = ScalerModel(mean=np.zeros(d), scale=np.ones(d))
     model = _toy_model(np.zeros((2, 2)), np.zeros((2, 2)))
-    delta = np.array([0.6, -0.8])  # target; prediction is zero
-    frame = EnergyFrame(e=np.ones(2), residual_norm=1.0, frame_index=0)
-    edg = edg_from_energy(frame, model, pca, scaler, grid, np.zeros(2), delta)
+    z = np.array([[0.0, 0.0], [0.6, -0.8]])  # target (0.6, -0.8); prediction is zero
+    (edg,) = edg_sequence(model, z, pca, scaler, grid)
     flat = edg.sectors.reshape(-1)
     assert np.count_nonzero(flat) == 1
     assert flat[1] == pytest.approx(1.0)  # |(-0.6, 0.8)| * mean(phi)=1
+
+
+def test_edg_matches_per_frame_oracle(phantom_model, phantom_descriptors, phantom_grid):
+    """The vectorized pass against the per-frame definition, to rounding."""
+    z, scaler, pca = phantom_descriptors
+    maps = edg_sequence(phantom_model, z, pca, scaler, phantom_grid)
+    assert len(maps) == z.shape[0] - 1
+    for t, m in enumerate(maps):
+        residual = predict_delta(phantom_model, z[t]) - (z[t + 1] - z[t])
+        raw = (residual @ pca.components) * scaler.scale
+        phi = rbf_response(z[t], phantom_model.centers, phantom_model.sigma)
+        expected = np.linalg.norm(raw.reshape(phantom_grid.sector_count, -1), axis=1) * phi.mean()
+        assert m.frame_index == t
+        np.testing.assert_allclose(m.sectors.reshape(-1), expected, rtol=1e-12, atol=0)
 
 
 def test_edg_phantom_peak_vs_quiet(phantom_model, phantom_descriptors, phantom_grid):

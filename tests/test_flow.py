@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from echodyn.errors import DimensionError
+from echodyn.errors import DimensionError, ParameterError
 from echodyn.flow import FlowField, FlowParams, compute_flow, flow_sequence, load_flow, save_flow
 from echodyn.seqio import FrameSequence
 
@@ -89,9 +89,9 @@ def test_dimension_errors():
 
 
 def test_flow_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         FlowParams(alpha=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         FlowParams(iterations=0)
 
 
