@@ -14,8 +14,6 @@ Usage: python3 demos/02_edg_pipeline.py [-o OUTDIR]
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from echodyn.pipeline import PipelineConfig, run_edg, save_edg_result
 from echodyn.seqio import PhantomSpec, generate_phantom
 
@@ -46,7 +44,7 @@ def main():
     for e in (0, 9, 49, 99, 199):
         print(f"  epoch {e + 1:3d}: mse = {hist[e]:.3f}")
 
-    totals = np.array([m.sectors.sum() for m in result.maps])
+    totals = result.maps.sum(axis=(1, 2))
     print("\ntotal EDG energy per frame (DIASTOLE fills, SYSTOLE empties):")
     peak = totals.max()
     for t, v in enumerate(totals):

@@ -18,13 +18,13 @@ import numpy as np
 
 from echodyn.cpda import (
     FeatureClip,
-    align_pedg,
     cpda_forward,
     identity_conv_kernel,
     phase_track,
     save_feature_clip,
     seed_cpda_weights,
 )
+from echodyn.dynamics import align_pedg
 from echodyn.pipeline import PipelineConfig, run_edg
 from echodyn.seqio import PhantomSpec, generate_phantom
 

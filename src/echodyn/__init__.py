@@ -20,7 +20,6 @@ from .cpda import (
 )
 from .descriptor import (
     PcaModel,
-    RawDescriptor,
     ScalerModel,
     SectorGrid,
     apply_scaler,
@@ -34,8 +33,6 @@ from .descriptor import (
 )
 from .dynamics import (
     DynamicsModel,
-    EdgMap,
-    EnergyFrame,
     RbfConfig,
     edg_sequence,
     energy_sequence,

@@ -109,7 +109,7 @@ def cmd_cpda_demo(args: argparse.Namespace) -> int:
         return 2
     phase = cpda.phase_track(t, args.ed, args.es)
     if args.pedg:
-        pedg = cpda.align_pedg(dynamics.load_pedg_csv(args.pedg), t)
+        pedg = dynamics.align_pedg(dynamics.load_pedg_csv(args.pedg), t)
     else:
         pedg = np.zeros((t, weights.edg_w1.shape[0]))
     enhanced = cpda.cpda_forward(clip, phase, pedg, weights)

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ModelError, NumericError, ParameterError
+from .errors import ModelError, NumericError, ParameterError
+from .seqio import read_binary
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,7 @@ def cpda_forward(clip: FeatureClip, phase: PhaseTrack, pedg: np.ndarray,
     """Time-aware feature modulation of a clip.
 
     `pedg` must hold one row per frame; when the dynamics stage yields
-    T-1 rows, replicate the last one (see `align_pedg`).
+    fewer rows, replicate the last one (see `dynamics.align_pedg`).
     """
     t = clip.t_count
     pedg = np.asarray(pedg, dtype=np.float64)
@@ -213,21 +214,6 @@ def cpda_forward(clip: FeatureClip, phase: PhaseTrack, pedg: np.ndarray,
     x_mod = clip.data * factor[:, None, None, :]
     out = 0.5 * x_mod + 0.5 * conv3d_same(x_mod, weights.conv_kernel, weights.conv_bias)
     return FeatureClip(data=out, level=clip.level)
-
-
-def align_pedg(p: np.ndarray, t_count: int) -> np.ndarray:
-    """Repeat the last dynamic-feature row so every frame has one.
-
-    The pipeline legitimately runs short by one row (flows: T-1) or two
-    (state transitions: T-2); larger mismatches are treated as errors.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape[0] == t_count:
-        return p
-    if 0 < t_count - p.shape[0] <= 2 and p.shape[0] > 0:
-        pad = np.repeat(p[-1:], t_count - p.shape[0], axis=0)
-        return np.vstack([p, pad])
-    raise ModelError(f"cannot align {p.shape[0]} dynamic rows to {t_count} frames")
 
 
 def identity_conv_kernel(channels: int) -> np.ndarray:
@@ -300,13 +286,6 @@ def save_feature_clip(clip: FeatureClip, path: Path | str) -> None:
 
 
 def load_feature_clip(path: Path | str) -> FeatureClip:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != b"FTC1":
-        raise FormatError(f"{path}: bad magic (expected FTC1)")
-    t, h, w, c = struct.unpack("<4I", raw[4:20])
-    n = t * h * w * c
-    if len(raw) != 20 + 4 * n:
-        raise FormatError(f"{path}: payload size mismatch")
-    data = np.frombuffer(raw[20:], dtype="<f4").astype(np.float64).reshape(t, h, w, c)
+    (t, h, w, c), payload = read_binary(path, b"FTC1", 4, 4, 4)
+    data = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(t, h, w, c)
     return FeatureClip(data=data)

@@ -10,7 +10,6 @@ per-frame low-dimensional state vector z_t.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,12 +61,6 @@ class SectorGrid:
         return cx, cy, r_max
 
 
-@dataclass(frozen=True)
-class RawDescriptor:
-    values: np.ndarray  # length R*TH*6
-    frame_index: int = 0
-
-
 def sector_of(x: float, y: float, grid: SectorGrid,
               h: int | None = None, w: int | None = None) -> tuple[int, int] | None:
     """Map a pixel to its (ring, angle-bin) sector, or None when outside.
@@ -108,9 +101,8 @@ def sector_index_map(grid: SectorGrid, h: int, w: int) -> tuple[np.ndarray, np.n
     return ring * grid.theta_bins + tbin, inside
 
 
-def extract_descriptor(frame: np.ndarray, flow: FlowField, grid: SectorGrid,
-                       frame_index: int = 0) -> RawDescriptor:
-    """Pool flow/gray statistics per sector into one fixed-length vector.
+def extract_descriptor(frame: np.ndarray, flow: FlowField, grid: SectorGrid) -> np.ndarray:
+    """Pool flow/gray statistics per sector into one length R*TH*6 vector.
 
     Concatenation is ring-major, then angle bin, then feature. Empty
     sectors contribute all-zero features.
@@ -150,7 +142,7 @@ def extract_descriptor(frame: np.ndarray, flow: FlowField, grid: SectorGrid,
         var = np.where(nonempty, s2 / safe, 0.0)
         feats[:, mean_col] = mean
         feats[:, std_col] = np.sqrt(var)
-    return RawDescriptor(values=feats.reshape(-1), frame_index=frame_index)
+    return feats.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -241,10 +233,8 @@ def descriptor_sequence(seq: FrameSequence, flows: list[FlowField], grid: Sector
         )
     if (scaler is None) != (pca is None):
         raise ParameterError("pass both scaler and pca, or neither")
-    raw = np.stack([
-        extract_descriptor(seq.frames[t], flows[t], grid, frame_index=t).values
-        for t in range(seq.t_count - 1)
-    ])
+    raw = np.stack([extract_descriptor(seq.frames[t], flows[t], grid)
+                    for t in range(seq.t_count - 1)])
     if scaler is None:
         scaler = fit_scaler(raw)
         scaled = apply_scaler(scaler, raw)
@@ -253,18 +243,6 @@ def descriptor_sequence(seq: FrameSequence, flows: list[FlowField], grid: Sector
         scaled = apply_scaler(scaler, raw)
     z = project(pca, scaled)
     return z, scaler, pca
-
-
-def save_descriptors_csv(descriptors: list[RawDescriptor], path: Path | str) -> None:
-    """One row per frame pair, header t,f0..f{D-1}."""
-    if not descriptors:
-        raise InsufficientDataError("no descriptors to write")
-    d = descriptors[0].values.shape[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"f{i}" for i in range(d)])
-        for desc in descriptors:
-            writer.writerow([desc.frame_index] + [repr(v) for v in desc.values.tolist()])
 
 
 def save_feature_models(scaler: ScalerModel, pca: PcaModel, path: Path | str) -> None:

@@ -43,7 +43,6 @@ class RbfConfig:
     learn_rate: float = 0.05
     epochs: int = 200
     ridge: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if self.m_centers < 1:
@@ -63,21 +62,7 @@ class DynamicsModel:
     sigma: float
     config: RbfConfig
     train_residual_history: np.ndarray  # mean squared residual per epoch
-
-
-@dataclass(frozen=True)
-class EnergyFrame:
-    """Residual-weighted kernel responses for one frame pair."""
-
-    e: np.ndarray  # length M, nonnegative
-    residual_norm: float
-    frame_index: int
-
-
-@dataclass(frozen=True)
-class EdgMap:
-    sectors: np.ndarray  # R x TH nonnegative energies
-    frame_index: int
+    kmeans_seed: int = 0  # seed of the k-means++ initialization that placed the centers
 
 
 def kmeans(z: np.ndarray, m: int, seed: int) -> np.ndarray:
@@ -179,11 +164,11 @@ def fit_rbf_weights(phi: np.ndarray, targets: np.ndarray, config: RbfConfig,
     return w, history
 
 
-def train_dynamics(z: np.ndarray, config: RbfConfig = RbfConfig(),
+def train_dynamics(z: np.ndarray, config: RbfConfig = RbfConfig(), seed: int = 0,
                    method: str = "lms") -> DynamicsModel:
     """Fit the RBF network to the one-step differences of the trajectory.
 
-    Centers come from k-means over all states, sigma defaults to the
+    Centers come from k-means over all states (seeded with `seed`), sigma defaults to the
     median pairwise center distance, and weights are fitted per
     `fit_rbf_weights` (incremental LMS by default).
     """
@@ -193,13 +178,13 @@ def train_dynamics(z: np.ndarray, config: RbfConfig = RbfConfig(),
         raise InsufficientDataError(
             f"need at least max(M={config.m_centers}, 2) samples, got {n}"
         )
-    centers = kmeans(z, config.m_centers, config.seed)
+    centers = kmeans(z, config.m_centers, seed)
     sigma = _resolve_sigma(centers, config)
     targets = z[1:] - z[:-1]
     phi = rbf_response(z[:-1], centers, sigma)  # (N-1) x M
     w, history = fit_rbf_weights(phi, targets, config, method=method)
-    return DynamicsModel(centers=centers, weights=w, sigma=sigma,
-                         config=config, train_residual_history=history)
+    return DynamicsModel(centers=centers, weights=w, sigma=sigma, config=config,
+                         train_residual_history=history, kmeans_seed=seed)
 
 
 def predict_delta(model: DynamicsModel, z: np.ndarray) -> np.ndarray:
@@ -221,17 +206,16 @@ def _transition_residuals(model: DynamicsModel, z: np.ndarray) -> tuple[np.ndarr
     return phi, phi @ model.weights - (z[1:] - z[:-1])
 
 
-def energy_sequence(model: DynamicsModel, z: np.ndarray) -> list[EnergyFrame]:
-    """E_t = Phi(z_t) * ||predicted dz_t - observed dz_t||_2 for each frame pair."""
+def energy_sequence(model: DynamicsModel, z: np.ndarray) -> np.ndarray:
+    """Row t is E_t = Phi(z_t) * ||predicted dz_t - observed dz_t||_2: (N-1) x M."""
     phi, residual = _transition_residuals(model, z)
-    res = np.linalg.norm(residual, axis=1)
-    return [EnergyFrame(e=phi[t] * res[t], residual_norm=float(res[t]), frame_index=t)
-            for t in range(len(res))]
+    return phi * np.linalg.norm(residual, axis=1, keepdims=True)
 
 
 def edg_sequence(model: DynamicsModel, z: np.ndarray, pca: PcaModel,
-                 scaler: ScalerModel, grid: SectorGrid) -> list[EdgMap]:
-    """Remap every frame pair's prediction residual onto the R x TH sector grid.
+                 scaler: ScalerModel, grid: SectorGrid) -> np.ndarray:
+    """Remap every frame pair's prediction residual onto the R x TH sector grid:
+    returns (N-1) x R x TH, map t for the transition z_t -> z_{t+1}.
 
     The state-space residual is pushed back through the PCA components
     into raw descriptor space (components only, no mean) and
@@ -247,15 +231,14 @@ def edg_sequence(model: DynamicsModel, z: np.ndarray, pca: PcaModel,
     raw = (residual @ pca.components) * scaler.scale
     per_sector = np.linalg.norm(raw.reshape(raw.shape[0], grid.sector_count, -1), axis=2)
     sectors = np.maximum(per_sector * phi.mean(axis=1, keepdims=True), 0.0)
-    return [EdgMap(sectors=s.reshape(grid.r_bins, grid.theta_bins), frame_index=t)
-            for t, s in enumerate(sectors)]
+    return sectors.reshape(-1, grid.r_bins, grid.theta_bins)
 
 
-def pedg_sequence(energies: list[EnergyFrame], k2: int = 8) -> tuple[np.ndarray, PcaModel]:
-    """Secondary PCA over the stacked E_t vectors; rows of P are P_EDG per frame."""
-    if len(energies) < 2:
-        raise InsufficientDataError("need at least 2 energy frames")
-    e = np.stack([en.e for en in energies])
+def pedg_sequence(energies: np.ndarray, k2: int = 8) -> tuple[np.ndarray, PcaModel]:
+    """Secondary PCA over the E_t rows; rows of P are P_EDG per frame."""
+    e = np.asarray(energies, dtype=np.float64)
+    if e.ndim != 2 or e.shape[0] < 2:
+        raise InsufficientDataError(f"need at least 2 energy rows, got shape {e.shape}")
     if not (1 <= k2 <= min(e.shape[0] - 1, e.shape[1])):
         raise ParameterError(
             f"k2={k2} out of range 1..min(count-1={e.shape[0] - 1}, M={e.shape[1]})"
@@ -264,12 +247,29 @@ def pedg_sequence(energies: list[EnergyFrame], k2: int = 8) -> tuple[np.ndarray,
     return project(model, e), model
 
 
+def align_pedg(p: np.ndarray, t_count: int) -> np.ndarray:
+    """Repeat the last P_EDG row so every one of `t_count` frames has one.
+
+    The dynamics stage yields one row per state transition (T-2), pedg.csv
+    holds one per flow frame (T-1), and CPDA consumes one per frame (T);
+    larger mismatches are treated as errors.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape[0] == t_count:
+        return p
+    if 0 < t_count - p.shape[0] <= 2 and p.shape[0] > 0:
+        pad = np.repeat(p[-1:], t_count - p.shape[0], axis=0)
+        return np.vstack([p, pad])
+    raise ModelError(f"cannot align {p.shape[0]} dynamic rows to {t_count} frames")
+
+
 def save_dynamics_model(model: DynamicsModel, path: Path | str) -> None:
     payload = {
         "centers": model.centers.tolist(),
         "weights": model.weights.tolist(),
         "sigma": model.sigma,
         "config": dataclasses.asdict(model.config),
+        "kmeans_seed": model.kmeans_seed,
         "residual_history": model.train_residual_history.tolist(),
     }
     with open(path, "w") as fh:
@@ -287,37 +287,38 @@ def load_dynamics_model(path: Path | str) -> DynamicsModel:
         sigma=float(payload["sigma"]),
         config=config,
         train_residual_history=np.asarray(payload["residual_history"], dtype=np.float64),
+        kmeans_seed=int(payload["kmeans_seed"]),
     )
 
 
-def render_edg_map(edg: EdgMap, grid: SectorGrid, h: int, w: int,
+def render_edg_map(sectors: np.ndarray, sector_ids: np.ndarray, inside: np.ndarray,
                    lo: float, hi: float) -> np.ndarray:
-    """Paint sector energies into the annular-sector region as a [0,1] image."""
-    sector_ids, inside = sector_index_map(grid, h, w)
-    values = edg.sectors.reshape(-1)
-    img = np.zeros((h, w))
+    """Paint one R x TH map into the annular-sector region as a [0,1] image;
+    `sector_ids`/`inside` come from `sector_index_map`."""
+    img = np.zeros(inside.shape)
     if hi > lo:
-        img[inside] = (values[sector_ids[inside]] - lo) / (hi - lo)
+        img[inside] = (sectors.reshape(-1)[sector_ids[inside]] - lo) / (hi - lo)
     return np.clip(img, 0.0, 1.0)
 
 
-def save_edg_outputs(maps: list[EdgMap], grid: SectorGrid, h: int, w: int,
+def save_edg_outputs(maps: np.ndarray, grid: SectorGrid, h: int, w: int,
                      out_dir: Path | str) -> None:
-    """Per-frame PGM heatmaps (min-max normalized over the sequence) + edg.csv."""
+    """Per-frame PGM heatmaps (min-max normalized over the sequence) + edg.csv
+    from the (N-1) x R x TH maps; file and row t are map t."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    all_vals = np.concatenate([m.sectors.reshape(-1) for m in maps])
-    lo, hi = float(all_vals.min()), float(all_vals.max())
-    for m in maps:
-        img = render_edg_map(m, grid, h, w, lo, hi)
-        write_pgm(out_dir / f"edg_{m.frame_index:04d}.pgm", quantize_frame(img))
+    lo, hi = float(maps.min()), float(maps.max())
+    sector_ids, inside = sector_index_map(grid, h, w)
+    for t, sectors in enumerate(maps):
+        img = render_edg_map(sectors, sector_ids, inside, lo, hi)
+        write_pgm(out_dir / f"edg_{t:04d}.pgm", quantize_frame(img))
     with open(out_dir / "edg.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "r", "theta", "energy"])
-        for m in maps:
+        for t, sectors in enumerate(maps):
             for r in range(grid.r_bins):
                 for th in range(grid.theta_bins):
-                    writer.writerow([m.frame_index, r, th, repr(float(m.sectors[r, th]))])
+                    writer.writerow([t, r, th, repr(float(sectors[r, th]))])
 
 
 def save_pedg_csv(p: np.ndarray, path: Path | str) -> None:

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import convolve, gaussian_filter
 
-from .errors import DimensionError, FormatError, ParameterError
-from .seqio import FrameSequence
+from .errors import DimensionError, ParameterError
+from .seqio import FrameSequence, read_binary
 
 # weighted 8-neighbor average used by the Jacobi step
 _AVG_KERNEL = np.array(
@@ -115,14 +115,6 @@ def save_flow(flow: FlowField, path: Path | str) -> None:
 
 
 def load_flow(path: Path | str) -> FlowField:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != b"FLW1":
-        raise FormatError(f"{path}: bad magic (expected FLW1)")
-    h, w = struct.unpack("<2I", raw[4:12])
-    n = h * w * 4
-    if len(raw) != 12 + 2 * n:
-        raise FormatError(f"{path}: payload size mismatch")
-    u = np.frombuffer(raw[12:12 + n], dtype="<f4").reshape(h, w).astype(np.float64)
-    v = np.frombuffer(raw[12 + n:], dtype="<f4").reshape(h, w).astype(np.float64)
-    return FlowField(u=u, v=v)
+    (h, w), payload = read_binary(path, b"FLW1", 2, 2, 8)  # two f32 planes
+    uv = np.frombuffer(payload, dtype="<f4").reshape(2, h, w).astype(np.float64)
+    return FlowField(u=uv[0], v=uv[1])

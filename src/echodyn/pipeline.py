@@ -17,12 +17,14 @@ import dataclasses
 import hashlib
 import json
 import os
+import types
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import cpda, descriptor, dynamics, flow, seqio
+from . import descriptor, dynamics, flow, seqio
 from .errors import ParameterError
 
 STAGE_PHANTOM = "phantom"
@@ -66,7 +68,11 @@ class PipelineConfig:
     @staticmethod
     def from_json(path: Path | str) -> "PipelineConfig":
         with open(path) as fh:
-            return PipelineConfig.from_dict(json.load(fh))
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParameterError(f"{path}: malformed JSON config: {exc}") from None
+        return PipelineConfig.from_dict(raw)
 
     @staticmethod
     def from_dict(raw: dict) -> "PipelineConfig":
@@ -75,22 +81,42 @@ class PipelineConfig:
 
 
 def _from_dict(cls, raw, prefix: str):
-    """Load dataclass `cls` from a dict: a field with a dataclass default loads
-    from a sub-dict, lists become tuples, unknown keys raise ParameterError."""
+    """Load dataclass `cls` from a dict: a dataclass-typed field loads from a
+    sub-dict, lists become tuples; an unknown key or a value that does not
+    match its field's declared type raises ParameterError naming the dotted key."""
     if not isinstance(raw, dict):
         raise ParameterError(f"config '{prefix.rstrip('.') or '<root>'}' must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in raw.items():
-        if key not in fields:
+        if key not in hints:
             raise ParameterError(f"unknown config key '{prefix}{key}'")
-        default = fields[key].default
-        if dataclasses.is_dataclass(default):
-            value = _from_dict(type(default), value, f"{prefix}{key}.")
+        tp = hints[key]
+        if dataclasses.is_dataclass(tp):
+            value = _from_dict(tp, value, f"{prefix}{key}.")
+        elif not _fits(value, tp):
+            raise ParameterError(f"config '{prefix}{key}' must be "
+                                 f"{getattr(tp, '__name__', tp)}, got {value!r}")
         elif isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
     return cls(**kwargs)
+
+
+def _fits(value, tp) -> bool:
+    """Whether JSON `value` matches the declared type `tp`; an int fits float,
+    a bool fits only bool."""
+    if isinstance(tp, types.UnionType):
+        return any(_fits(value, arm) for arm in typing.get_args(tp))
+    if typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(map(_fits, value, args)))
+    if isinstance(value, bool):
+        return tp is bool
+    if tp is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, tp)
 
 
 def override(cfg, path: str, value):
@@ -109,8 +135,8 @@ class EdgResult:
     scaler: descriptor.ScalerModel
     pca: descriptor.PcaModel
     model: dynamics.DynamicsModel
-    energies: list[dynamics.EnergyFrame]  # one per state transition (T-2)
-    maps: list[dynamics.EdgMap]  # one per state transition (T-2)
+    energies: np.ndarray  # (T-2) x M, one E_t row per state transition
+    maps: np.ndarray  # (T-2) x R x TH, one EDG map per state transition
     pedg: np.ndarray  # (T-2) x k2, one P_EDG row per state transition
 
 
@@ -121,10 +147,10 @@ def run_edg(seq: seqio.FrameSequence, cfg: PipelineConfig = PipelineConfig(),
     The k-means centers are seeded from stage_seed(cfg.seed, "kmeans");
     `method` selects the RBF weight fit ("lms" or closed-form "ls").
     """
-    rbf = replace(cfg.rbf, seed=stage_seed(cfg.seed, STAGE_KMEANS))
     flows = flow.flow_sequence(seq, cfg.flow)
     z, scaler, pca = descriptor.descriptor_sequence(seq, flows, cfg.grid, k=cfg.pca_k)
-    model = dynamics.train_dynamics(z, rbf, method=method)
+    model = dynamics.train_dynamics(z, cfg.rbf, seed=stage_seed(cfg.seed, STAGE_KMEANS),
+                                    method=method)
     energies = dynamics.energy_sequence(model, z)
     maps = dynamics.edg_sequence(model, z, pca, scaler, cfg.grid)
     pedg, _ = dynamics.pedg_sequence(energies, k2=cfg.k2)
@@ -145,7 +171,7 @@ def save_edg_result(result: EdgResult, h: int, w: int, out: Path | str) -> None:
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     dynamics.save_edg_outputs(result.maps, result.config.grid, h, w, out)
-    p_rows = cpda.align_pedg(result.pedg, len(result.flows))
+    p_rows = dynamics.align_pedg(result.pedg, len(result.flows))
     atomic_write(out / "pedg.csv", lambda p: dynamics.save_pedg_csv(p_rows, p))
     atomic_write(out / "model.json", lambda p: dynamics.save_dynamics_model(result.model, p))
     atomic_write(out / "descriptor_model.json",

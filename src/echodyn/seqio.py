@@ -12,6 +12,7 @@ On-disk formats are deliberately simple and bit-exact:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,8 +49,8 @@ class FrameSequence:
 
     def __post_init__(self):
         f = np.asarray(self.frames, dtype=np.float64)
-        if f.ndim != 3:
-            raise DimensionError(f"frames must be T x H x W, got shape {f.shape}")
+        if f.ndim != 3 or 0 in f.shape[1:]:
+            raise DimensionError(f"frames must be T x H x W with H, W >= 1, got shape {f.shape}")
         t = f.shape[0]
         if t < 2:
             raise InsufficientDataError(f"need at least 2 frames, got {t}")
@@ -59,7 +60,7 @@ class FrameSequence:
             )
         if self.ed_index == self.es_index:
             raise FormatError("ed_index and es_index must differ")
-        if f.min() < 0.0 or f.max() > 1.0:
+        if not (f.min() >= 0.0 and f.max() <= 1.0):  # false for NaN too
             raise FormatError("frame values must lie in [0, 1]")
         object.__setattr__(self, "frames", f)
 
@@ -164,6 +165,30 @@ def read_pgm(path: Path | str) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
 
 
+def read_binary(path: Path | str, magic: bytes, n_fields: int, n_dims: int,
+                item_bytes: int) -> tuple[tuple[int, ...], bytes]:
+    """Read a file laid out as `magic`, `n_fields` little-endian u32, payload.
+
+    The first `n_dims` fields are dimensions: each must be >= 1 and the
+    payload must hold exactly their product times `item_bytes` bytes.
+    Returns (fields, payload); any mismatch raises FormatError.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[:4] != magic:
+        raise FormatError(f"{path}: bad magic (expected {magic.decode()})")
+    end = 4 + 4 * n_fields
+    if len(raw) < end:
+        raise FormatError(f"{path}: truncated header ({len(raw)} of {end} bytes)")
+    fields = struct.unpack(f"<{n_fields}I", raw[4:end])
+    dims = fields[:n_dims]
+    if min(dims) < 1:
+        raise FormatError(f"{path}: zero dimension in header {dims}")
+    if len(raw) - end != math.prod(dims) * item_bytes:
+        raise FormatError(f"{path}: payload size mismatch")
+    return fields, raw[end:]
+
+
 def save_sequence(seq: FrameSequence, path: Path | str) -> None:
     """Write a sequence as a frame directory, or as a single `.eds` container.
 
@@ -228,18 +253,10 @@ def _save_eds(seq: FrameSequence, path: Path) -> None:
 
 
 def _load_eds(path: Path) -> FrameSequence:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != b"EDS1":
-        raise FormatError(f"{path}: bad magic (expected EDS1)")
-    if len(raw) < 24:
-        raise FormatError(f"{path}: truncated header")
-    t, h, w, ed, es = struct.unpack("<5I", raw[4:24])
+    (t, h, w, ed, es), payload = read_binary(path, b"EDS1", 5, 3, 1)
     if t < 2:
         raise InsufficientDataError(f"{path}: sequence too short (T={t})")
-    if len(raw) != 24 + t * h * w:
-        raise FormatError(f"{path}: payload size mismatch")
-    frames = np.frombuffer(raw[24:], dtype=np.uint8).reshape(t, h, w) / 255.0
+    frames = np.frombuffer(payload, dtype=np.uint8).reshape(t, h, w) / 255.0
     return FrameSequence(frames=frames, ed_index=ed, es_index=es)
 
 
@@ -251,10 +268,15 @@ def save_masks(masks: MaskSequence, path: Path | str) -> None:
 
 
 def load_masks(path: Path | str) -> MaskSequence:
+    """Load mask_0000.pgm .. mask_{T-1}.pgm; the numbering must have no gaps."""
     path = Path(path)
-    files = sorted(path.glob("mask_*.pgm"))
-    if not files:
+    count = len(list(path.glob("mask_*.pgm")))
+    if not count:
         raise FormatError(f"{path}: no mask_*.pgm files found")
+    files = [path / f"mask_{i:04d}.pgm" for i in range(count)]
+    missing = next((f for f in files if not f.is_file()), None)
+    if missing is not None:
+        raise FormatError(f"{path}: {missing.name} is missing (mask numbering has a gap)")
     imgs = [read_pgm(f) for f in files]
     shapes = {im.shape for im in imgs}
     if len(shapes) != 1:

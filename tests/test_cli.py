@@ -240,3 +240,47 @@ def test_pipeline_config_rejects_unknown_keys(tmp_path, capsys):
     assert main(["flow", str(src / "frames"), "--config", str(tmp_path / "typo.json"),
                  "-o", str(tmp_path / "f")]) == 1
     assert "flow.iteratons" in capsys.readouterr().err
+
+
+def test_malformed_config_json_exits_1(tmp_path, capsys):
+    (tmp_path / "bad.json").write_text('{"flow": {')
+    with pytest.raises(ParameterError, match="malformed JSON"):
+        PipelineConfig.from_json(tmp_path / "bad.json")
+    assert main(["seed-weights", "--channels", "2", "--config", str(tmp_path / "bad.json"),
+                 "-o", str(tmp_path / "w.json")]) == 1
+    assert "error [ParameterError]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw,key", [
+    ({"grid": {"r_bins": "4"}}, "grid.r_bins"),
+    ({"grid": {"center": "x"}}, "grid.center"),
+    ({"rbf": {"epochs": True}}, "rbf.epochs"),
+])
+def test_pipeline_config_rejects_wrong_value_types(raw, key):
+    with pytest.raises(ParameterError, match=f"config '{key}' must be"):
+        PipelineConfig.from_dict(raw)
+
+
+def test_wrong_config_type_exits_before_flow(tmp_path, capsys):
+    src = tmp_path / "seq"
+    assert main(["phantom", "--t", "4", "--size", "64", "--base-radius", "12",
+                 "-o", str(src)]) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps({"pca_k": "6"}))
+    assert main(["edg", str(src / "frames"), "--config", str(tmp_path / "cfg.json"),
+                 "-o", str(tmp_path / "e")]) == 1
+    assert "config 'pca_k' must be int" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+def test_rbf_seed_is_not_a_config_key(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text(json.dumps({"rbf": {"seed": 5}}))
+    assert main(["seed-weights", "--channels", "2", "--config", str(tmp_path / "cfg.json"),
+                 "-o", str(tmp_path / "w.json")]) == 1
+    assert "unknown config key 'rbf.seed'" in capsys.readouterr().err
+
+
+def test_cpda_demo_truncated_clip_exits_1(tmp_path, capsys):
+    (tmp_path / "c.ftc").write_bytes(b"FTC1\x01\x00")
+    assert main(["cpda-demo", str(tmp_path / "c.ftc"), "--seed-weights", "--ed", "0",
+                 "--es", "1", "-o", str(tmp_path / "out.ftc")]) == 1
+    assert "error [FormatError]" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from echodyn.cpda import (
     CpdaWeights,
     FeatureClip,
     PhaseTrack,
-    align_pedg,
     cpda_forward,
     identity_conv_kernel,
     load_cpda_weights,
@@ -303,23 +302,6 @@ def test_cpda_shape_errors():
         cpda_forward(clip, phase_track(4, 0, 2), np.zeros((4, 2)), wts)
     with pytest.raises(ModelError):
         cpda_forward(clip, phase, np.zeros((3, 5)), wts)
-
-
-# ------------------------------------------------------------------ align
-
-def test_align_pedg():
-    p = np.arange(6, dtype=float).reshape(3, 2)
-    out = align_pedg(p, 4)
-    assert out.shape == (4, 2)
-    assert np.array_equal(out[3], p[2])
-    out2 = align_pedg(p, 5)  # the energy chain runs two rows short
-    assert out2.shape == (5, 2)
-    assert np.array_equal(out2[3], p[2]) and np.array_equal(out2[4], p[2])
-    assert np.array_equal(align_pedg(p, 3), p)
-    with pytest.raises(ModelError):
-        align_pedg(p, 6)
-    with pytest.raises(ModelError):
-        align_pedg(p, 2)
 
 
 # --------------------------------------------------------------------- io

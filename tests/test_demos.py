@@ -1,4 +1,4 @@
-"""Smoke test: the EDG and CPDA demos run to completion and write their artifacts."""
+"""Smoke test: every demo runs to completion and writes its artifacts."""
 
 from __future__ import annotations
 
@@ -16,6 +16,14 @@ def run_demo(name, out, monkeypatch):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
 
 
+def test_demo_01_phantom_and_flow(tmp_path, monkeypatch):
+    out = tmp_path / "01"
+    run_demo("01_phantom_and_flow.py", out, monkeypatch)
+    t = PhantomSpec().t_count
+    assert len(list(out.glob("flow_*.bin"))) == t - 1
+    assert len(list((out / "masks").glob("mask_*.pgm"))) == t
+
+
 def test_demo_02_edg_pipeline(tmp_path, monkeypatch):
     out = tmp_path / "02"
     run_demo("02_edg_pipeline.py", out, monkeypatch)
@@ -28,3 +36,11 @@ def test_demo_03_cpda_modulation(tmp_path, monkeypatch):
     out = tmp_path / "03"
     run_demo("03_cpda_modulation.py", out, monkeypatch)
     assert (out / "enhanced.ftc").read_bytes()[:4] == b"FTC1"
+
+
+def test_demo_04_segmentation_metrics(tmp_path, monkeypatch):
+    out = tmp_path / "04"
+    run_demo("04_segmentation_metrics.py", out, monkeypatch)
+    for name in ("perfect", "eroded-every-frame", "dilated-every-other"):
+        assert (out / f"report_{name}.json").is_file()
+        assert (out / f"report_{name}.csv").is_file()

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from echodyn.descriptor import (
     fit_scaler,
     load_feature_models,
     project,
-    save_descriptors_csv,
     save_feature_models,
     sector_index_map,
     sector_of,
@@ -81,7 +78,7 @@ def test_extract_zero_flow_uniform_gray():
     frame = np.full((32, 32), g)
     flow = FlowField(u=np.zeros((32, 32)), v=np.zeros((32, 32)))
     grid = SectorGrid(r_bins=2, theta_bins=4)
-    desc = extract_descriptor(frame, flow, grid).values.reshape(-1, 6)
+    desc = extract_descriptor(frame, flow, grid).reshape(-1, 6)
     ids, inside = sector_index_map(grid, 32, 32)
     counts = np.bincount(ids[inside], minlength=grid.sector_count)
     for s in range(grid.sector_count):
@@ -99,7 +96,7 @@ def test_extract_pure_radial_flow():
         u = np.where(rho > 0, (xs - cx) / rho, 0.0)
         v = np.where(rho > 0, (ys - cy) / rho, 0.0)
     desc = extract_descriptor(np.full((h, w), 0.5), FlowField(u=u, v=v), grid)
-    feats = desc.values.reshape(-1, 6)
+    feats = desc.reshape(-1, 6)
     ids, inside = sector_index_map(grid, h, w)
     counts = np.bincount(ids[inside], minlength=grid.sector_count)
     for s in np.nonzero(counts)[0]:
@@ -119,7 +116,7 @@ def test_extract_pure_rotation_flow():
         u = np.where(rho > 0, -(ys - cy) / rho, 0.0)
         v = np.where(rho > 0, (xs - cx) / rho, 0.0)
     feats = extract_descriptor(np.full((h, w), 0.5), FlowField(u=u, v=v),
-                               grid).values.reshape(-1, 6)
+                               grid).reshape(-1, 6)
     ids, inside = sector_index_map(grid, h, w)
     counts = np.bincount(ids[inside], minlength=grid.sector_count)
     for s in np.nonzero(counts)[0]:
@@ -156,8 +153,8 @@ def test_rotation_covariance_cyclic_shift():
 
     f0, fl0 = build(0.0)
     f1, fl1 = build(step)  # rotated by exactly one bin
-    d0 = extract_descriptor(f0, fl0, grid).values.reshape(grid.r_bins, grid.theta_bins, 6)
-    d1 = extract_descriptor(f1, fl1, grid).values.reshape(grid.r_bins, grid.theta_bins, 6)
+    d0 = extract_descriptor(f0, fl0, grid).reshape(grid.r_bins, grid.theta_bins, 6)
+    d1 = extract_descriptor(f1, fl1, grid).reshape(grid.r_bins, grid.theta_bins, 6)
     shifted = np.roll(d0, 1, axis=1)
     scale = np.abs(d0).max()
     assert np.allclose(d1, shifted, atol=0.1 * scale)
@@ -283,7 +280,7 @@ def test_descriptor_sequence_phantom(phantom, phantom_flows, phantom_grid, phant
     z, scaler, pca = phantom_descriptors
     assert z.shape == (seq.t_count - 1, 10)
     raw = np.stack([
-        extract_descriptor(seq.frames[t], phantom_flows[t], phantom_grid).values
+        extract_descriptor(seq.frames[t], phantom_flows[t], phantom_grid)
         for t in range(seq.t_count - 1)
     ])
     scaled = apply_scaler(scaler, raw)
@@ -312,18 +309,6 @@ def test_descriptor_sequence_determinism(phantom, phantom_flows, phantom_grid):
 
 
 # ------------------------------------------------------------------- io
-
-def test_descriptor_csv(tmp_path):
-    frame = np.full((16, 16), 0.5)
-    flow = FlowField(u=np.zeros((16, 16)), v=np.zeros((16, 16)))
-    grid = SectorGrid(r_bins=2, theta_bins=3)
-    descs = [extract_descriptor(frame, flow, grid, frame_index=t) for t in range(2)]
-    save_descriptors_csv(descs, tmp_path / "d.csv")
-    with open(tmp_path / "d.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t"] + [f"f{i}" for i in range(2 * 3 * 6)]
-    assert len(rows) == 3
-
 
 def test_feature_model_json_roundtrip(tmp_path, phantom_descriptors):
     _, scaler, pca = phantom_descriptors

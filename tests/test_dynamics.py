@@ -6,8 +6,8 @@ import pytest
 from echodyn.descriptor import PcaModel, ScalerModel, SectorGrid
 from echodyn.dynamics import (
     DynamicsModel,
-    EnergyFrame,
     RbfConfig,
+    align_pedg,
     edg_sequence,
     energy_sequence,
     fit_rbf_weights,
@@ -108,22 +108,22 @@ def test_rbf_response_bounds():
 
 def test_train_constant_sequence_zero_weights():
     z = np.tile([1.0, 2.0], (10, 1))
-    model = train_dynamics(z, RbfConfig(m_centers=2, epochs=5, seed=0))
+    model = train_dynamics(z, RbfConfig(m_centers=2, epochs=5), seed=0)
     assert np.all(model.weights == 0.0)
     assert np.all(model.train_residual_history == 0.0)
 
 
 def test_train_single_sample_converges():
     z = np.array([[0.0], [1.0]])  # one transition, target 1.0
-    model = train_dynamics(z, RbfConfig(m_centers=1, epochs=200, seed=0))
+    model = train_dynamics(z, RbfConfig(m_centers=1, epochs=200), seed=0)
     assert model.train_residual_history[-1] < 1e-6
     assert predict_delta(model, z[0])[0] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_train_noisy_circle_oracle_bound():
     z = noisy_circle()
-    cfg = RbfConfig(m_centers=8, seed=3)
-    model = train_dynamics(z, cfg)
+    cfg = RbfConfig(m_centers=8)
+    model = train_dynamics(z, cfg, seed=3)
     targets = z[1:] - z[:-1]
     phi = rbf_response(z[:-1], model.centers, model.sigma)
     _, ridge_mse = ridge_oracle(phi, targets, cfg.ridge)
@@ -132,8 +132,8 @@ def test_train_noisy_circle_oracle_bound():
 
 def test_train_ls_mode_matches_oracle():
     z = noisy_circle(n=60, seed=1)
-    cfg = RbfConfig(m_centers=6, seed=2, epochs=10)
-    model = train_dynamics(z, cfg, method="ls")
+    cfg = RbfConfig(m_centers=6, epochs=10)
+    model = train_dynamics(z, cfg, seed=2, method="ls")
     targets = z[1:] - z[:-1]
     phi = rbf_response(z[:-1], model.centers, model.sigma)
     w_star, mse = ridge_oracle(phi, targets, cfg.ridge)
@@ -145,7 +145,7 @@ def test_train_ls_mode_matches_oracle():
 def test_train_divergence_error():
     z = noisy_circle(n=50, seed=5)
     with pytest.raises(DivergenceError):
-        train_dynamics(z, RbfConfig(m_centers=8, learn_rate=5.0, epochs=50, seed=0))
+        train_dynamics(z, RbfConfig(m_centers=8, learn_rate=5.0, epochs=50), seed=0)
 
 
 def test_train_insufficient_data():
@@ -213,18 +213,15 @@ def test_energy_perfect_prediction_zero():
     # weights = 0 and a constant trajectory: residual 0 everywhere
     model = _toy_model(np.zeros((2, 2)), np.zeros((2, 2)))
     z = np.tile([0.5, 0.5], (4, 1))
-    for frame in energy_sequence(model, z):
-        assert np.allclose(frame.e, 0.0)
-        assert frame.residual_norm == 0.0
+    assert np.all(energy_sequence(model, z) == 0.0)
 
 
 def test_energy_zero_weights_formula():
     model = _toy_model([[0.0, 0.0]], [[0.0, 0.0]], sigma=1.0)
     z = np.array([[0.0, 0.0], [1.0, 0.0]])
-    frames = energy_sequence(model, z)
-    assert len(frames) == 1
-    assert frames[0].residual_norm == pytest.approx(1.0)
-    assert frames[0].e[0] == pytest.approx(1.0)  # phi at the center = 1
+    e = energy_sequence(model, z)
+    assert e.shape == (1, 1)
+    assert e[0, 0] == pytest.approx(1.0)  # phi at the center = 1, residual norm 1
 
 
 def test_energy_hand_case():
@@ -234,18 +231,17 @@ def test_energy_hand_case():
     centers = np.array([[0.0], [d]])
     model = _toy_model(centers, np.zeros((2, 1)), sigma=sigma)
     z = np.array([[0.0], [2.0]])  # target = +2, prediction 0 -> residual 2
-    frame = energy_sequence(model, z)[0]
-    assert frame.e[0] == pytest.approx(2.0, rel=1e-12)
-    assert frame.e[1] == pytest.approx(1.0, rel=1e-12)
-    assert (frame.e >= 0).all()
+    (e,) = energy_sequence(model, z)
+    assert e[0] == pytest.approx(2.0, rel=1e-12)
+    assert e[1] == pytest.approx(1.0, rel=1e-12)
+    assert (e >= 0).all()
 
 
 def test_energy_kernel_bounds(phantom_model, phantom_descriptors):
     z, _, _ = phantom_descriptors
     phi = rbf_response(z, phantom_model.centers, phantom_model.sigma)
     assert (phi > 0).all() and (phi <= 1.0).all()
-    for frame in energy_sequence(phantom_model, z):
-        assert (frame.e >= 0).all()
+    assert (energy_sequence(phantom_model, z) >= 0).all()
 
 
 # -------------------------------------------------------------------- edg
@@ -259,7 +255,7 @@ def test_edg_zero_residual_all_zero():
     model = _toy_model(np.zeros((2, 3)), np.zeros((2, 3)))
     z = np.zeros((2, 3))  # prediction 0, target 0 -> zero residual
     (edg,) = edg_sequence(model, z, pca, scaler, grid)
-    assert np.all(edg.sectors == 0.0)
+    assert np.all(edg == 0.0)
     with pytest.raises(ModelError):  # 24 descriptor columns against a 12-wide grid
         edg_sequence(model, z, pca, scaler, SectorGrid(r_bins=1, theta_bins=2))
 
@@ -277,7 +273,7 @@ def test_edg_single_sector_support():
     model = _toy_model(np.zeros((2, 2)), np.zeros((2, 2)))
     z = np.array([[0.0, 0.0], [0.6, -0.8]])  # target (0.6, -0.8); prediction is zero
     (edg,) = edg_sequence(model, z, pca, scaler, grid)
-    flat = edg.sectors.reshape(-1)
+    flat = edg.reshape(-1)
     assert np.count_nonzero(flat) == 1
     assert flat[1] == pytest.approx(1.0)  # |(-0.6, 0.8)| * mean(phi)=1
 
@@ -286,20 +282,19 @@ def test_edg_matches_per_frame_oracle(phantom_model, phantom_descriptors, phanto
     """The vectorized pass against the per-frame definition, to rounding."""
     z, scaler, pca = phantom_descriptors
     maps = edg_sequence(phantom_model, z, pca, scaler, phantom_grid)
-    assert len(maps) == z.shape[0] - 1
+    assert maps.shape == (z.shape[0] - 1, phantom_grid.r_bins, phantom_grid.theta_bins)
     for t, m in enumerate(maps):
         residual = predict_delta(phantom_model, z[t]) - (z[t + 1] - z[t])
         raw = (residual @ pca.components) * scaler.scale
         phi = rbf_response(z[t], phantom_model.centers, phantom_model.sigma)
         expected = np.linalg.norm(raw.reshape(phantom_grid.sector_count, -1), axis=1) * phi.mean()
-        assert m.frame_index == t
-        np.testing.assert_allclose(m.sectors.reshape(-1), expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(m.reshape(-1), expected, rtol=1e-12, atol=0)
 
 
 def test_edg_phantom_peak_vs_quiet(phantom_model, phantom_descriptors, phantom_grid):
     z, scaler, pca = phantom_descriptors
     maps = edg_sequence(phantom_model, z, pca, scaler, phantom_grid)
-    totals = np.array([m.sectors.sum() for m in maps])
+    totals = maps.sum(axis=(1, 2))
     assert (totals >= 0).all()
     peak = totals[[7, 8, 22, 23]].mean()
     quiet = totals[[0, 14, 15, 16, 29]].mean()
@@ -323,24 +318,20 @@ def test_edg_determinism(phantom_model, phantom_descriptors, phantom_grid):
     z, scaler, pca = phantom_descriptors
     m1 = edg_sequence(phantom_model, z, pca, scaler, phantom_grid)
     m2 = edg_sequence(phantom_model, z, pca, scaler, phantom_grid)
-    for a, b in zip(m1, m2):
-        assert np.array_equal(a.sectors, b.sectors)
+    assert np.array_equal(m1, m2)
 
 
 # ------------------------------------------------------------------- pedg
 
 def test_pedg_identical_energies_project_to_zero():
-    frames = [EnergyFrame(e=np.array([1.0, 2.0, 3.0]), residual_norm=1.0, frame_index=t)
-              for t in range(5)]
-    p, _ = pedg_sequence(frames, k2=2)
+    p, _ = pedg_sequence(np.tile([1.0, 2.0, 3.0], (5, 1)), k2=2)
     assert np.allclose(p, 0.0)
 
 
 def test_pedg_full_rank_reconstruction():
     rng = np.random.default_rng(12)
     e = np.abs(rng.normal(size=(10, 4)))
-    frames = [EnergyFrame(e=e[t], residual_norm=1.0, frame_index=t) for t in range(10)]
-    p, model = pedg_sequence(frames, k2=4)
+    p, model = pedg_sequence(e, k2=4)
     from echodyn.descriptor import back_project
     for t in range(10):
         assert np.abs(back_project(model, p[t]) - e[t]).max() < 1e-6
@@ -352,20 +343,31 @@ def test_pedg_phantom_spectrum(phantom_model, phantom_descriptors):
     p, model = pedg_sequence(energies, k2=8)
     assert p.shape == (len(energies), 8)
     assert np.all(np.diff(model.explained_variance) <= 1e-12)
-    e = np.stack([f.e for f in energies])
-    ec = e - e.mean(axis=0)
-    oracle = np.linalg.eigvalsh(ec.T @ ec / e.shape[0])[::-1]
+    ec = energies - energies.mean(axis=0)
+    oracle = np.linalg.eigvalsh(ec.T @ ec / energies.shape[0])[::-1]
     assert np.abs(model.explained_variance - oracle[:8]).max() < 1e-6
 
 
 def test_pedg_errors():
-    frames = [EnergyFrame(e=np.ones(3), residual_norm=1.0, frame_index=0)]
     with pytest.raises(InsufficientDataError):
-        pedg_sequence(frames, k2=1)
-    frames = [EnergyFrame(e=np.ones(3), residual_norm=1.0, frame_index=t)
-              for t in range(4)]
+        pedg_sequence(np.ones((1, 3)), k2=1)
     with pytest.raises(ParameterError):
-        pedg_sequence(frames, k2=4)  # k2 > M
+        pedg_sequence(np.ones((4, 3)), k2=4)  # k2 > M
+
+
+def test_align_pedg():
+    p = np.arange(6, dtype=float).reshape(3, 2)
+    out = align_pedg(p, 4)
+    assert out.shape == (4, 2)
+    assert np.array_equal(out[3], p[2])
+    out2 = align_pedg(p, 5)  # the energy chain runs two rows short
+    assert out2.shape == (5, 2)
+    assert np.array_equal(out2[3], p[2]) and np.array_equal(out2[4], p[2])
+    assert np.array_equal(align_pedg(p, 3), p)
+    with pytest.raises(ModelError):
+        align_pedg(p, 6)
+    with pytest.raises(ModelError):
+        align_pedg(p, 2)
 
 
 # --------------------------------------------------------------------- io
@@ -379,6 +381,7 @@ def test_dynamics_model_json_roundtrip(tmp_path, phantom_model):
     assert np.array_equal(back.train_residual_history,
                           phantom_model.train_residual_history)
     assert back.config.m_centers == phantom_model.config.m_centers
+    assert back.kmeans_seed == phantom_model.kmeans_seed
 
 
 def test_edg_outputs(tmp_path, phantom_model, phantom_descriptors, phantom_grid):

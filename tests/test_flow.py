@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from echodyn.errors import DimensionError, ParameterError
+from echodyn.errors import DimensionError, FormatError, ParameterError
 from echodyn.flow import FlowField, FlowParams, compute_flow, flow_sequence, load_flow, save_flow
 from echodyn.seqio import FrameSequence
 
@@ -123,3 +123,9 @@ def test_flow_dump_roundtrip(tmp_path):
     assert np.array_equal(back.u, f.u) and np.array_equal(back.v, f.v)
     raw = (tmp_path / "f.bin").read_bytes()
     assert raw[:4] == b"FLW1"
+
+
+def test_load_flow_truncated_header(tmp_path):
+    (tmp_path / "f.bin").write_bytes(b"FLW1\x06\x00")
+    with pytest.raises(FormatError, match="truncated header"):
+        load_flow(tmp_path / "f.bin")

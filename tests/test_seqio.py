@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -118,6 +119,21 @@ def test_load_errors(tmp_path):
         load_sequence(tmp_path / "meta_missing_field")
 
 
+def test_eds_zero_dimension_rejected(tmp_path):
+    for h, w in ((0, 4), (4, 0)):
+        path = tmp_path / f"z{h}{w}.eds"
+        path.write_bytes(b"EDS1" + struct.pack("<5I", 2, h, w, 0, 1))
+        with pytest.raises(FormatError, match="zero dimension"):
+            load_sequence(path)
+
+
+def test_frame_sequence_rejects_nan():
+    frames = np.full((2, 4, 4), 0.5)
+    frames[1, 2, 3] = np.nan
+    with pytest.raises(FormatError):
+        FrameSequence(frames=frames, ed_index=0, es_index=1)
+
+
 def test_frame_sequence_invariants():
     with pytest.raises(InsufficientDataError):
         FrameSequence(frames=np.zeros((1, 4, 4)), ed_index=0, es_index=0)
@@ -125,6 +141,8 @@ def test_frame_sequence_invariants():
         FrameSequence(frames=np.zeros((2, 4, 4)), ed_index=0, es_index=0)
     with pytest.raises(FormatError):
         FrameSequence(frames=np.full((2, 4, 4), 1.5), ed_index=0, es_index=1)
+    with pytest.raises(DimensionError):
+        FrameSequence(frames=np.zeros((2, 0, 4)), ed_index=0, es_index=1)
 
 
 def test_mask_labels_validated():
@@ -137,6 +155,13 @@ def test_masks_roundtrip(tmp_path):
     save_masks(masks, tmp_path / "m")
     back = load_masks(tmp_path / "m")
     assert np.array_equal(back.masks, masks.masks)
+
+
+def test_load_masks_rejects_numbering_gap(tmp_path):
+    save_masks(MaskSequence(masks=np.zeros((3, 4, 4), dtype=np.uint8)), tmp_path / "m")
+    (tmp_path / "m" / "mask_0001.pgm").unlink()
+    with pytest.raises(FormatError, match="mask_0001.pgm"):
+        load_masks(tmp_path / "m")
 
 
 def test_phantom_radius_formula():
