@@ -150,7 +150,7 @@ def cmd_seed_weights(args: argparse.Namespace) -> int:
 def _add_flow_flags(parser: argparse.ArgumentParser) -> None:
     _config_flag(parser, "--alpha", "flow.alpha", float, "regularization weight (default 15.0)")
     _config_flag(parser, "--iterations", "flow.iterations", int,
-                 "Jacobi iterations (default 100)")
+                 "conjugate-gradient iterations (default 40)")
     _config_flag(parser, "--presmooth", "flow.presmooth_sigma", float,
                  "Gaussian presmoothing sigma in px (default 1.0)")
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ModelError, NumericError, ParameterError
-from .seqio import read_binary
+from .seqio import as_format_error, read_binary, read_json
 
 
 @dataclass(frozen=True)
@@ -267,13 +267,14 @@ def save_cpda_weights(weights: CpdaWeights, path: Path | str) -> None:
 
 
 def load_cpda_weights(path: Path | str) -> CpdaWeights:
-    with open(path) as fh:
-        payload = json.load(fh)
-    kwargs = {"heads": int(payload["heads"]), "alpha": float(payload["alpha"])}
-    for name in _ARRAY_FIELDS:
-        entry = payload[name]
-        kwargs[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-    return CpdaWeights(**kwargs)
+    payload = read_json(path, {"heads": None, "alpha": None,
+                               **dict.fromkeys(_ARRAY_FIELDS, ("shape", "data"))})
+    with as_format_error(path):
+        kwargs = {"heads": int(payload["heads"]), "alpha": float(payload["alpha"])}
+        for name in _ARRAY_FIELDS:
+            entry = payload[name]
+            kwargs[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        return CpdaWeights(**kwargs)
 
 
 def save_feature_clip(clip: FeatureClip, path: Path | str) -> None:

@@ -24,7 +24,7 @@ from .errors import (
     ParameterError,
 )
 from .flow import FlowField
-from .seqio import FrameSequence
+from .seqio import FrameSequence, as_format_error, read_json
 
 FEATURES_PER_SECTOR = 6
 
@@ -261,16 +261,18 @@ def save_feature_models(scaler: ScalerModel, pca: PcaModel, path: Path | str) ->
 
 
 def load_feature_models(path: Path | str) -> tuple[ScalerModel, PcaModel]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    scaler = ScalerModel(
-        mean=np.asarray(payload["scaler"]["mean"], dtype=np.float64),
-        scale=np.asarray(payload["scaler"]["scale"], dtype=np.float64),
-    )
-    pca = PcaModel(
-        components=np.asarray(payload["pca"]["components"], dtype=np.float64),
-        explained_variance=np.asarray(payload["pca"]["explained_variance"], dtype=np.float64),
-        input_mean=np.asarray(payload["pca"]["input_mean"], dtype=np.float64),
-        k=int(payload["pca"]["k"]),
-    )
+    payload = read_json(path, {"scaler": ("mean", "scale"),
+                               "pca": ("components", "explained_variance", "input_mean", "k")})
+    with as_format_error(path):
+        scaler = ScalerModel(
+            mean=np.asarray(payload["scaler"]["mean"], dtype=np.float64),
+            scale=np.asarray(payload["scaler"]["scale"], dtype=np.float64),
+        )
+        pca = PcaModel(
+            components=np.asarray(payload["pca"]["components"], dtype=np.float64),
+            explained_variance=np.asarray(payload["pca"]["explained_variance"],
+                                          dtype=np.float64),
+            input_mean=np.asarray(payload["pca"]["input_mean"], dtype=np.float64),
+            k=int(payload["pca"]["k"]),
+        )
     return scaler, pca

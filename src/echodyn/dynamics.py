@@ -33,7 +33,7 @@ from .errors import (
     ModelError,
     ParameterError,
 )
-from .seqio import quantize_frame, write_pgm
+from .seqio import as_format_error, quantize_frame, read_json, write_pgm
 
 
 @dataclass(frozen=True)
@@ -278,17 +278,19 @@ def save_dynamics_model(model: DynamicsModel, path: Path | str) -> None:
 
 
 def load_dynamics_model(path: Path | str) -> DynamicsModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    config = RbfConfig(**payload["config"])
-    return DynamicsModel(
-        centers=np.asarray(payload["centers"], dtype=np.float64),
-        weights=np.asarray(payload["weights"], dtype=np.float64),
-        sigma=float(payload["sigma"]),
-        config=config,
-        train_residual_history=np.asarray(payload["residual_history"], dtype=np.float64),
-        kmeans_seed=int(payload["kmeans_seed"]),
-    )
+    config_keys = [f.name for f in dataclasses.fields(RbfConfig)]
+    payload = read_json(path, {"centers": None, "weights": None, "sigma": None,
+                               "config": config_keys, "kmeans_seed": None,
+                               "residual_history": None})
+    with as_format_error(path):
+        return DynamicsModel(
+            centers=np.asarray(payload["centers"], dtype=np.float64),
+            weights=np.asarray(payload["weights"], dtype=np.float64),
+            sigma=float(payload["sigma"]),
+            config=RbfConfig(**payload["config"]),
+            train_residual_history=np.asarray(payload["residual_history"], dtype=np.float64),
+            kmeans_seed=int(payload["kmeans_seed"]),
+        )
 
 
 def render_edg_map(sectors: np.ndarray, sector_ids: np.ndarray, inside: np.ndarray,

@@ -1,11 +1,24 @@
 """Dense optical flow between consecutive frames (Horn-Schunck).
 
-The solver minimizes the classical brightness-constancy + smoothness
-energy with a fixed number of Jacobi iterations from zero flow, so the
-result is deterministic and bit-reproducible. Intensity gradients are
-taken in 8-bit units (frames in [0,1] are scaled by 255) so that the
-default regularization weight follows the classical byte-image
-parameterization.
+The flow w = (u, v) minimizes the classical brightness-constancy +
+smoothness energy. Its Euler-Lagrange equations, discretized with the
+weighted 8-neighbour average `avg` (replicated edges), are the linear
+system
+
+    alpha^2 (w - avg(w)) + g (g . w) = -g I_t,    g = (I_x, I_y),
+
+whose fixed point the classical Jacobi iteration approaches. The matrix
+is symmetric positive definite: the averaging kernel is symmetric and
+replicating the edge folds it back symmetrically, so alpha^2 (1 - avg)
+is positive semi-definite with only constant flow in its null space, and
+the rank-one data term g g^T is positive wherever the image has a
+gradient. The system is solved by conjugate gradients, preconditioned
+with each pixel's own 2x2 block alpha^2 + g g^T, for a fixed number of
+iterations from zero flow. Every array has a fixed shape and every
+reduction is an `np.sum` over it, so the result is deterministic and
+bit-reproducible. Intensity gradients are taken in 8-bit units (frames
+in [0,1] are scaled by 255) so that the default regularization weight
+follows the classical byte-image parameterization.
 """
 
 from __future__ import annotations
@@ -15,23 +28,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import convolve, gaussian_filter
+from scipy.ndimage import gaussian_filter
 
 from .errors import DimensionError, ParameterError
 from .seqio import FrameSequence, read_binary
-
-# weighted 8-neighbor average used by the Jacobi step
-_AVG_KERNEL = np.array(
-    [[1 / 12, 1 / 6, 1 / 12],
-     [1 / 6, 0.0, 1 / 6],
-     [1 / 12, 1 / 6, 1 / 12]]
-)
 
 
 @dataclass(frozen=True)
 class FlowParams:
     alpha: float = 15.0
-    iterations: int = 100
+    iterations: int = 40  # conjugate-gradient iterations
     presmooth_sigma: float = 1.0
 
     def __post_init__(self):
@@ -85,17 +91,84 @@ def compute_flow(prev: np.ndarray, next: np.ndarray,
     iy = np.gradient(avg, axis=0)
     it = b - a
 
-    alpha2 = params.alpha ** 2
-    denom = alpha2 + ix ** 2 + iy ** 2
-    u = np.zeros_like(avg)
-    v = np.zeros_like(avg)
-    for _ in range(params.iterations):
-        u_bar = convolve(u, _AVG_KERNEL, mode="nearest")
-        v_bar = convolve(v, _AVG_KERNEL, mode="nearest")
-        common = (ix * u_bar + iy * v_bar + it) / denom
-        u = u_bar - ix * common
-        v = v_bar - iy * common
-    return FlowField(u=u, v=v)
+    return FlowField(*_solve(ix, iy, it, params.alpha ** 2, params.iterations))
+
+
+def _sum_121(src: np.ndarray, shift: int, pairs: np.ndarray, out: np.ndarray) -> None:
+    """out = [1,2,1] sum along the axis of flat stride `shift`, as two
+    neighbour-pair sums over the flattened buffers (cheaper than 3-D
+    slices); the sums that straddle a row or plane end are left wrong."""
+    flat = src.reshape(-1)
+    pairs = pairs[:flat.size - shift]
+    np.add(flat[:-shift], flat[shift:], out=pairs)
+    np.add(pairs[:-shift], pairs[shift:], out=out.reshape(-1)[shift:-shift])
+
+
+def _stencil_sum(w: np.ndarray, pairs: np.ndarray, rows: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """[1,2,1] x [1,2,1] sum over each plane of `w` (2, H, W), replicated edges.
+
+    At an edge the replicated neighbour makes the [1,2,1] sum 3 w_edge + w_next.
+    """
+    _sum_121(w, 1, pairs, rows)
+    for edge, inner in ((0, 1), (-1, -2)):
+        np.multiply(w[:, :, edge], 3.0, out=rows[:, :, edge])
+        rows[:, :, edge] += w[:, :, inner]
+    _sum_121(rows, w.shape[2], pairs, out)
+    for edge, inner in ((0, 1), (-1, -2)):
+        np.multiply(rows[:, edge], 3.0, out=out[:, edge])
+        out[:, edge] += rows[:, inner]
+    return out
+
+
+def _block_apply(diag: np.ndarray, cross: np.ndarray, x: np.ndarray,
+                 out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Per-pixel symmetric 2x2 blocks [[d0, c], [c, d1]] times x = (x0, x1)."""
+    np.multiply(diag, x, out=out)
+    np.multiply(cross, x, out=scratch)
+    out[0] += scratch[1]
+    out[1] += scratch[0]
+    return out
+
+
+def _solve(ix: np.ndarray, iy: np.ndarray, it: np.ndarray, alpha2: float,
+           iterations: int) -> tuple[np.ndarray, np.ndarray]:
+    """Preconditioned conjugate gradients on the Horn-Schunck system, from zero.
+
+    With S the [1,2,1] x [1,2,1] sum, avg(w) = S(w)/12 - w/3, so k = 12/alpha^2
+    times the system reads (16 - S) w + k g (g . w) = -k g I_t: same
+    solution, no scaling of S. The preconditioner inverts each pixel's
+    block alpha^2 + g g^T: [[a+Iy^2, -IxIy], [-IxIy, a+Ix^2]] / (a (a+Ix^2+Iy^2))
+    with a = alpha^2 (a constant factor on it leaves the iterates unchanged).
+    """
+    k = 12.0 / alpha2
+    diag = np.stack([16.0 + k * ix * ix, 16.0 + k * iy * iy])
+    cross = k * ix * iy
+    det = alpha2 * (alpha2 + ix * ix + iy * iy)
+    pre_diag = np.stack([alpha2 + iy * iy, alpha2 + ix * ix]) / det
+    pre_cross = -ix * iy / det
+
+    uv = np.zeros((2,) + ix.shape)
+    r = np.stack([ix, iy]) * (-k * it)  # residual of the zero start
+    z, p, q, tmp, rows = (np.empty_like(uv) for _ in range(5))
+    pairs = np.empty(uv.size - 1)
+    _block_apply(pre_diag, pre_cross, r, z, tmp)
+    rz = np.sum(np.multiply(r, z, out=tmp))
+    p[...] = z
+    for _ in range(iterations):
+        if rz == 0.0:  # zero right-hand side (identical frames): stay exactly zero
+            break
+        _block_apply(diag, cross, p, q, tmp)  # q = A p = blocks(p) - S(p)
+        q -= _stencil_sum(p, pairs, rows, tmp)
+        step = rz / np.sum(np.multiply(p, q, out=tmp))
+        uv += np.multiply(p, step, out=tmp)
+        r -= np.multiply(q, step, out=tmp)
+        _block_apply(pre_diag, pre_cross, r, z, tmp)
+        rz_next = np.sum(np.multiply(r, z, out=tmp))
+        p *= rz_next / rz
+        p += z
+        rz = rz_next
+    return uv[0], uv[1]
 
 
 def flow_sequence(seq: FrameSequence, params: FlowParams = FlowParams()) -> list[FlowField]:

@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import tempfile
 import types
 import typing
 from dataclasses import dataclass, replace
@@ -158,11 +159,32 @@ def run_edg(seq: seqio.FrameSequence, cfg: PipelineConfig = PipelineConfig(),
                      energies=energies, maps=maps, pedg=pedg)
 
 
+def _file_mode() -> int:
+    """The mode a plain `open(path, "w")` would give a new file (0o666 less umask)."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
+_FILE_MODE = _file_mode()
+
+
 def atomic_write(path: Path, writer) -> None:
-    """Write through `writer(tmp_path)` then rename into place."""
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+    """Write through `writer(tmp_path)` then rename into place.
+
+    The temporary file is unique to the call and sits beside `path`; if
+    `writer` raises it is removed, so `path` keeps its old bytes (or stays
+    absent) and nothing else is left behind.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+    os.close(fd)
+    try:
+        os.chmod(tmp, _FILE_MODE)  # mkstemp creates it owner-only
+        writer(Path(tmp))
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def save_edg_result(result: EdgResult, h: int, w: int, out: Path | str) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -156,10 +157,13 @@ def read_pgm(path: Path | str) -> np.ndarray:
             raise FormatError(f"{path}: truncated PGM header")
         tokens.append(raw[start:pos])
     pos += 1  # single whitespace byte after maxval
-    w, h, maxval = (int(t) for t in tokens)
+    try:
+        w, h, maxval = (int(t) for t in tokens)
+    except ValueError:
+        raise FormatError(f"{path}: non-numeric PGM header {tokens}") from None
     if maxval != 255:
         raise FormatError(f"{path}: unsupported PGM maxval {maxval} (need 255)")
-    payload = raw[pos:pos + h * w]
+    payload = raw[pos:]  # the pixels and nothing after them
     if len(payload) != h * w:
         raise FormatError(f"{path}: expected {h * w} pixel bytes, found {len(payload)}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
@@ -187,6 +191,47 @@ def read_binary(path: Path | str, magic: bytes, n_fields: int, n_dims: int,
     if len(raw) - end != math.prod(dims) * item_bytes:
         raise FormatError(f"{path}: payload size mismatch")
     return fields, raw[end:]
+
+
+def read_json(path: Path | str, schema) -> dict:
+    """Load a JSON object laid out as `schema`.
+
+    A schema maps each key to None (any value) or to the schema of a
+    nested object; a plain sequence of keys leaves every value free.
+    Malformed JSON, or any missing or unexpected key at any depth, raises
+    one FormatError that names each such key by its dotted path.
+    """
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: malformed JSON: {exc}") from None
+    problems = _schema_problems(payload, schema, "")
+    if problems:
+        raise FormatError(f"{path}: " + ", ".join(problems))
+    return payload
+
+
+def _schema_problems(obj, schema, prefix: str) -> list[str]:
+    if not isinstance(obj, dict):
+        return [f"'{prefix.rstrip('.') or '<root>'}' must be a JSON object"]
+    if not isinstance(schema, dict):
+        schema = dict.fromkeys(schema)
+    problems = [f"missing key '{prefix}{k}'" for k in schema if k not in obj]
+    problems += [f"unexpected key '{prefix}{k}'" for k in obj if k not in schema]
+    for key, sub in schema.items():
+        if sub is not None and key in obj:
+            problems += _schema_problems(obj[key], sub, f"{prefix}{key}.")
+    return problems
+
+
+@contextmanager
+def as_format_error(path: Path | str):
+    """Re-raise a TypeError or ValueError from converting loaded values as FormatError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad value: {exc}") from None
 
 
 def save_sequence(seq: FrameSequence, path: Path | str) -> None:

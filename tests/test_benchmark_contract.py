@@ -1,8 +1,10 @@
 """The names the benchmark under benchmarks/ reaches into the package by.
 
-`benchmarks/tracing.py` wraps module attributes by name and
-`benchmarks/workloads.py` reads config and seed helpers from `echodyn.cli`;
-a rename in the package would otherwise surface only as a broken benchmark.
+`benchmarks/tracing.py` wraps module attributes by name,
+`benchmarks/workloads.py` reads config and seed helpers from `echodyn.cli`
+and calls the flow solver for `flow_err_rel`, and `benchmarks/harness.py`
+records `flow.FlowParams().iterations`; a rename in the package would
+otherwise surface only as a broken benchmark.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 
@@ -35,3 +39,15 @@ def test_cli_exposes_what_the_workloads_read():
 
     assert isinstance(cli.PipelineConfig(), cli.PipelineConfig)
     assert isinstance(cli.stage_seed(7, cli.STAGE_CPDA_WEIGHTS), int)
+
+
+def test_flow_api_the_workloads_read():
+    from echodyn import flow
+
+    iterations = flow.FlowParams().iterations
+    assert type(iterations) is int and iterations > 0
+    ys, xs = np.mgrid[0:16, 0:16].astype(float)
+    a, b = 0.5 + 0.2 * np.sin(xs / 3), 0.5 + 0.2 * np.sin((xs - 1) / 3)
+    got = flow.compute_flow(a, b, flow.FlowParams())
+    assert isinstance(got, flow.FlowField)
+    assert got.u.shape == got.v.shape == (16, 16)

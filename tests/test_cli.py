@@ -8,6 +8,7 @@ import pytest
 from echodyn.cli import PipelineConfig, main, stage_seed
 from echodyn.descriptor import SectorGrid
 from echodyn.errors import ParameterError
+from echodyn.pipeline import atomic_write
 from echodyn.cpda import load_feature_clip, save_feature_clip, FeatureClip, identity_conv_kernel, seed_cpda_weights, save_cpda_weights
 from echodyn.seqio import FrameSequence, MaskSequence, load_masks, save_masks, save_sequence
 
@@ -284,3 +285,34 @@ def test_cpda_demo_truncated_clip_exits_1(tmp_path, capsys):
     assert main(["cpda-demo", str(tmp_path / "c.ftc"), "--seed-weights", "--ed", "0",
                  "--es", "1", "-o", str(tmp_path / "out.ftc")]) == 1
     assert "error [FormatError]" in capsys.readouterr().err
+
+
+def test_cpda_demo_weights_missing_keys_exits_1(tmp_path, capsys):
+    save_feature_clip(FeatureClip(data=np.zeros((3, 4, 4, 2))), tmp_path / "c.ftc")
+    (tmp_path / "w.json").write_text(json.dumps({"heads": 2, "alpha": 0.5}))
+    assert main(["cpda-demo", str(tmp_path / "c.ftc"), "--weights", str(tmp_path / "w.json"),
+                 "--ed", "0", "--es", "1", "-o", str(tmp_path / "out.ftc")]) == 1
+    err = capsys.readouterr().err
+    assert "error [FormatError]" in err and "missing key 'phase_w1'" in err
+    assert not (tmp_path / "out.ftc").exists()
+
+
+def test_atomic_write_leaves_nothing_behind_on_failure(tmp_path):
+    target = tmp_path / "out.csv"
+
+    def failing(path):
+        path.write_bytes(b"partial")
+        raise RuntimeError("disk full")
+
+    with pytest.raises(RuntimeError):
+        atomic_write(target, failing)
+    assert list(tmp_path.iterdir()) == []
+    target.write_bytes(b"old")
+    with pytest.raises(RuntimeError):
+        atomic_write(target, failing)
+    assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == b"old"
+    atomic_write(target, lambda path: path.write_bytes(b"new"))
+    assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == b"new"
+    # the renamed file gets the mode a plain open() gives, not mkstemp's 0600
+    (tmp_path / "plain").write_bytes(b"")
+    assert target.stat().st_mode == (tmp_path / "plain").stat().st_mode

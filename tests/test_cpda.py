@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from echodyn.cpda import (
     save_feature_clip,
     seed_cpda_weights,
 )
-from echodyn.errors import ModelError, ParameterError
+from echodyn.errors import FormatError, ModelError, ParameterError
 
 
 # ------------------------------------------------------------------ oracle
@@ -314,6 +315,27 @@ def test_weights_json_roundtrip(tmp_path):
     assert np.array_equal(back.wq, wts.wq)
     assert np.array_equal(back.conv_kernel, wts.conv_kernel)
     assert back.conv_kernel.shape == (3, 3, 3, 3, 3)
+
+
+def test_weights_json_names_missing_and_unexpected_keys(tmp_path):
+    (tmp_path / "w.json").write_text(json.dumps({"heads": 2, "alpha": 0.5}))
+    with pytest.raises(FormatError, match="missing key 'phase_w1'.*missing key 'conv_bias'"):
+        load_cpda_weights(tmp_path / "w.json")
+    save_cpda_weights(seed_cpda_weights(channels=2, seed=5), tmp_path / "w.json")
+    payload = json.loads((tmp_path / "w.json").read_text())
+    payload["extra"] = 1
+    del payload["wq"]["shape"]
+    (tmp_path / "w.json").write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match="unexpected key 'extra'"):
+        load_cpda_weights(tmp_path / "w.json")
+    del payload["extra"]
+    (tmp_path / "w.json").write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match="missing key 'wq.shape'"):
+        load_cpda_weights(tmp_path / "w.json")
+    payload["wq"]["shape"] = [3, 3]  # data holds a different number of values
+    (tmp_path / "w.json").write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match="bad value"):
+        load_cpda_weights(tmp_path / "w.json")
 
 
 def test_seed_weights_deterministic():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from echodyn.descriptor import (
 )
 from echodyn.errors import (
     DimensionError,
+    FormatError,
     InsufficientDataError,
     NumericError,
     ParameterError,
@@ -318,3 +321,15 @@ def test_feature_model_json_roundtrip(tmp_path, phantom_descriptors):
     assert np.array_equal(s2.scale, scaler.scale)
     assert np.array_equal(p2.components, pca.components)
     assert p2.k == pca.k
+
+
+def test_feature_model_json_names_bad_keys(tmp_path, phantom_descriptors):
+    _, scaler, pca = phantom_descriptors
+    save_feature_models(scaler, pca, tmp_path / "m.json")
+    payload = json.loads((tmp_path / "m.json").read_text())
+    del payload["pca"]["k"]
+    payload["scaler"]["std"] = payload["scaler"].pop("scale")
+    (tmp_path / "m.json").write_text(json.dumps(payload))
+    expected = "missing key 'scaler.scale', unexpected key 'scaler.std', missing key 'pca.k'"
+    with pytest.raises(FormatError, match=expected):
+        load_feature_models(tmp_path / "m.json")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from echodyn.dynamics import (
 )
 from echodyn.errors import (
     DivergenceError,
+    FormatError,
     InsufficientDataError,
     ModelError,
     ParameterError,
@@ -382,6 +385,23 @@ def test_dynamics_model_json_roundtrip(tmp_path, phantom_model):
                           phantom_model.train_residual_history)
     assert back.config.m_centers == phantom_model.config.m_centers
     assert back.kmeans_seed == phantom_model.kmeans_seed
+
+
+def test_dynamics_model_json_rejects_old_and_malformed_files(tmp_path, phantom_model):
+    save_dynamics_model(phantom_model, tmp_path / "m.json")
+    payload = json.loads((tmp_path / "m.json").read_text())
+    # the layout before kmeans_seed: the seed sat inside config
+    payload["config"]["seed"] = payload.pop("kmeans_seed")
+    (tmp_path / "m.json").write_text(json.dumps(payload))
+    with pytest.raises(FormatError,
+                       match="missing key 'kmeans_seed', unexpected key 'config.seed'"):
+        load_dynamics_model(tmp_path / "m.json")
+    (tmp_path / "m.json").write_text("{")
+    with pytest.raises(FormatError, match="malformed JSON"):
+        load_dynamics_model(tmp_path / "m.json")
+    (tmp_path / "m.json").write_text("[]")
+    with pytest.raises(FormatError, match="must be a JSON object"):
+        load_dynamics_model(tmp_path / "m.json")
 
 
 def test_edg_outputs(tmp_path, phantom_model, phantom_descriptors, phantom_grid):

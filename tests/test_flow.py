@@ -2,12 +2,55 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.ndimage import convolve, gaussian_filter
 
 from echodyn.errors import DimensionError, FormatError, ParameterError
 from echodyn.flow import FlowField, FlowParams, compute_flow, flow_sequence, load_flow, save_flow
 from echodyn.seqio import FrameSequence
 
 from conftest import make_frames
+
+# weighted 8-neighbour average of the classical Horn-Schunck Jacobi step
+_AVG_KERNEL = np.array(
+    [[1 / 12, 1 / 6, 1 / 12],
+     [1 / 6, 0.0, 1 / 6],
+     [1 / 12, 1 / 6, 1 / 12]]
+)
+
+
+def jacobi_oracle(prev, next, params, sweeps):
+    """Horn-Schunck by plain Jacobi sweeps from zero flow; returns (u, v).
+
+    Its fixed point is the solution compute_flow's conjugate-gradient
+    solve approaches, so enough sweeps give the converged flow.
+    """
+    def smooth(frame):
+        frame = np.asarray(frame, dtype=np.float64)
+        if params.presmooth_sigma <= 0:
+            return frame * 255.0
+        return gaussian_filter(frame, params.presmooth_sigma, mode="nearest") * 255.0
+
+    a, b = smooth(prev), smooth(next)
+    avg = 0.5 * (a + b)
+    ix = np.gradient(avg, axis=1)
+    iy = np.gradient(avg, axis=0)
+    it = b - a
+    denom = params.alpha ** 2 + ix ** 2 + iy ** 2
+    u = np.zeros_like(avg)
+    v = np.zeros_like(avg)
+    for _ in range(sweeps):
+        u_bar = convolve(u, _AVG_KERNEL, mode="nearest")
+        v_bar = convolve(v, _AVG_KERNEL, mode="nearest")
+        common = (ix * u_bar + iy * v_bar + it) / denom
+        u = u_bar - ix * common
+        v = v_bar - iy * common
+    return u, v
+
+
+def rel_l2(flow, ref_u, ref_v):
+    """||w - w*|| / ||w*|| with w = (u, v)."""
+    num = np.sum((flow.u - ref_u) ** 2 + (flow.v - ref_v) ** 2)
+    return float(np.sqrt(num / np.sum(ref_u ** 2 + ref_v ** 2)))
 
 
 def gaussian_blob(h, w, cx, cy, sig=8.0, amp=0.5):
@@ -129,3 +172,26 @@ def test_load_flow_truncated_header(tmp_path):
     (tmp_path / "f.bin").write_bytes(b"FLW1\x06\x00")
     with pytest.raises(FormatError, match="truncated header"):
         load_flow(tmp_path / "f.bin")
+
+
+def test_converges_to_jacobi_fixed_point_across_border():
+    # smooth random texture; the second crop moves it by (-1, +1) px, so
+    # content leaves and enters through the replicated edges
+    rng = np.random.default_rng(5)
+    canvas = gaussian_filter(rng.random((56, 56)), 2.0)
+    canvas = 0.2 + 0.6 * (canvas - canvas.min()) / np.ptp(canvas)
+    a, b = canvas[4:52, 4:52], canvas[3:51, 5:53]
+    ref_u, ref_v = jacobi_oracle(a, b, FlowParams(), 20_000)
+    f = compute_flow(a, b, FlowParams(iterations=300))
+    assert rel_l2(f, ref_u, ref_v) < 1e-6
+    assert f.u.mean() < -0.5 and f.v.mean() > 0.5
+
+
+def test_default_iterations_within_one_percent_of_converged(phantom):
+    seq, _ = phantom
+    t = seq.t_count // 4  # peak wall speed
+    a, b = seq.frames[t], seq.frames[t + 1]
+    ref_u, ref_v = jacobi_oracle(a, b, FlowParams(), 3000)
+    # two independent solvers agreeing shows the oracle has converged
+    assert rel_l2(compute_flow(a, b, FlowParams(iterations=300)), ref_u, ref_v) < 1e-6
+    assert rel_l2(compute_flow(a, b, FlowParams()), ref_u, ref_v) < 0.01

@@ -41,6 +41,17 @@ def test_pgm_roundtrip(tmp_path):
     assert np.array_equal(read_pgm(tmp_path / "x.pgm"), data)
 
 
+def test_pgm_trailing_bytes_rejected(tmp_path):
+    write_pgm(tmp_path / "x.pgm", np.zeros((3, 4), dtype=np.uint8))
+    with open(tmp_path / "x.pgm", "ab") as fh:
+        fh.write(b"\x00")
+    with pytest.raises(FormatError, match="expected 12 pixel bytes, found 13"):
+        read_pgm(tmp_path / "x.pgm")
+    (tmp_path / "y.pgm").write_bytes(b"P5\nfour 3\n255\n" + bytes(12))
+    with pytest.raises(FormatError, match="non-numeric PGM header"):
+        read_pgm(tmp_path / "y.pgm")
+
+
 def test_pgm_byte_normalization(tmp_path):
     write_pgm(tmp_path / "g.pgm", np.full((2, 2), 128, dtype=np.uint8))
     seq_dir = tmp_path / "seq"
