@@ -38,7 +38,7 @@ def main():
           f"top-3 PCA components carry {100 * evr[:3].sum():.0f}% of the kept variance")
 
     model = result.model
-    hist = model.train_residual_history
+    hist = model.residual_history
     print(f"\nRBF training ({config.rbf.m_centers} centers, sigma={model.sigma:.2f}, "
           f"{config.rbf.epochs} epochs of cyclic LMS):")
     for e in (0, 9, 49, 99, 199):

@@ -13,8 +13,8 @@ One executable with subcommands::
 
 Settings resolve as defaults < ``--config`` file < explicit flags; per-stage
 seeds derive from ``--seed`` (see `pipeline.stage_seed`). Exit codes:
-0 success, 1 runtime failure, 2 usage error. Single-file outputs are
-written to a temp file and renamed into place.
+0 success, 1 runtime failure, 2 usage error. Every output file is
+written to a temp file and renamed into place (`seqio.atomic_write`).
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for t, f in enumerate(fields):
-        pipeline.atomic_write(out / f"flow_{t:04d}.bin", lambda p, f=f: flow.save_flow(f, p))
+        flow.save_flow(f, out / f"flow_{t:04d}.bin")
     print(f"wrote {len(fields)} flow fields to {out}")
     return 0
 
@@ -88,8 +88,17 @@ def cmd_edg(args: argparse.Namespace) -> int:
     if all(np.abs(f.u).max() == 0 and np.abs(f.v).max() == 0 for f in result.flows):
         print("warning: no motion detected", file=sys.stderr)
     pipeline.save_edg_result(result, *seq.shape, args.out)
-    print(f"final training mse={result.model.train_residual_history[-1]:.6e}")
+    print(f"final training mse={result.model.residual_history[-1]:.6e}")
     return 0
+
+
+def _seeded_weights(cfg: PipelineConfig, channels: int) -> cpda.CpdaWeights:
+    """The reproducible CPDA weights that `cfg` and its seed give for `channels`."""
+    return cpda.seed_cpda_weights(
+        channels=channels, d_p=cfg.cpda.d_p, d_e=cfg.cpda.d_e, k2=cfg.k2,
+        heads=cfg.cpda.heads, alpha=cfg.cpda.alpha,
+        seed=stage_seed(cfg.seed, STAGE_CPDA_WEIGHTS),
+    )
 
 
 def cmd_cpda_demo(args: argparse.Namespace) -> int:
@@ -99,11 +108,7 @@ def cmd_cpda_demo(args: argparse.Namespace) -> int:
     if args.weights:
         weights = cpda.load_cpda_weights(args.weights)
     elif args.seed_weights:
-        weights = cpda.seed_cpda_weights(
-            channels=clip.channels, d_p=cfg.cpda.d_p, d_e=cfg.cpda.d_e,
-            k2=cfg.k2, heads=cfg.cpda.heads, alpha=cfg.cpda.alpha,
-            seed=stage_seed(cfg.seed, STAGE_CPDA_WEIGHTS),
-        )
+        weights = _seeded_weights(cfg, clip.channels)
     else:
         print("error: pass --weights FILE or --seed-weights", file=sys.stderr)
         return 2
@@ -113,7 +118,7 @@ def cmd_cpda_demo(args: argparse.Namespace) -> int:
     else:
         pedg = np.zeros((t, weights.edg_w1.shape[0]))
     enhanced = cpda.cpda_forward(clip, phase, pedg, weights)
-    pipeline.atomic_write(Path(args.out), lambda p: cpda.save_feature_clip(enhanced, p))
+    cpda.save_feature_clip(enhanced, args.out)
     delta = np.abs(enhanced.data - clip.data).mean(axis=(1, 2, 3))
     for i, d in enumerate(delta):
         print(f"frame {i}: mean_abs_delta={d:.6f}")
@@ -124,10 +129,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     pred = seqio.load_masks(args.pred_dir)
     gt = seqio.load_masks(args.gt_dir)
     report = metrics.evaluate(pred, gt)
-    report_path = Path(args.report)
-    pipeline.atomic_write(report_path, lambda p: metrics.save_report_json(report, p))
-    pipeline.atomic_write(report_path.with_suffix(".csv"),
-                          lambda p: metrics.save_report_csv(report, p))
+    metrics.save_report_json(report, args.report)
+    metrics.save_report_csv(report, Path(args.report).with_suffix(".csv"))
     dice_mean = float(np.mean([m.mean_dice for m in report.per_label.values()]))
     hd95_vals = [m.mean_hd95 for m in report.per_label.values() if m.mean_hd95 is not None]
     hd95_mean = float(np.mean(hd95_vals)) if hd95_vals else float("nan")
@@ -136,13 +139,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_seed_weights(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    weights = cpda.seed_cpda_weights(
-        channels=args.channels, d_p=cfg.cpda.d_p, d_e=cfg.cpda.d_e, k2=cfg.k2,
-        heads=cfg.cpda.heads, alpha=cfg.cpda.alpha,
-        seed=stage_seed(cfg.seed, STAGE_CPDA_WEIGHTS),
-    )
-    pipeline.atomic_write(Path(args.out), lambda p: cpda.save_cpda_weights(weights, p))
+    weights = _seeded_weights(_load_config(args), args.channels)
+    cpda.save_cpda_weights(weights, args.out)
     print(f"wrote weights (d={weights.d_model}, heads={weights.heads}) to {args.out}")
     return 0
 

@@ -12,15 +12,14 @@ MLPs are two layers with ReLU after the first, linear output.
 
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ModelError, NumericError, ParameterError
-from .seqio import as_format_error, read_binary, read_json
+from .seqio import atomic_write, read_binary, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ class CpdaWeights:
     gate_b: np.ndarray  # C
     conv_kernel: np.ndarray  # C_out x C_in x 3 x 3 x 3
     conv_bias: np.ndarray  # C_out
-    alpha: float = 0.5
+    alpha: float
 
     def __post_init__(self):
         d = self.wq.shape[0]
@@ -108,11 +107,10 @@ class CpdaWeights:
             raise ModelError(f"heads={self.heads} must divide token width d={d}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ParameterError(f"alpha must be in [0,1], got {self.alpha}")
-        for name in ("phase_w1", "phase_b1", "phase_w2", "phase_b2", "edg_w1",
-                     "edg_b1", "edg_w2", "edg_b2", "wq", "wk", "wv", "wo",
-                     "gate_w", "gate_b", "conv_kernel", "conv_bias"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise NumericError(f"non-finite values in weight '{name}'")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray) and not np.isfinite(value).all():
+                raise NumericError(f"non-finite values in weight '{f.name}'")
 
     @property
     def d_model(self) -> int:
@@ -250,37 +248,18 @@ def seed_cpda_weights(channels: int, d_p: int = 8, d_e: int = 8, k2: int = 8,
     )
 
 
-_ARRAY_FIELDS = ("phase_w1", "phase_b1", "phase_w2", "phase_b2",
-                 "edg_w1", "edg_b1", "edg_w2", "edg_b2",
-                 "wq", "wk", "wv", "wo", "gate_w", "gate_b",
-                 "conv_kernel", "conv_bias")
-
-
 def save_cpda_weights(weights: CpdaWeights, path: Path | str) -> None:
-    payload: dict = {"heads": weights.heads, "alpha": weights.alpha}
-    for name in _ARRAY_FIELDS:
-        arr = getattr(weights, name)
-        payload[name] = {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, weights)
 
 
 def load_cpda_weights(path: Path | str) -> CpdaWeights:
-    payload = read_json(path, {"heads": None, "alpha": None,
-                               **dict.fromkeys(_ARRAY_FIELDS, ("shape", "data"))})
-    with as_format_error(path):
-        kwargs = {"heads": int(payload["heads"]), "alpha": float(payload["alpha"])}
-        for name in _ARRAY_FIELDS:
-            entry = payload[name]
-            kwargs[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        return CpdaWeights(**kwargs)
+    return read_json(path, CpdaWeights)
 
 
 def save_feature_clip(clip: FeatureClip, path: Path | str) -> None:
     """Binary clip: magic FTC1, u32 T,H,W,C, then row-major little-endian f32."""
     t, h, w, c = clip.data.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(b"FTC1")
         fh.write(struct.pack("<4I", t, h, w, c))
         fh.write(clip.data.astype("<f4").tobytes())

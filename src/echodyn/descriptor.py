@@ -10,7 +10,6 @@ per-frame low-dimensional state vector z_t.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .errors import (
     ParameterError,
 )
 from .flow import FlowField
-from .seqio import FrameSequence, as_format_error, read_json
+from .seqio import FrameSequence, read_json, write_json
 
 FEATURES_PER_SECTOR = 6
 
@@ -245,34 +244,18 @@ def descriptor_sequence(seq: FrameSequence, flows: list[FlowField], grid: Sector
     return z, scaler, pca
 
 
+@dataclass(frozen=True)
+class FeatureModels:
+    """The fitted scaler and PCA of one run, as stored in descriptor_model.json."""
+
+    scaler: ScalerModel
+    pca: PcaModel
+
+
 def save_feature_models(scaler: ScalerModel, pca: PcaModel, path: Path | str) -> None:
-    payload = {
-        "scaler": {"mean": scaler.mean.tolist(), "scale": scaler.scale.tolist()},
-        "pca": {
-            "components": pca.components.tolist(),
-            "explained_variance": pca.explained_variance.tolist(),
-            "input_mean": pca.input_mean.tolist(),
-            "k": pca.k,
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, FeatureModels(scaler, pca))
 
 
 def load_feature_models(path: Path | str) -> tuple[ScalerModel, PcaModel]:
-    payload = read_json(path, {"scaler": ("mean", "scale"),
-                               "pca": ("components", "explained_variance", "input_mean", "k")})
-    with as_format_error(path):
-        scaler = ScalerModel(
-            mean=np.asarray(payload["scaler"]["mean"], dtype=np.float64),
-            scale=np.asarray(payload["scaler"]["scale"], dtype=np.float64),
-        )
-        pca = PcaModel(
-            components=np.asarray(payload["pca"]["components"], dtype=np.float64),
-            explained_variance=np.asarray(payload["pca"]["explained_variance"],
-                                          dtype=np.float64),
-            input_mean=np.asarray(payload["pca"]["input_mean"], dtype=np.float64),
-            k=int(payload["pca"]["k"]),
-        )
-    return scaler, pca
+    models = read_json(path, FeatureModels)
+    return models.scaler, models.pca

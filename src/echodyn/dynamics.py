@@ -12,8 +12,6 @@ second time by PCA into the low-dimensional per-frame feature P_EDG.
 from __future__ import annotations
 
 import csv
-import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,11 +27,12 @@ from .descriptor import (
 )
 from .errors import (
     DivergenceError,
+    FormatError,
     InsufficientDataError,
     ModelError,
     ParameterError,
 )
-from .seqio import as_format_error, quantize_frame, read_json, write_pgm
+from .seqio import atomic_write, quantize_frame, read_json, write_json, write_pgm
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,8 @@ class DynamicsModel:
     weights: np.ndarray  # M x k; row i is the output weight vector of center i
     sigma: float
     config: RbfConfig
-    train_residual_history: np.ndarray  # mean squared residual per epoch
-    kmeans_seed: int = 0  # seed of the k-means++ initialization that placed the centers
+    residual_history: np.ndarray  # mean squared residual per training epoch
+    kmeans_seed: int  # seed of the k-means++ initialization that placed the centers
 
 
 def kmeans(z: np.ndarray, m: int, seed: int) -> np.ndarray:
@@ -184,7 +183,7 @@ def train_dynamics(z: np.ndarray, config: RbfConfig = RbfConfig(), seed: int = 0
     phi = rbf_response(z[:-1], centers, sigma)  # (N-1) x M
     w, history = fit_rbf_weights(phi, targets, config, method=method)
     return DynamicsModel(centers=centers, weights=w, sigma=sigma, config=config,
-                         train_residual_history=history, kmeans_seed=seed)
+                         residual_history=history, kmeans_seed=seed)
 
 
 def predict_delta(model: DynamicsModel, z: np.ndarray) -> np.ndarray:
@@ -264,33 +263,11 @@ def align_pedg(p: np.ndarray, t_count: int) -> np.ndarray:
 
 
 def save_dynamics_model(model: DynamicsModel, path: Path | str) -> None:
-    payload = {
-        "centers": model.centers.tolist(),
-        "weights": model.weights.tolist(),
-        "sigma": model.sigma,
-        "config": dataclasses.asdict(model.config),
-        "kmeans_seed": model.kmeans_seed,
-        "residual_history": model.train_residual_history.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model)
 
 
 def load_dynamics_model(path: Path | str) -> DynamicsModel:
-    config_keys = [f.name for f in dataclasses.fields(RbfConfig)]
-    payload = read_json(path, {"centers": None, "weights": None, "sigma": None,
-                               "config": config_keys, "kmeans_seed": None,
-                               "residual_history": None})
-    with as_format_error(path):
-        return DynamicsModel(
-            centers=np.asarray(payload["centers"], dtype=np.float64),
-            weights=np.asarray(payload["weights"], dtype=np.float64),
-            sigma=float(payload["sigma"]),
-            config=RbfConfig(**payload["config"]),
-            train_residual_history=np.asarray(payload["residual_history"], dtype=np.float64),
-            kmeans_seed=int(payload["kmeans_seed"]),
-        )
+    return read_json(path, DynamicsModel)
 
 
 def render_edg_map(sectors: np.ndarray, sector_ids: np.ndarray, inside: np.ndarray,
@@ -314,7 +291,7 @@ def save_edg_outputs(maps: np.ndarray, grid: SectorGrid, h: int, w: int,
     for t, sectors in enumerate(maps):
         img = render_edg_map(sectors, sector_ids, inside, lo, hi)
         write_pgm(out_dir / f"edg_{t:04d}.pgm", quantize_frame(img))
-    with open(out_dir / "edg.csv", "w", newline="") as fh:
+    with atomic_write(out_dir / "edg.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "r", "theta", "energy"])
         for t, sectors in enumerate(maps):
@@ -325,7 +302,7 @@ def save_edg_outputs(maps: np.ndarray, grid: SectorGrid, h: int, w: int,
 
 def save_pedg_csv(p: np.ndarray, path: Path | str) -> None:
     """P_EDG rows, one per frame, header t,p0..p{k2-1}."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"p{i}" for i in range(p.shape[1])])
         for t, row in enumerate(p):
@@ -333,6 +310,19 @@ def save_pedg_csv(p: np.ndarray, path: Path | str) -> None:
 
 
 def load_pedg_csv(path: Path | str) -> np.ndarray:
+    """The P_EDG rows of a `save_pedg_csv` file; a non-numeric value, a row
+    whose length differs from the first row's, or no row at all is a FormatError."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return np.array([[float(v) for v in row[1:]] for row in rows[1:]], dtype=np.float64)
+        rows = list(csv.reader(fh))[1:]
+    if not rows:
+        raise FormatError(f"{path}: no P_EDG rows")
+    values = []
+    for line, row in enumerate(rows, start=2):
+        try:
+            values.append([float(v) for v in row[1:]])
+        except ValueError:
+            raise FormatError(f"{path}: line {line}: non-numeric value in {row}") from None
+        if len(values[-1]) != len(values[0]):
+            raise FormatError(f"{path}: line {line} has {len(values[-1])} values, "
+                              f"line 2 has {len(values[0])}")
+    return np.array(values, dtype=np.float64)

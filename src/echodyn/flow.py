@@ -31,7 +31,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import DimensionError, ParameterError
-from .seqio import FrameSequence, read_binary
+from .seqio import FrameSequence, atomic_write, read_binary
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def flow_sequence(seq: FrameSequence, params: FlowParams = FlowParams()) -> list
 def save_flow(flow: FlowField, path: Path | str) -> None:
     """Binary dump: magic FLW1, u32 H,W, then f32 u values then v values."""
     h, w = flow.u.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(b"FLW1")
         fh.write(struct.pack("<2I", h, w))
         fh.write(flow.u.astype("<f4").tobytes())

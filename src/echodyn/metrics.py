@@ -9,15 +9,14 @@ the mean absolute change of the per-frame Dice series; lower is better.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import binary_erosion, distance_transform_edt
 
 from .errors import DimensionError, InsufficientDataError, UndefinedDistanceError
-from .seqio import MaskSequence
+from .seqio import MaskSequence, atomic_write, write_json
 
 LABEL_NAMES = {1: "LV", 2: "LVM", 3: "LA"}
 
@@ -121,14 +120,12 @@ def evaluate(pred: MaskSequence, gt: MaskSequence) -> MetricsReport:
 
 
 def save_report_json(report: MetricsReport, path: Path | str) -> None:
-    with open(path, "w") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report)
 
 
 def save_report_csv(report: MetricsReport, path: Path | str) -> None:
     """Flat rows `label,frame,dice,hd95` plus per-label and overall summary rows."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", "frame", "dice", "hd95"])
         for name, m in report.per_label.items():

@@ -13,13 +13,7 @@ benchmark's span tracer) see every stage.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import json
-import os
-import tempfile
-import types
-import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -62,62 +56,17 @@ class PipelineConfig:
     cpda: CpdaDims = CpdaDims()
 
     def to_json(self, path: Path | str) -> None:
-        with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        seqio.write_json(path, self)
 
     @staticmethod
     def from_json(path: Path | str) -> "PipelineConfig":
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParameterError(f"{path}: malformed JSON config: {exc}") from None
-        return PipelineConfig.from_dict(raw)
+        """Load a (partial) config file; a malformed file is a ParameterError."""
+        return seqio.read_json(path, PipelineConfig, ParameterError)
 
     @staticmethod
     def from_dict(raw: dict) -> "PipelineConfig":
         """Build from a (partial) nested dict; missing keys keep their defaults."""
-        return _from_dict(PipelineConfig, raw, "")
-
-
-def _from_dict(cls, raw, prefix: str):
-    """Load dataclass `cls` from a dict: a dataclass-typed field loads from a
-    sub-dict, lists become tuples; an unknown key or a value that does not
-    match its field's declared type raises ParameterError naming the dotted key."""
-    if not isinstance(raw, dict):
-        raise ParameterError(f"config '{prefix.rstrip('.') or '<root>'}' must be an object")
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in hints:
-            raise ParameterError(f"unknown config key '{prefix}{key}'")
-        tp = hints[key]
-        if dataclasses.is_dataclass(tp):
-            value = _from_dict(tp, value, f"{prefix}{key}.")
-        elif not _fits(value, tp):
-            raise ParameterError(f"config '{prefix}{key}' must be "
-                                 f"{getattr(tp, '__name__', tp)}, got {value!r}")
-        elif isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    return cls(**kwargs)
-
-
-def _fits(value, tp) -> bool:
-    """Whether JSON `value` matches the declared type `tp`; an int fits float,
-    a bool fits only bool."""
-    if isinstance(tp, types.UnionType):
-        return any(_fits(value, arm) for arm in typing.get_args(tp))
-    if typing.get_origin(tp) is tuple:
-        args = typing.get_args(tp)
-        return (isinstance(value, list) and len(value) == len(args)
-                and all(map(_fits, value, args)))
-    if isinstance(value, bool):
-        return tp is bool
-    if tp is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, tp)
+        return seqio.from_json_dict(PipelineConfig, raw, ParameterError)
 
 
 def override(cfg, path: str, value):
@@ -159,42 +108,13 @@ def run_edg(seq: seqio.FrameSequence, cfg: PipelineConfig = PipelineConfig(),
                      energies=energies, maps=maps, pedg=pedg)
 
 
-def _file_mode() -> int:
-    """The mode a plain `open(path, "w")` would give a new file (0o666 less umask)."""
-    umask = os.umask(0)
-    os.umask(umask)
-    return 0o666 & ~umask
-
-
-_FILE_MODE = _file_mode()
-
-
-def atomic_write(path: Path, writer) -> None:
-    """Write through `writer(tmp_path)` then rename into place.
-
-    The temporary file is unique to the call and sits beside `path`; if
-    `writer` raises it is removed, so `path` keeps its old bytes (or stays
-    absent) and nothing else is left behind.
-    """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
-    os.close(fd)
-    try:
-        os.chmod(tmp, _FILE_MODE)  # mkstemp creates it owner-only
-        writer(Path(tmp))
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
-
-
 def save_edg_result(result: EdgResult, h: int, w: int, out: Path | str) -> None:
     """Write EDG heatmaps, edg.csv, model.json, descriptor_model.json and pedg.csv
     (one row per flow frame, T-1: the final transition's row repeats)."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     dynamics.save_edg_outputs(result.maps, result.config.grid, h, w, out)
-    p_rows = dynamics.align_pedg(result.pedg, len(result.flows))
-    atomic_write(out / "pedg.csv", lambda p: dynamics.save_pedg_csv(p_rows, p))
-    atomic_write(out / "model.json", lambda p: dynamics.save_dynamics_model(result.model, p))
-    atomic_write(out / "descriptor_model.json",
-                 lambda p: descriptor.save_feature_models(result.scaler, result.pca, p))
+    dynamics.save_pedg_csv(dynamics.align_pedg(result.pedg, len(result.flows)),
+                           out / "pedg.csv")
+    dynamics.save_dynamics_model(result.model, out / "model.json")
+    descriptor.save_feature_models(result.scaler, result.pca, out / "descriptor_model.json")

@@ -1,19 +1,31 @@
-"""Frame-sequence I/O and the synthetic beating-heart phantom.
+"""File I/O for every echodyn format, and the synthetic beating-heart phantom.
 
 On-disk formats are deliberately simple and bit-exact:
 
-* frame directory: ``meta.json`` ({"t","h","w","ed","es"}) plus
+* frame directory: ``meta.json`` (a `SequenceMeta`) plus
   ``frame_%04d.pgm`` binary PGM (P5, maxval 255);
 * mask directory: ``mask_%04d.pgm`` with label bytes 0/1/2/3 stored directly;
 * ``.eds`` container: magic ``EDS1``, little-endian u32 T,H,W,ed,es,
   then T*H*W raw gray bytes.
+
+Every JSON file (config, models, weights, reports, ``meta.json``) is a
+dataclass written by `write_json` and read back by `read_json`, which
+checks it against the dataclass's type hints: the dataclass is the
+schema. Every writer goes through `atomic_write`, so a failed write
+leaves the target as it was.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import os
+import reprlib
 import struct
+import tempfile
+import types
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,6 +87,19 @@ class FrameSequence:
 
 
 @dataclass(frozen=True)
+class SequenceMeta:
+    """The ``meta.json`` of a frame directory: T, H, W, the ED/ES indices and
+    the free-form meta strings."""
+
+    t: int
+    h: int
+    w: int
+    ed: int
+    es: int
+    meta: dict[str, str] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class MaskSequence:
     """Integer label masks (0=background, 1=LV, 2=LVM, 3=LA) paired with frames."""
 
@@ -129,7 +154,7 @@ def write_pgm(path: Path | str, data: np.ndarray) -> None:
     if data.ndim != 2:
         raise DimensionError("PGM payload must be 2-D")
     h, w = data.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
 
@@ -193,45 +218,137 @@ def read_binary(path: Path | str, magic: bytes, n_fields: int, n_dims: int,
     return fields, raw[end:]
 
 
-def read_json(path: Path | str, schema) -> dict:
-    """Load a JSON object laid out as `schema`.
-
-    A schema maps each key to None (any value) or to the schema of a
-    nested object; a plain sequence of keys leaves every value free.
-    Malformed JSON, or any missing or unexpected key at any depth, raises
-    one FormatError that names each such key by its dotted path.
-    """
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: malformed JSON: {exc}") from None
-    problems = _schema_problems(payload, schema, "")
-    if problems:
-        raise FormatError(f"{path}: " + ", ".join(problems))
-    return payload
+def _file_mode() -> int:
+    """The mode a plain `open(path, "w")` would give a new file (0o666 less umask)."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
 
 
-def _schema_problems(obj, schema, prefix: str) -> list[str]:
-    if not isinstance(obj, dict):
-        return [f"'{prefix.rstrip('.') or '<root>'}' must be a JSON object"]
-    if not isinstance(schema, dict):
-        schema = dict.fromkeys(schema)
-    problems = [f"missing key '{prefix}{k}'" for k in schema if k not in obj]
-    problems += [f"unexpected key '{prefix}{k}'" for k in obj if k not in schema]
-    for key, sub in schema.items():
-        if sub is not None and key in obj:
-            problems += _schema_problems(obj[key], sub, f"{prefix}{key}.")
-    return problems
+_FILE_MODE = _file_mode()
 
 
 @contextmanager
-def as_format_error(path: Path | str):
-    """Re-raise a TypeError or ValueError from converting loaded values as FormatError."""
+def atomic_write(path: Path | str, mode: str = "w", **open_kwargs):
+    """Open a file object for writing `path`; it is renamed into place on success.
+
+    The temporary file is unique to the call and sits beside `path`; if
+    the body raises it is removed, so `path` keeps its old bytes (or stays
+    absent) and nothing else is left behind.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
     try:
-        yield
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad value: {exc}") from None
+        with os.fdopen(fd, mode, **open_kwargs) as fh:
+            os.chmod(tmp, _FILE_MODE)  # mkstemp creates it owner-only
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: Path | str, obj) -> None:
+    """Write dataclass `obj` atomically as indented JSON with sorted keys: a
+    dataclass becomes an object keyed by field name, an array nested lists."""
+    with atomic_write(path) as fh:
+        json.dump(dataclasses.asdict(obj), fh, indent=2, sort_keys=True,
+                  default=lambda array: array.tolist())
+        fh.write("\n")
+
+
+def read_json(path: Path | str, cls, error: type[Exception] = FormatError):
+    """Load dataclass `cls` from the JSON file `path` (see `from_json_dict`).
+
+    Malformed JSON and every problem `from_json_dict` finds raise `error`.
+    """
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise error(f"{path}: malformed JSON: {exc}") from None
+    return from_json_dict(cls, raw, error, f"{path}: ")
+
+
+def from_json_dict(cls, raw, error: type[Exception] = FormatError, context: str = ""):
+    """Build dataclass `cls` from parsed JSON, checked against its type hints.
+
+    A nested dataclass loads from an object; an `np.ndarray` from a
+    rectangular nested list of numbers (as float64); a fixed-length tuple
+    from a list; an int fits float, and a bool fits only bool. A key may be
+    absent only when its field has a default. Every missing key,
+    unexpected key and wrong-typed value, at any depth, goes into one
+    `error` that names it by dotted path; each object's missing and
+    unexpected keys come before the problems inside its values.
+    """
+    problems: list[str] = []
+    obj = _decode_fields(cls, raw, "", problems)
+    if problems:
+        raise error(context + ", ".join(problems))
+    return obj
+
+
+_BAD = object()  # marks a JSON value that does not fit its declared type
+
+
+def _decode_fields(cls, value, key: str, problems: list[str]):
+    if not isinstance(value, dict):
+        problems.append(f"'{key or '<root>'}' must be a JSON object")
+        return None
+    start = len(problems)
+    prefix = f"{key}." if key else ""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    problems += [f"missing key '{prefix}{name}'" for name, f in fields.items()
+                 if name not in value and f.default is dataclasses.MISSING
+                 and f.default_factory is dataclasses.MISSING]
+    problems += [f"unexpected key '{prefix}{name}'" for name in value if name not in fields]
+    kwargs = {}
+    for name, tp in typing.get_type_hints(cls).items():
+        if name not in value:
+            continue
+        if dataclasses.is_dataclass(tp):
+            kwargs[name] = _decode_fields(tp, value[name], prefix + name, problems)
+            continue
+        kwargs[name] = _decode_value(tp, value[name])
+        if kwargs[name] is _BAD:
+            type_name = tp.__name__ if isinstance(tp, type) else tp
+            problems.append(f"'{prefix}{name}' must be {type_name}, "
+                            f"got {reprlib.repr(value[name])}")
+    return cls(**kwargs) if len(problems) == start else None
+
+
+def _decode_value(tp, value):
+    """`value` converted to the non-dataclass type `tp`, or _BAD."""
+    if isinstance(tp, types.UnionType):
+        for arm in typing.get_args(tp):
+            out = _decode_value(arm, value)
+            if out is not _BAD:
+                return out
+        return _BAD
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple:
+        if not isinstance(value, list) or len(value) != len(args):
+            return _BAD
+        items = tuple(map(_decode_value, args, value))
+        return _BAD if any(item is _BAD for item in items) else items
+    if origin is dict:
+        if not isinstance(value, dict):
+            return _BAD
+        items = {k: _decode_value(args[1], v) for k, v in value.items()}
+        return _BAD if any(item is _BAD for item in items.values()) else items
+    if tp is np.ndarray:
+        if not isinstance(value, list):
+            return _BAD
+        # as objects, a ragged list keeps lists as elements and a bool stays a bool
+        arr = np.array(value, dtype=object)
+        return arr.astype(np.float64) if set(map(type, arr.flat)) <= {int, float} else _BAD
+    if tp is type(None):
+        return None if value is None else _BAD
+    if isinstance(value, bool):
+        return value if tp is bool else _BAD
+    if tp is float and isinstance(value, int):
+        return float(value)
+    return value if isinstance(value, tp) else _BAD
 
 
 def save_sequence(seq: FrameSequence, path: Path | str) -> None:
@@ -246,12 +363,8 @@ def save_sequence(seq: FrameSequence, path: Path | str) -> None:
         return
     path.mkdir(parents=True, exist_ok=True)
     t, (h, w) = seq.t_count, seq.shape
-    meta = {"t": t, "h": h, "w": w, "ed": seq.ed_index, "es": seq.es_index}
-    if seq.meta:
-        meta["meta"] = dict(seq.meta)
-    with open(path / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path / "meta.json",
+               SequenceMeta(t, h, w, seq.ed_index, seq.es_index, dict(seq.meta)))
     for i in range(t):
         write_pgm(path / f"frame_{i:04d}.pgm", quantize_frame(seq.frames[i]))
 
@@ -264,33 +377,24 @@ def load_sequence(path: Path | str) -> FrameSequence:
     meta_path = path / "meta.json"
     if not meta_path.is_file():
         raise FormatError(f"{path}: missing meta.json")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    for key in ("t", "h", "w", "ed", "es"):
-        if key not in meta:
-            raise FormatError(f"{meta_path}: missing field '{key}'")
-    t, h, w = meta["t"], meta["h"], meta["w"]
-    if t < 2:
-        raise InsufficientDataError(f"{path}: sequence too short (T={t})")
-    frames = np.empty((t, h, w), dtype=np.float64)
-    for i in range(t):
+    meta = read_json(meta_path, SequenceMeta)
+    if meta.t < 2:
+        raise InsufficientDataError(f"{path}: sequence too short (T={meta.t})")
+    frames = []
+    for i in range(meta.t):
         img = read_pgm(path / f"frame_{i:04d}.pgm")
-        if img.shape != (h, w):
+        if img.shape != (meta.h, meta.w):
             raise DimensionError(
-                f"frame_{i:04d}.pgm has shape {img.shape}, expected {(h, w)}"
+                f"frame_{i:04d}.pgm has shape {img.shape}, expected {(meta.h, meta.w)}"
             )
-        frames[i] = img / 255.0
-    return FrameSequence(
-        frames=frames,
-        ed_index=meta["ed"],
-        es_index=meta["es"],
-        meta=dict(meta.get("meta", {})),
-    )
+        frames.append(img)
+    return FrameSequence(frames=np.stack(frames) / 255.0, ed_index=meta.ed,
+                         es_index=meta.es, meta=meta.meta)
 
 
 def _save_eds(seq: FrameSequence, path: Path) -> None:
     t, (h, w) = seq.t_count, seq.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(b"EDS1")
         fh.write(struct.pack("<5I", t, h, w, seq.ed_index, seq.es_index))
         for i in range(t):

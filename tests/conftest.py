@@ -2,10 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from echodyn.descriptor import SectorGrid
 from echodyn.pipeline import PipelineConfig, run_edg
 from echodyn.seqio import PhantomSpec, generate_phantom
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a tier-1 run is reproducible and its time stable on a busy box.
+settings.register_profile("echodyn", derandomize=True, database=None, deadline=None,
+                          max_examples=30)
+settings.load_profile("echodyn")
 
 
 @pytest.fixture(scope="session")

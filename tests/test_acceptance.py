@@ -86,7 +86,7 @@ def test_criterion_3_dynamics_oracle_bound():
     w_star = np.linalg.solve(phi.T @ phi + model.config.ridge * np.eye(m),
                              phi.T @ targets)
     ridge_mse = float(np.mean(np.sum((targets - phi @ w_star) ** 2, axis=1)))
-    lms_mse = float(model.train_residual_history[-1])
+    lms_mse = float(model.residual_history[-1])
     ok = lms_mse <= 1.1 * ridge_mse and elapsed < 5.0
     print(f"  lms_mse={lms_mse:.6e} ridge_mse={ridge_mse:.6e} "
           f"ratio={lms_mse / ridge_mse:.3f} time={elapsed:.2f}s")

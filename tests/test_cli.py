@@ -8,9 +8,9 @@ import pytest
 from echodyn.cli import PipelineConfig, main, stage_seed
 from echodyn.descriptor import SectorGrid
 from echodyn.errors import ParameterError
-from echodyn.pipeline import atomic_write
 from echodyn.cpda import load_feature_clip, save_feature_clip, FeatureClip, identity_conv_kernel, seed_cpda_weights, save_cpda_weights
-from echodyn.seqio import FrameSequence, MaskSequence, load_masks, save_masks, save_sequence
+from echodyn.seqio import (FrameSequence, MaskSequence, atomic_write, load_masks, save_masks,
+                           save_sequence)
 
 from conftest import make_frames
 
@@ -258,7 +258,7 @@ def test_malformed_config_json_exits_1(tmp_path, capsys):
     ({"rbf": {"epochs": True}}, "rbf.epochs"),
 ])
 def test_pipeline_config_rejects_wrong_value_types(raw, key):
-    with pytest.raises(ParameterError, match=f"config '{key}' must be"):
+    with pytest.raises(ParameterError, match=f"'{key}' must be"):
         PipelineConfig.from_dict(raw)
 
 
@@ -269,7 +269,7 @@ def test_wrong_config_type_exits_before_flow(tmp_path, capsys):
     (tmp_path / "cfg.json").write_text(json.dumps({"pca_k": "6"}))
     assert main(["edg", str(src / "frames"), "--config", str(tmp_path / "cfg.json"),
                  "-o", str(tmp_path / "e")]) == 1
-    assert "config 'pca_k' must be int" in capsys.readouterr().err
+    assert "'pca_k' must be int" in capsys.readouterr().err
     assert not (tmp_path / "e").exists()
 
 
@@ -277,7 +277,7 @@ def test_rbf_seed_is_not_a_config_key(tmp_path, capsys):
     (tmp_path / "cfg.json").write_text(json.dumps({"rbf": {"seed": 5}}))
     assert main(["seed-weights", "--channels", "2", "--config", str(tmp_path / "cfg.json"),
                  "-o", str(tmp_path / "w.json")]) == 1
-    assert "unknown config key 'rbf.seed'" in capsys.readouterr().err
+    assert "unexpected key 'rbf.seed'" in capsys.readouterr().err
 
 
 def test_cpda_demo_truncated_clip_exits_1(tmp_path, capsys):
@@ -297,21 +297,39 @@ def test_cpda_demo_weights_missing_keys_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out.ftc").exists()
 
 
+@pytest.mark.parametrize("text,needle", [
+    ("t,p0,p1\n0,0.5,x\n", "line 2: non-numeric value"),
+    ("t,p0,p1\n0,0.5,1.0\n1,0.5\n", "line 3 has 1 values, line 2 has 2"),
+    ("t,p0,p1\n", "no P_EDG rows"),
+], ids=["non-numeric", "ragged", "header-only"])
+def test_cpda_demo_malformed_pedg_csv_exits_1(tmp_path, capsys, text, needle):
+    save_feature_clip(FeatureClip(data=np.zeros((3, 4, 4, 2))), tmp_path / "c.ftc")
+    (tmp_path / "bad.csv").write_text(text)
+    assert main(["cpda-demo", str(tmp_path / "c.ftc"), "--seed-weights",
+                 "--ed", "0", "--es", "1", "--pedg", str(tmp_path / "bad.csv"),
+                 "-o", str(tmp_path / "o.ftc")]) == 1
+    err = capsys.readouterr().err
+    assert "error [FormatError]" in err and "bad.csv" in err and needle in err
+    assert not (tmp_path / "o.ftc").exists()
+
+
 def test_atomic_write_leaves_nothing_behind_on_failure(tmp_path):
     target = tmp_path / "out.csv"
 
-    def failing(path):
-        path.write_bytes(b"partial")
-        raise RuntimeError("disk full")
+    def failing():
+        with atomic_write(target, "wb") as fh:
+            fh.write(b"partial")
+            raise RuntimeError("disk full")
 
     with pytest.raises(RuntimeError):
-        atomic_write(target, failing)
+        failing()
     assert list(tmp_path.iterdir()) == []
     target.write_bytes(b"old")
     with pytest.raises(RuntimeError):
-        atomic_write(target, failing)
+        failing()
     assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == b"old"
-    atomic_write(target, lambda path: path.write_bytes(b"new"))
+    with atomic_write(target, "wb") as fh:
+        fh.write(b"new")
     assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == b"new"
     # the renamed file gets the mode a plain open() gives, not mkstemp's 0600
     (tmp_path / "plain").write_bytes(b"")

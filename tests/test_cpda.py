@@ -324,17 +324,18 @@ def test_weights_json_names_missing_and_unexpected_keys(tmp_path):
     save_cpda_weights(seed_cpda_weights(channels=2, seed=5), tmp_path / "w.json")
     payload = json.loads((tmp_path / "w.json").read_text())
     payload["extra"] = 1
-    del payload["wq"]["shape"]
+    payload["wq"][1] = payload["wq"][1][:-1]  # ragged: one row is short
     (tmp_path / "w.json").write_text(json.dumps(payload))
     with pytest.raises(FormatError, match="unexpected key 'extra'"):
         load_cpda_weights(tmp_path / "w.json")
     del payload["extra"]
     (tmp_path / "w.json").write_text(json.dumps(payload))
-    with pytest.raises(FormatError, match="missing key 'wq.shape'"):
+    with pytest.raises(FormatError, match="'wq' must be ndarray"):
         load_cpda_weights(tmp_path / "w.json")
-    payload["wq"]["shape"] = [3, 3]  # data holds a different number of values
+    payload["wq"] = payload["wk"]
+    payload["heads"] = "2"
     (tmp_path / "w.json").write_text(json.dumps(payload))
-    with pytest.raises(FormatError, match="bad value"):
+    with pytest.raises(FormatError, match="'heads' must be int"):
         load_cpda_weights(tmp_path / "w.json")
 
 

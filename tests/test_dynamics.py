@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -113,13 +114,13 @@ def test_train_constant_sequence_zero_weights():
     z = np.tile([1.0, 2.0], (10, 1))
     model = train_dynamics(z, RbfConfig(m_centers=2, epochs=5), seed=0)
     assert np.all(model.weights == 0.0)
-    assert np.all(model.train_residual_history == 0.0)
+    assert np.all(model.residual_history == 0.0)
 
 
 def test_train_single_sample_converges():
     z = np.array([[0.0], [1.0]])  # one transition, target 1.0
     model = train_dynamics(z, RbfConfig(m_centers=1, epochs=200), seed=0)
-    assert model.train_residual_history[-1] < 1e-6
+    assert model.residual_history[-1] < 1e-6
     assert predict_delta(model, z[0])[0] == pytest.approx(1.0, abs=1e-3)
 
 
@@ -130,7 +131,7 @@ def test_train_noisy_circle_oracle_bound():
     targets = z[1:] - z[:-1]
     phi = rbf_response(z[:-1], model.centers, model.sigma)
     _, ridge_mse = ridge_oracle(phi, targets, cfg.ridge)
-    assert model.train_residual_history[-1] <= 1.1 * ridge_mse
+    assert model.residual_history[-1] <= 1.1 * ridge_mse
 
 
 def test_train_ls_mode_matches_oracle():
@@ -141,8 +142,8 @@ def test_train_ls_mode_matches_oracle():
     phi = rbf_response(z[:-1], model.centers, model.sigma)
     w_star, mse = ridge_oracle(phi, targets, cfg.ridge)
     assert np.allclose(model.weights, w_star)
-    assert np.allclose(model.train_residual_history, mse)
-    assert len(model.train_residual_history) == cfg.epochs
+    assert np.allclose(model.residual_history, mse)
+    assert len(model.residual_history) == cfg.epochs
 
 
 def test_train_divergence_error():
@@ -157,7 +158,7 @@ def test_train_insufficient_data():
 
 
 def test_train_history_smoothed_monotone_on_phantom(phantom_model):
-    hist = phantom_model.train_residual_history
+    hist = phantom_model.residual_history
     windows = hist.reshape(-1, 10).mean(axis=1)
     assert np.all(np.diff(windows) <= 1e-12)
     # last 10% of epochs: nonincreasing within 5% jitter
@@ -170,7 +171,7 @@ def test_train_history_smoothed_monotone_on_phantom(phantom_model):
 def test_predict_zero_weights():
     model = DynamicsModel(centers=np.zeros((3, 2)), weights=np.zeros((3, 2)),
                           sigma=1.0, config=RbfConfig(m_centers=3),
-                          train_residual_history=np.zeros(1))
+                          residual_history=np.zeros(1), kmeans_seed=0)
     assert np.allclose(predict_delta(model, np.array([5.0, -2.0])), 0.0)
 
 
@@ -178,7 +179,7 @@ def test_predict_at_center_single():
     w = np.array([[0.3, -0.7]])
     model = DynamicsModel(centers=np.array([[1.0, 1.0]]), weights=w, sigma=2.0,
                           config=RbfConfig(m_centers=1),
-                          train_residual_history=np.zeros(1))
+                          residual_history=np.zeros(1), kmeans_seed=0)
     assert np.allclose(predict_delta(model, np.array([1.0, 1.0])), w[0])
 
 
@@ -188,7 +189,7 @@ def test_predict_hand_case_two_centers():
     sigma = 1.5
     model = DynamicsModel(centers=centers, weights=weights, sigma=sigma,
                           config=RbfConfig(m_centers=2),
-                          train_residual_history=np.zeros(1))
+                          residual_history=np.zeros(1), kmeans_seed=0)
     z = np.array([0.5])
     phi1 = np.exp(-0.25 / (2 * sigma ** 2))
     phi2 = np.exp(-2.25 / (2 * sigma ** 2))
@@ -198,7 +199,7 @@ def test_predict_hand_case_two_centers():
 def test_predict_dimension_error():
     model = DynamicsModel(centers=np.zeros((2, 3)), weights=np.zeros((2, 3)),
                           sigma=1.0, config=RbfConfig(m_centers=2),
-                          train_residual_history=np.zeros(1))
+                          residual_history=np.zeros(1), kmeans_seed=0)
     with pytest.raises(ModelError):
         predict_delta(model, np.zeros(4))
 
@@ -209,7 +210,7 @@ def _toy_model(centers, weights, sigma=1.0):
     return DynamicsModel(centers=np.asarray(centers, float),
                          weights=np.asarray(weights, float), sigma=sigma,
                          config=RbfConfig(m_centers=len(centers)),
-                         train_residual_history=np.zeros(1))
+                         residual_history=np.zeros(1), kmeans_seed=0)
 
 
 def test_energy_perfect_prediction_zero():
@@ -381,8 +382,8 @@ def test_dynamics_model_json_roundtrip(tmp_path, phantom_model):
     assert np.array_equal(back.centers, phantom_model.centers)
     assert np.array_equal(back.weights, phantom_model.weights)
     assert back.sigma == phantom_model.sigma
-    assert np.array_equal(back.train_residual_history,
-                          phantom_model.train_residual_history)
+    assert np.array_equal(back.residual_history,
+                          phantom_model.residual_history)
     assert back.config.m_centers == phantom_model.config.m_centers
     assert back.kmeans_seed == phantom_model.kmeans_seed
 
@@ -395,6 +396,11 @@ def test_dynamics_model_json_rejects_old_and_malformed_files(tmp_path, phantom_m
     (tmp_path / "m.json").write_text(json.dumps(payload))
     with pytest.raises(FormatError,
                        match="missing key 'kmeans_seed', unexpected key 'config.seed'"):
+        load_dynamics_model(tmp_path / "m.json")
+    payload["kmeans_seed"] = 1.5
+    del payload["config"]["seed"]
+    (tmp_path / "m.json").write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match="'kmeans_seed' must be int, got 1.5"):
         load_dynamics_model(tmp_path / "m.json")
     (tmp_path / "m.json").write_text("{")
     with pytest.raises(FormatError, match="malformed JSON"):
@@ -413,3 +419,26 @@ def test_edg_outputs(tmp_path, phantom_model, phantom_descriptors, phantom_grid)
     lines = (tmp_path / "edg.csv").read_text().splitlines()
     assert lines[0] == "t,r,theta,energy"
     assert len(lines) == 1 + len(maps) * phantom_grid.sector_count
+
+
+def test_edg_csv_failed_write_keeps_old_file(tmp_path, monkeypatch, phantom_grid):
+    (tmp_path / "edg.csv").write_bytes(b"old")
+    real_writer = csv.writer
+
+    class FailingWriter:  # fails on the fifth data row, after rows are buffered
+        def __init__(self, fh):
+            self.inner, self.rows = real_writer(fh), 0
+
+        def writerow(self, row):
+            self.rows += 1
+            if self.rows > 5:
+                raise OSError("disk full")
+            self.inner.writerow(row)
+
+    monkeypatch.setattr(csv, "writer", FailingWriter)
+    maps = np.ones((3, phantom_grid.r_bins, phantom_grid.theta_bins))
+    with pytest.raises(OSError, match="disk full"):
+        save_edg_outputs(maps, phantom_grid, 32, 32, tmp_path)
+    assert (tmp_path / "edg.csv").read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "edg.csv", "edg_0000.pgm", "edg_0001.pgm", "edg_0002.pgm"]

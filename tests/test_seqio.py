@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from echodyn.cli import main
 from echodyn.errors import (
     DimensionError,
     FormatError,
@@ -128,6 +129,22 @@ def test_load_errors(tmp_path):
         (tmp_path / "meta_missing_field").mkdir()
         (tmp_path / "meta_missing_field" / "meta.json").write_text('{"t":2}')
         load_sequence(tmp_path / "meta_missing_field")
+
+
+@pytest.mark.parametrize("text,needle", [
+    ("{", "malformed JSON"),
+    ('{"t": "2", "h": 4, "w": 4, "ed": 0, "es": 1}', "'t' must be int, got '2'"),
+    ('{"t": 2, "h": 4, "w": 4, "ed": 0, "es": 1, "meta": [1]}', "'meta' must be dict"),
+], ids=["malformed", "t-string", "meta-list"])
+def test_bad_meta_json_is_a_format_error(tmp_path, capsys, text, needle):
+    save_sequence(FrameSequence(frames=np.zeros((2, 4, 4)), ed_index=0, es_index=1),
+                  tmp_path / "d")
+    (tmp_path / "d" / "meta.json").write_text(text)
+    with pytest.raises(FormatError, match=needle):
+        load_sequence(tmp_path / "d")
+    assert main(["flow", str(tmp_path / "d"), "-o", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err
+    assert "error [FormatError]" in err and needle in err
 
 
 def test_eds_zero_dimension_rejected(tmp_path):
