@@ -29,7 +29,6 @@ from .descriptor import (
     fit_pca,
     fit_scaler,
     project,
-    sector_of,
 )
 from .dynamics import (
     DynamicsModel,

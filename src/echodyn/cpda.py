@@ -27,7 +27,6 @@ class FeatureClip:
     """T x H x W x C spatial feature tensor for one skip level."""
 
     data: np.ndarray
-    level: int = 1
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=np.float64)
@@ -211,7 +210,7 @@ def cpda_forward(clip: FeatureClip, phase: PhaseTrack, pedg: np.ndarray,
     factor = 1.0 + weights.alpha * (2.0 * s - 1.0)
     x_mod = clip.data * factor[:, None, None, :]
     out = 0.5 * x_mod + 0.5 * conv3d_same(x_mod, weights.conv_kernel, weights.conv_bias)
-    return FeatureClip(data=out, level=clip.level)
+    return FeatureClip(data=out)
 
 
 def identity_conv_kernel(channels: int) -> np.ndarray:

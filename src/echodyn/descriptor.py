@@ -10,6 +10,7 @@ per-frame low-dimensional state vector z_t.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,44 +61,35 @@ class SectorGrid:
         return cx, cy, r_max
 
 
-def sector_of(x: float, y: float, grid: SectorGrid,
-              h: int | None = None, w: int | None = None) -> tuple[int, int] | None:
-    """Map a pixel to its (ring, angle-bin) sector, or None when outside.
+@functools.lru_cache(maxsize=4)
+def _sector_geometry(cx: float, cy: float, r_max: float, r_bins: int, theta_bins: int,
+                     h: int, w: int) -> tuple[np.ndarray, ...]:
+    """Read-only (sector id map, inside-disc mask, radial unit vectors ex, ey)
+    of an H x W image, built once per resolved grid and image size.
 
-    When the grid uses image-relative defaults, `h`/`w` must be given.
-    Angle 0 points along +x and increases toward +y (downward in images).
+    Angle 0 points along +x and increases toward +y (downward in images);
+    the pole pixel has ex = ey = 0.
     """
-    if grid.center is not None and grid.r_max is not None:
-        cx, cy = grid.center
-        r_max = grid.r_max
-    else:
-        if h is None or w is None:
-            raise ParameterError("grid has image-relative defaults; pass h and w")
-        cx, cy, r_max = grid.resolve(h, w)
-    rho = np.hypot(x - cx, y - cy)
-    if rho >= r_max:
-        return None
-    ring = min(int(rho * grid.r_bins / r_max), grid.r_bins - 1)
-    angle = np.arctan2(y - cy, x - cx)  # atan2(0,0) == 0 at the pole
-    if angle < 0:
-        angle += 2.0 * np.pi
-    tbin = min(int(angle * grid.theta_bins / (2.0 * np.pi)), grid.theta_bins - 1)
-    return ring, tbin
-
-
-def sector_index_map(grid: SectorGrid, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized sector lookup: (sector id map, inside-disc mask) for an image."""
-    cx, cy, r_max = grid.resolve(h, w)
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     dx, dy = xs - cx, ys - cy
     rho = np.hypot(dx, dy)
     inside = rho < r_max
-    ring = np.minimum((rho * grid.r_bins / r_max).astype(np.int64), grid.r_bins - 1)
+    ring = np.minimum((rho * r_bins / r_max).astype(np.int64), r_bins - 1)
     angle = np.arctan2(dy, dx)
     angle[angle < 0] += 2.0 * np.pi
-    tbin = np.minimum((angle * grid.theta_bins / (2.0 * np.pi)).astype(np.int64),
-                      grid.theta_bins - 1)
-    return ring * grid.theta_bins + tbin, inside
+    tbin = np.minimum((angle * theta_bins / (2.0 * np.pi)).astype(np.int64), theta_bins - 1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ex = np.where(rho > 0, dx / rho, 0.0)
+        ey = np.where(rho > 0, dy / rho, 0.0)
+    geometry = (ring * theta_bins + tbin, inside, ex, ey)
+    for array in geometry:
+        array.flags.writeable = False
+    return geometry
+
+
+def sector_index_map(grid: SectorGrid, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized sector lookup: read-only (sector id map, inside-disc mask)."""
+    return _sector_geometry(*grid.resolve(h, w), grid.r_bins, grid.theta_bins, h, w)[:2]
 
 
 def extract_descriptor(frame: np.ndarray, flow: FlowField, grid: SectorGrid) -> np.ndarray:
@@ -112,15 +104,8 @@ def extract_descriptor(frame: np.ndarray, flow: FlowField, grid: SectorGrid) -> 
             f"frame shape {frame.shape} does not match flow shape {flow.u.shape}"
         )
     h, w = frame.shape
-    cx, cy, _ = grid.resolve(h, w)
-    sector_ids, inside = sector_index_map(grid, h, w)
-
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    dx, dy = xs - cx, ys - cy
-    rho = np.hypot(dx, dy)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ex = np.where(rho > 0, dx / rho, 0.0)
-        ey = np.where(rho > 0, dy / rho, 0.0)
+    sector_ids, inside, ex, ey = _sector_geometry(*grid.resolve(h, w), grid.r_bins,
+                                                  grid.theta_bins, h, w)
     v_r = flow.u * ex + flow.v * ey
     v_t = -flow.u * ey + flow.v * ex
 

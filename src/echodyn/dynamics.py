@@ -270,16 +270,6 @@ def load_dynamics_model(path: Path | str) -> DynamicsModel:
     return read_json(path, DynamicsModel)
 
 
-def render_edg_map(sectors: np.ndarray, sector_ids: np.ndarray, inside: np.ndarray,
-                   lo: float, hi: float) -> np.ndarray:
-    """Paint one R x TH map into the annular-sector region as a [0,1] image;
-    `sector_ids`/`inside` come from `sector_index_map`."""
-    img = np.zeros(inside.shape)
-    if hi > lo:
-        img[inside] = (sectors.reshape(-1)[sector_ids[inside]] - lo) / (hi - lo)
-    return np.clip(img, 0.0, 1.0)
-
-
 def save_edg_outputs(maps: np.ndarray, grid: SectorGrid, h: int, w: int,
                      out_dir: Path | str) -> None:
     """Per-frame PGM heatmaps (min-max normalized over the sequence) + edg.csv
@@ -288,8 +278,11 @@ def save_edg_outputs(maps: np.ndarray, grid: SectorGrid, h: int, w: int,
     out_dir.mkdir(parents=True, exist_ok=True)
     lo, hi = float(maps.min()), float(maps.max())
     sector_ids, inside = sector_index_map(grid, h, w)
+    ids = sector_ids[inside]
     for t, sectors in enumerate(maps):
-        img = render_edg_map(sectors, sector_ids, inside, lo, hi)
+        img = np.zeros((h, w))  # outside the disc, and every map of a constant sequence
+        if hi > lo:
+            img[inside] = (sectors.reshape(-1)[ids] - lo) / (hi - lo)
         write_pgm(out_dir / f"edg_{t:04d}.pgm", quantize_frame(img))
     with atomic_write(out_dir / "edg.csv", newline="") as fh:
         writer = csv.writer(fh)

@@ -24,7 +24,7 @@ follows the classical byte-image parameterization.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +68,7 @@ class FlowField:
 
 
 def _presmooth(frame: np.ndarray, sigma: float) -> np.ndarray:
-    if sigma <= 0:
-        return frame.astype(np.float64)
-    return gaussian_filter(frame.astype(np.float64), sigma, mode="nearest")
+    return gaussian_filter(frame, sigma, mode="nearest") if sigma > 0 else frame
 
 
 def compute_flow(prev: np.ndarray, next: np.ndarray,
@@ -172,9 +170,18 @@ def _solve(ix: np.ndarray, iy: np.ndarray, it: np.ndarray, alpha2: float,
 
 
 def flow_sequence(seq: FrameSequence, params: FlowParams = FlowParams()) -> list[FlowField]:
-    """Flow fields for each consecutive frame pair; element t maps frame t -> t+1."""
-    return [compute_flow(seq.frames[t], seq.frames[t + 1], params)
-            for t in range(seq.t_count - 1)]
+    """Flow fields for each consecutive frame pair; element t maps frame t -> t+1.
+
+    Each frame is presmoothed once, when it is reached; `compute_flow` gets
+    the two smoothed frames of a pair with presmoothing switched off.
+    """
+    smoothed_params = replace(params, presmooth_sigma=0.0)
+    nxt = _presmooth(seq.frames[0], params.presmooth_sigma)
+    fields = []
+    for t in range(1, seq.t_count):
+        prev, nxt = nxt, _presmooth(seq.frames[t], params.presmooth_sigma)
+        fields.append(compute_flow(prev, nxt, smoothed_params))
+    return fields
 
 
 def save_flow(flow: FlowField, path: Path | str) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import descriptor, dynamics, flow, seqio
-from .errors import ParameterError
+from .errors import InsufficientDataError, ParameterError
 
 STAGE_PHANTOM = "phantom"
 STAGE_KMEANS = "kmeans"
@@ -90,13 +90,35 @@ class EdgResult:
     pedg: np.ndarray  # (T-2) x k2, one P_EDG row per state transition
 
 
+def _check_sizes(cfg: PipelineConfig, t_count: int) -> None:
+    """Raise the error a later stage would raise when `cfg` cannot fit T frames.
+
+    T frames give T-1 descriptor rows, whose PCA needs pca_k <= rows - 1 and
+    <= the descriptor length; T-1 states, from which k-means draws m_centers
+    centers; and T-2 energy rows of m_centers columns, whose PCA needs
+    k2 <= rows - 1 and <= m_centers.
+    """
+    if not 1 <= cfg.pca_k <= cfg.grid.descriptor_length:
+        raise ParameterError(f"pca_k={cfg.pca_k} out of range "
+                             f"1..{cfg.grid.descriptor_length} (the descriptor length)")
+    if not 1 <= cfg.k2 <= cfg.rbf.m_centers:
+        raise ParameterError(f"k2={cfg.k2} out of range 1..{cfg.rbf.m_centers} (m_centers)")
+    t_min = max(cfg.pca_k + 2, cfg.rbf.m_centers + 1, cfg.k2 + 3)
+    if t_count < t_min:
+        raise InsufficientDataError(
+            f"need at least {t_min} frames for pca_k={cfg.pca_k}, "
+            f"m_centers={cfg.rbf.m_centers}, k2={cfg.k2}; got {t_count}")
+
+
 def run_edg(seq: seqio.FrameSequence, cfg: PipelineConfig = PipelineConfig(),
             method: str = "lms") -> EdgResult:
     """Run the dynamic pipeline on a sequence.
 
     The k-means centers are seeded from stage_seed(cfg.seed, "kmeans");
     `method` selects the RBF weight fit ("lms" or closed-form "ls").
+    A config that cannot fit `seq` is rejected before any stage runs.
     """
+    _check_sizes(cfg, seq.t_count)
     flows = flow.flow_sequence(seq, cfg.flow)
     z, scaler, pca = descriptor.descriptor_sequence(seq, flows, cfg.grid, k=cfg.pca_k)
     model = dynamics.train_dynamics(z, cfg.rbf, seed=stage_seed(cfg.seed, STAGE_KMEANS),

@@ -356,17 +356,20 @@ def save_sequence(seq: FrameSequence, path: Path | str) -> None:
 
     Directory layout: ``meta.json`` plus ``frame_%04d.pgm``. The `.eds`
     container drops free-form meta strings; everything else round-trips.
+    ``meta.json`` is written last, so a directory whose save failed midway
+    has none and does not load.
     """
     path = Path(path)
     if path.suffix == ".eds":
         _save_eds(seq, path)
         return
     path.mkdir(parents=True, exist_ok=True)
+    (path / "meta.json").unlink(missing_ok=True)
     t, (h, w) = seq.t_count, seq.shape
-    write_json(path / "meta.json",
-               SequenceMeta(t, h, w, seq.ed_index, seq.es_index, dict(seq.meta)))
     for i in range(t):
         write_pgm(path / f"frame_{i:04d}.pgm", quantize_frame(seq.frames[i]))
+    write_json(path / "meta.json",
+               SequenceMeta(t, h, w, seq.ed_index, seq.es_index, dict(seq.meta)))
 
 
 def load_sequence(path: Path | str) -> FrameSequence:
@@ -382,10 +385,14 @@ def load_sequence(path: Path | str) -> FrameSequence:
         raise InsufficientDataError(f"{path}: sequence too short (T={meta.t})")
     frames = []
     for i in range(meta.t):
-        img = read_pgm(path / f"frame_{i:04d}.pgm")
+        frame_path = path / f"frame_{i:04d}.pgm"
+        if not frame_path.is_file():
+            raise FormatError(f"{path}: {frame_path.name} is missing "
+                              f"(meta.json lists {meta.t} frames)")
+        img = read_pgm(frame_path)
         if img.shape != (meta.h, meta.w):
             raise DimensionError(
-                f"frame_{i:04d}.pgm has shape {img.shape}, expected {(meta.h, meta.w)}"
+                f"{frame_path.name} has shape {img.shape}, expected {(meta.h, meta.w)}"
             )
         frames.append(img)
     return FrameSequence(frames=np.stack(frames) / 255.0, ed_index=meta.ed,

@@ -4,7 +4,9 @@
 `benchmarks/workloads.py` reads config and seed helpers from `echodyn.cli`
 and calls the flow solver for `flow_err_rel`, and `benchmarks/harness.py`
 records `flow.FlowParams().iterations`; a rename in the package would
-otherwise surface only as a broken benchmark.
+otherwise surface only as a broken benchmark. Per-pair and per-frame
+metrics count the spans of `compute_flow` and `extract_descriptor`, so
+inlining either would zero them without breaking the benchmark.
 """
 
 from __future__ import annotations
@@ -18,11 +20,15 @@ import numpy as np
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 
 
-def load_traced():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TRACED
+    return module
+
+
+def load_traced():
+    return load_tracing().TRACED
 
 
 def test_traced_names_are_package_functions():
@@ -51,3 +57,29 @@ def test_flow_api_the_workloads_read():
     got = flow.compute_flow(a, b, flow.FlowParams())
     assert isinstance(got, flow.FlowField)
     assert got.u.shape == got.v.shape == (16, 16)
+
+
+def test_tracer_sees_every_pair_and_frame():
+    from echodyn import dynamics, pipeline, seqio
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    seq, _ = seqio.generate_phantom(
+        seqio.PhantomSpec(t_count=8, height=48, width=48, base_radius=8.0))
+    cfg = pipeline.PipelineConfig(pca_k=3, rbf=dynamics.RbfConfig(m_centers=4, epochs=10),
+                                  k2=2)
+    tracer.install({layer: importlib.import_module(f"echodyn.{layer}")
+                    for layer in tracing.TRACED})
+    try:
+        pipeline.run_edg(seq, cfg)
+    finally:
+        tracer.uninstall()
+    names = {span["id"]: span["name"] for span in tracer.spans}
+
+    def calls_under(parent, child):
+        return sum(span["name"] == child and names.get(span["parent"]) == parent
+                   for span in tracer.spans)
+
+    pairs = seq.t_count - 1
+    assert calls_under("flow.flow_sequence", "flow.compute_flow") == pairs
+    assert calls_under("descriptor.descriptor_sequence", "descriptor.extract_descriptor") == pairs

@@ -18,7 +18,6 @@ from echodyn.descriptor import (
     project,
     save_feature_models,
     sector_index_map,
-    sector_of,
 )
 from echodyn.errors import (
     DimensionError,
@@ -31,6 +30,31 @@ from echodyn.flow import FlowField
 from echodyn.seqio import FrameSequence
 
 from conftest import make_frames
+
+
+def sector_of(x: float, y: float, grid: SectorGrid,
+              h: int | None = None, w: int | None = None) -> tuple[int, int] | None:
+    """Oracle: the (ring, angle-bin) sector of one pixel, or None when outside.
+
+    When the grid uses image-relative defaults, `h`/`w` must be given.
+    Angle 0 points along +x and increases toward +y (downward in images).
+    """
+    if grid.center is not None and grid.r_max is not None:
+        cx, cy = grid.center
+        r_max = grid.r_max
+    else:
+        if h is None or w is None:
+            raise ParameterError("grid has image-relative defaults; pass h and w")
+        cx, cy, r_max = grid.resolve(h, w)
+    rho = np.hypot(x - cx, y - cy)
+    if rho >= r_max:
+        return None
+    ring = min(int(rho * grid.r_bins / r_max), grid.r_bins - 1)
+    angle = np.arctan2(y - cy, x - cx)  # atan2(0,0) == 0 at the pole
+    if angle < 0:
+        angle += 2.0 * np.pi
+    tbin = min(int(angle * grid.theta_bins / (2.0 * np.pi)), grid.theta_bins - 1)
+    return ring, tbin
 
 
 def brute_force_pca_spectrum(x):
@@ -67,6 +91,30 @@ def test_sector_partition_counts():
     cx, cy, r_max = grid.resolve(64, 64)
     ys, xs = np.mgrid[0:64, 0:64].astype(float)
     assert inside.sum() == (np.hypot(xs - cx, ys - cy) < r_max).sum()
+
+
+@pytest.mark.parametrize("grid,h,w", [
+    (SectorGrid(r_bins=4, theta_bins=12), 24, 31),
+    (SectorGrid(r_bins=3, theta_bins=5, center=[10.0, 7.5], r_max=9.0), 20, 16),
+    (SectorGrid(r_bins=2, theta_bins=7, center=(0.0, 0.0)), 12, 12),
+], ids=["image-center", "list-center", "corner-center"])
+def test_sector_index_map_matches_scalar_oracle(grid, h, w):
+    ids, inside = sector_index_map(grid, h, w)
+    for y in range(h):
+        for x in range(w):
+            sector = sector_of(float(x), float(y), grid, h, w)
+            assert inside[y, x] == (sector is not None)
+            if sector is not None:
+                assert ids[y, x] == sector[0] * grid.theta_bins + sector[1]
+
+
+def test_sector_geometry_is_shared_read_only():
+    ids, inside = sector_index_map(SectorGrid(), 16, 16)
+    assert sector_index_map(SectorGrid(), 16, 16)[0] is ids
+    with pytest.raises(ValueError):
+        ids[0, 0] = 1
+    with pytest.raises(ValueError):
+        inside[0, 0] = False
 
 
 # ------------------------------------------------------------ descriptors

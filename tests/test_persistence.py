@@ -10,7 +10,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -244,3 +244,44 @@ def test_binary_roundtrip_and_truncation(work, name, data):
     path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
     with pytest.raises(FormatError):
         load(path)
+
+
+def flipped_bits(raw: bytes, n_bytes: int):
+    """`raw` with one bit flipped, for each bit of its first `n_bytes` bytes."""
+    for bit in range(8 * n_bytes):
+        damaged = bytearray(raw)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        yield bytes(damaged)
+
+
+# bytes of magic plus dimension fields: EDS1 T,H,W; FLW1 H,W; FTC1 T,H,W,C
+DIMENSION_HEADERS = {"eds": 16, "flw1": 12, "ftc1": 20}
+
+
+# every header bit is flipped in each drawn file, so few files are needed
+@pytest.mark.parametrize("name", DIMENSION_HEADERS)
+@given(data=st.data())
+@settings(max_examples=10)
+def test_flipped_magic_or_dimension_bit_is_a_format_error(work, name, data):
+    objects, file_name, save, load, _ = BINARY[name]
+    path = work / file_name
+    save(data.draw(objects), path)
+    for damaged in flipped_bits(path.read_bytes(), DIMENSION_HEADERS[name]):
+        path.write_bytes(damaged)
+        with pytest.raises(FormatError):
+            load(path)
+
+
+@given(pixels=BINARY["pgm"][0])
+@settings(max_examples=10)
+def test_flipped_pgm_header_bit_fails_or_reads_the_same(work, pixels):
+    path = work / "x.pgm"
+    write_pgm(path, pixels)
+    raw = path.read_bytes()
+    for damaged in flipped_bits(raw, len(raw) - pixels.size):
+        path.write_bytes(damaged)
+        try:
+            got = read_pgm(path)
+        except FormatError:
+            continue
+        np.testing.assert_array_equal(got, pixels)

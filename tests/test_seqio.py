@@ -192,6 +192,36 @@ def test_load_masks_rejects_numbering_gap(tmp_path):
         load_masks(tmp_path / "m")
 
 
+def test_load_sequence_names_a_missing_frame(tmp_path, capsys):
+    frames = np.zeros((8, 4, 4))
+    save_sequence(FrameSequence(frames=frames, ed_index=0, es_index=4), tmp_path / "d")
+    (tmp_path / "d" / "frame_0005.pgm").unlink()
+    with pytest.raises(FormatError, match="frame_0005.pgm is missing"):
+        load_sequence(tmp_path / "d")
+    assert main(["flow", str(tmp_path / "d"), "-o", str(tmp_path / "f")]) == 1
+    assert "error [FormatError]" in capsys.readouterr().err
+
+
+def test_save_sequence_failing_midway_leaves_no_meta_json(tmp_path, monkeypatch):
+    from echodyn import seqio
+
+    seq = FrameSequence(frames=np.zeros((6, 4, 4)), ed_index=0, es_index=3)
+    save_sequence(seq, tmp_path / "d")  # an earlier, complete save is overwritten
+    real_write_pgm = seqio.write_pgm
+
+    def failing_write_pgm(path, data):
+        if path.name == "frame_0003.pgm":
+            raise OSError("disk full")
+        real_write_pgm(path, data)
+
+    monkeypatch.setattr(seqio, "write_pgm", failing_write_pgm)
+    with pytest.raises(OSError, match="disk full"):
+        save_sequence(seq, tmp_path / "d")
+    assert not (tmp_path / "d" / "meta.json").exists()
+    with pytest.raises(FormatError):
+        load_sequence(tmp_path / "d")
+
+
 def test_phantom_radius_formula():
     spec = PhantomSpec(t_count=32, base_radius=24.0, contraction_fraction=0.3)
     assert phantom_radius(0, spec) == pytest.approx(24.0)
