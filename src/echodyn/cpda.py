@@ -155,20 +155,33 @@ def mha_forward(tokens: np.ndarray, weights: CpdaWeights) -> np.ndarray:
 
 
 def conv3d_same(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """3x3x3 zero-padded convolution over (T, H, W) for channels-last tensors."""
+    """3x3x3 zero-padded convolution over (T, H, W) for channels-last tensors.
+
+    One matmul per input frame s: its nine (dh, dw) windows side by side,
+    an (H*W) x 9C_in matrix, times the kernel as 9C_in x 3C_out. Column
+    block dt of the product goes to output frame s + 1 - dt, where that
+    exists.
+    """
     t, h, w, c_in = x.shape
     c_out = kernel.shape[0]
     if kernel.shape != (c_out, c_in, 3, 3, 3):
         raise ModelError(
             f"conv kernel must be C_out x {c_in} x 3 x 3 x 3, got {kernel.shape}"
         )
-    pad = np.pad(x, ((1, 1), (1, 1), (1, 1), (0, 0)))
+    # rows ordered (dh, dw, c_in) like the windows, columns (dt, c_out)
+    k = kernel.transpose(3, 4, 1, 2, 0).reshape(9 * c_in, 3 * c_out)
     out = np.broadcast_to(bias, (t, h, w, c_out)).copy()
-    for dt in range(3):
+    pad = np.zeros((h + 2, w + 2, c_in))
+    windows = np.empty((h, w, 3, 3, c_in))
+    for s in range(t):
+        pad[1:-1, 1:-1] = x[s]
         for dh in range(3):
             for dw in range(3):
-                window = pad[dt:dt + t, dh:dh + h, dw:dw + w, :]
-                out += window @ kernel[:, :, dt, dh, dw].T
+                windows[:, :, dh, dw] = pad[dh:dh + h, dw:dw + w]
+        prod = (windows.reshape(h * w, 9 * c_in) @ k).reshape(h, w, 3, c_out)
+        for dt in range(3):
+            if 0 <= s + 1 - dt < t:
+                out[s + 1 - dt] += prod[:, :, dt]
     return out
 
 

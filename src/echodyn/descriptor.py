@@ -41,7 +41,7 @@ class SectorGrid:
     def __post_init__(self):
         if self.r_bins < 1 or self.theta_bins < 1:
             raise ParameterError("r_bins and theta_bins must be >= 1")
-        if self.r_max is not None and self.r_max <= 0:
+        if self.r_max is not None and not self.r_max > 0:
             raise ParameterError("r_max must be > 0")
 
     @property

@@ -46,12 +46,14 @@ class RbfConfig:
     def __post_init__(self):
         if self.m_centers < 1:
             raise ParameterError("m_centers must be >= 1")
-        if self.learn_rate <= 0:
+        if not self.learn_rate > 0:
             raise ParameterError("learn_rate must be > 0")
         if self.epochs < 1:
             raise ParameterError("epochs must be >= 1")
-        if self.sigma is not None and self.sigma <= 0:
+        if self.sigma is not None and not self.sigma > 0:
             raise ParameterError("sigma must be > 0 when given")
+        if not self.ridge >= 0:
+            raise ParameterError("ridge must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -41,11 +41,11 @@ class FlowParams:
     presmooth_sigma: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ParameterError("alpha must be > 0")
         if self.iterations < 1:
             raise ParameterError("iterations must be >= 1")
-        if self.presmooth_sigma < 0:
+        if not self.presmooth_sigma >= 0:
             raise ParameterError("presmooth_sigma must be >= 0")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import binary_erosion, distance_transform_edt
+from scipy.ndimage import binary_erosion, distance_transform_edt, find_objects
 
 from .errors import DimensionError, InsufficientDataError, UndefinedDistanceError
 from .seqio import MaskSequence, atomic_write, write_json
@@ -50,8 +50,13 @@ def hd95(a: np.ndarray, b: np.ndarray) -> float:
         raise DimensionError(f"mask shapes differ: {a.shape} vs {b.shape}")
     if not a.any() or not b.any():
         raise UndefinedDistanceError("hd95 undefined for an empty mask")
-    ba = boundary_pixels(a)
-    bb = boundary_pixels(b)
+    # Both boundaries, and so every nearest pair, lie in the bounding box of
+    # a | b. A mask pixel on the box edge borders a non-mask pixel outside it,
+    # as the erosion's border_value=0 assumes there, so the crop changes no
+    # boundary pixel and no distance.
+    box = find_objects((a | b).view(np.uint8))[0]
+    ba = boundary_pixels(a[box])
+    bb = boundary_pixels(b[box])
     dist_to_bb = distance_transform_edt(~bb)
     dist_to_ba = distance_transform_edt(~ba)
     distances = np.concatenate([dist_to_bb[ba], dist_to_ba[bb]])

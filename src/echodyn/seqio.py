@@ -277,9 +277,10 @@ def from_json_dict(cls, raw, error: type[Exception] = FormatError, context: str 
     rectangular nested list of numbers (as float64); a fixed-length tuple
     from a list; an int fits float, and a bool fits only bool. A key may be
     absent only when its field has a default. Every missing key,
-    unexpected key and wrong-typed value, at any depth, goes into one
-    `error` that names it by dotted path; each object's missing and
-    unexpected keys come before the problems inside its values.
+    unexpected key, wrong-typed value and non-finite number (NaN,
+    Infinity, 1e999), at any depth, goes into one `error` that names it
+    by dotted path; each object's missing and unexpected keys come before
+    the problems inside its values.
     """
     problems: list[str] = []
     obj = _decode_fields(cls, raw, "", problems)
@@ -309,12 +310,27 @@ def _decode_fields(cls, value, key: str, problems: list[str]):
         if dataclasses.is_dataclass(tp):
             kwargs[name] = _decode_fields(tp, value[name], prefix + name, problems)
             continue
+        if _non_finite(value[name]):
+            problems.append(f"'{prefix}{name}' must be finite")
+            continue
         kwargs[name] = _decode_value(tp, value[name])
         if kwargs[name] is _BAD:
             type_name = tp.__name__ if isinstance(tp, type) else tp
             problems.append(f"'{prefix}{name}' must be {type_name}, "
                             f"got {reprlib.repr(value[name])}")
     return cls(**kwargs) if len(problems) == start else None
+
+
+def _non_finite(value) -> bool:
+    """Whether parsed JSON `value` holds NaN or an infinity at any depth
+    (`json` parses the NaN and Infinity literals, and 1e999 as inf)."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, list):
+        return any(map(_non_finite, value))
+    if isinstance(value, dict):
+        return any(map(_non_finite, value.values()))
+    return False
 
 
 def _decode_value(tp, value):

@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from echodyn import flow
 from echodyn.cli import PipelineConfig, main, stage_seed
 from echodyn.descriptor import SectorGrid
+from echodyn.dynamics import RbfConfig
+from echodyn.flow import FlowParams
 from echodyn.errors import ParameterError
 from echodyn.cpda import load_feature_clip, save_feature_clip, FeatureClip, identity_conv_kernel, seed_cpda_weights, save_cpda_weights
 from echodyn.seqio import (FrameSequence, MaskSequence, atomic_write, load_masks, save_masks,
@@ -260,6 +263,55 @@ def test_malformed_config_json_exits_1(tmp_path, capsys):
 def test_pipeline_config_rejects_wrong_value_types(raw, key):
     with pytest.raises(ParameterError, match=f"'{key}' must be"):
         PipelineConfig.from_dict(raw)
+
+
+# JSON text as Python's json reads it: the NaN and Infinity literals, and an
+# exponent too large for a float, which parses as inf
+@pytest.mark.parametrize("command,text,key", [
+    ("flow", '{"flow": {"presmooth_sigma": NaN}}', "flow.presmooth_sigma"),
+    ("flow", '{"flow": {"alpha": 1e999}}', "flow.alpha"),
+    ("edg", '{"rbf": {"ridge": Infinity}}', "rbf.ridge"),
+    ("edg", '{"grid": {"r_max": NaN}}', "grid.r_max"),
+    ("edg", '{"grid": {"center": [-Infinity, 3.0]}}', "grid.center"),
+], ids=["presmooth-nan", "alpha-1e999", "ridge-inf", "r_max-nan", "center-inf"])
+def test_non_finite_config_value_exits_before_flow(tmp_path, capsys, monkeypatch,
+                                                   command, text, key):
+    src = tmp_path / "seq"
+    assert main(["phantom", "--t", "4", "--size", "64", "--base-radius", "12",
+                 "-o", str(src)]) == 0
+    monkeypatch.setattr(flow, "flow_sequence", lambda *a, **k: pytest.fail("flow ran"))
+    (tmp_path / "cfg.json").write_text(text)
+    with pytest.raises(ParameterError, match=f"'{key}' must be finite"):
+        PipelineConfig.from_json(tmp_path / "cfg.json")
+    assert main([command, str(src / "frames"), "--config", str(tmp_path / "cfg.json"),
+                 "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "error [ParameterError]" in err and f"'{key}' must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("make", [
+    lambda nan: FlowParams(alpha=nan),
+    lambda nan: FlowParams(presmooth_sigma=nan),
+    lambda nan: RbfConfig(learn_rate=nan),
+    lambda nan: RbfConfig(sigma=nan),
+    lambda nan: RbfConfig(ridge=nan),
+    lambda nan: RbfConfig(ridge=-1.0),
+    lambda nan: SectorGrid(r_max=nan),
+], ids=["alpha", "presmooth_sigma", "learn_rate", "sigma", "ridge-nan", "ridge-negative",
+        "r_max"])
+def test_parameter_checks_reject_nan(make):
+    with pytest.raises(ParameterError):
+        make(float("nan"))
+
+
+def test_non_finite_flag_value_exits_1(tmp_path, capsys):
+    src = tmp_path / "seq"
+    assert main(["phantom", "--t", "4", "--size", "64", "--base-radius", "12",
+                 "-o", str(src)]) == 0
+    assert main(["flow", str(src / "frames"), "--presmooth", "nan",
+                 "-o", str(tmp_path / "f")]) == 1
+    assert "presmooth_sigma must be >= 0" in capsys.readouterr().err
 
 
 def test_wrong_config_type_exits_before_flow(tmp_path, capsys):

@@ -10,6 +10,7 @@ from echodyn.cpda import (
     CpdaWeights,
     FeatureClip,
     PhaseTrack,
+    conv3d_same,
     cpda_forward,
     identity_conv_kernel,
     load_cpda_weights,
@@ -226,6 +227,38 @@ def test_mha_softmax_rows_sum_to_one():
     assert (rows >= 0).all()
 
 
+# ------------------------------------------------------------- conv3d_same
+
+def direct_conv3d(x, kernel, bias):
+    """Oracle: the 27 taps summed one by one over a zero-padded clip."""
+    t, h, w, _ = x.shape
+    pad = np.pad(x, ((1, 1), (1, 1), (1, 1), (0, 0)))
+    out = np.broadcast_to(bias, (t, h, w, kernel.shape[0])).copy()
+    for dt in range(3):
+        for dh in range(3):
+            for dw in range(3):
+                out += pad[dt:dt + t, dh:dh + h, dw:dw + w] @ kernel[:, :, dt, dh, dw].T
+    return out
+
+
+# T=1 and T=2 drop dt slices off both ends of the clip
+@pytest.mark.parametrize("t", [1, 2, 5])
+def test_conv3d_same_matches_direct_tap_sum(t):
+    rng = np.random.default_rng(60 + t)
+    x = rng.normal(size=(t, 5, 3, 2))  # H != W, C_in = 2
+    kernel = rng.normal(size=(3, 2, 3, 3, 3))  # C_out = 3
+    bias = rng.normal(size=3)
+    got = conv3d_same(x, kernel, bias)
+    want = direct_conv3d(x, kernel, bias)
+    assert got.shape == (t, 5, 3, 3)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_conv3d_same_rejects_mismatched_kernel():
+    with pytest.raises(ModelError):
+        conv3d_same(np.zeros((2, 4, 4, 2)), np.zeros((3, 3, 3, 3, 3)), np.zeros(3))
+
+
 # ------------------------------------------------------------ cpda_forward
 
 def _zero_gate_weights(channels=2, alpha=0.5, identity_conv=False, seed=33):
@@ -337,6 +370,18 @@ def test_weights_json_names_missing_and_unexpected_keys(tmp_path):
     (tmp_path / "w.json").write_text(json.dumps(payload))
     with pytest.raises(FormatError, match="'heads' must be int"):
         load_cpda_weights(tmp_path / "w.json")
+
+
+def test_weights_json_rejects_non_finite_numbers(tmp_path):
+    save_cpda_weights(seed_cpda_weights(channels=2, d_p=2, d_e=2, k2=2, heads=1, seed=3),
+                      tmp_path / "w.json")
+    raw = json.loads((tmp_path / "w.json").read_text())
+    raw["wq"][1][0] = float("nan")
+    raw["alpha"] = float("inf")
+    (tmp_path / "w.json").write_text(json.dumps(raw))
+    with pytest.raises(FormatError, match="'wq' must be finite") as err:
+        load_cpda_weights(tmp_path / "w.json")
+    assert "'alpha' must be finite" in str(err.value)
 
 
 def test_seed_weights_deterministic():

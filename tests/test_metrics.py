@@ -117,6 +117,42 @@ def test_hd95_random_masks_match_bruteforce_and_bound():
         assert got <= exact_hd + 1e-12
 
 
+# rectangles flush against each edge and corner of a 12 x 10 frame
+_EDGE_BOXES = {
+    "top": (slice(0, 4), slice(3, 7)),
+    "bottom": (slice(8, 12), slice(3, 7)),
+    "left": (slice(4, 8), slice(0, 3)),
+    "right": (slice(4, 8), slice(7, 10)),
+    "top-left": (slice(0, 3), slice(0, 3)),
+    "top-right": (slice(0, 3), slice(7, 10)),
+    "bottom-left": (slice(9, 12), slice(0, 3)),
+    "bottom-right": (slice(9, 12), slice(7, 10)),
+}
+
+
+@pytest.mark.parametrize("box", _EDGE_BOXES.values(), ids=_EDGE_BOXES.keys())
+def test_hd95_masks_touching_the_image_edge_match_bruteforce(box):
+    a = np.zeros((12, 10), dtype=bool)
+    a[box] = True
+    inner = np.zeros_like(a)
+    inner[5:7, 4:6] = True
+    grown = binary_dilation(a)  # touches the same edge, one pixel further in
+    for other in (inner, grown, inner | a):
+        for p, q in ((a, other), (other, a)):
+            assert abs(hd95(p, q) - brute_force_hd95(p, q)) < 1e-9
+
+
+def test_hd95_full_frame_against_smaller_masks_matches_bruteforce():
+    full = np.ones((9, 13), dtype=bool)
+    for box in [(slice(3, 6), slice(4, 8)), (slice(0, 2), slice(0, 13)),
+                (slice(0, 9), slice(12, 13)), (slice(8, 9), slice(0, 1))]:
+        small = np.zeros_like(full)
+        small[box] = True
+        for p, q in ((full, small), (small, full)):
+            assert abs(hd95(p, q) - brute_force_hd95(p, q)) < 1e-9
+    assert hd95(full, full) == 0.0
+
+
 # -------------------------------------------------------------------- tcd
 
 def test_tcd_constant_zero():
