@@ -146,11 +146,13 @@ def cmd_seed_weights(args: argparse.Namespace) -> int:
 
 
 def _add_flow_flags(parser: argparse.ArgumentParser) -> None:
-    _config_flag(parser, "--alpha", "flow.alpha", float, "regularization weight (default 15.0)")
+    defaults = flow.FlowParams()
+    _config_flag(parser, "--alpha", "flow.alpha", float,
+                 f"regularization weight (default {defaults.alpha})")
     _config_flag(parser, "--iterations", "flow.iterations", int,
-                 "conjugate-gradient iterations (default 40)")
+                 f"two-level preconditioned CG iterations (default {defaults.iterations})")
     _config_flag(parser, "--presmooth", "flow.presmooth_sigma", float,
-                 "Gaussian presmoothing sigma in px (default 1.0)")
+                 f"Gaussian presmoothing sigma in px (default {defaults.presmooth_sigma})")
 
 
 def build_parser() -> argparse.ArgumentParser:

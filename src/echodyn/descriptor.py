@@ -11,6 +11,7 @@ per-frame low-dimensional state vector z_t.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,8 +42,8 @@ class SectorGrid:
     def __post_init__(self):
         if self.r_bins < 1 or self.theta_bins < 1:
             raise ParameterError("r_bins and theta_bins must be >= 1")
-        if self.r_max is not None and not self.r_max > 0:
-            raise ParameterError("r_max must be > 0")
+        if self.r_max is not None and not (self.r_max > 0 and math.isfinite(self.r_max)):
+            raise ParameterError(f"r_max must be > 0 and finite, got {self.r_max}")
 
     @property
     def sector_count(self) -> int:

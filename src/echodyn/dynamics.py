@@ -12,6 +12,7 @@ second time by PCA into the low-dimensional per-frame feature P_EDG.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,14 +47,14 @@ class RbfConfig:
     def __post_init__(self):
         if self.m_centers < 1:
             raise ParameterError("m_centers must be >= 1")
-        if not self.learn_rate > 0:
-            raise ParameterError("learn_rate must be > 0")
+        if not (self.learn_rate > 0 and math.isfinite(self.learn_rate)):
+            raise ParameterError(f"learn_rate must be > 0 and finite, got {self.learn_rate}")
         if self.epochs < 1:
             raise ParameterError("epochs must be >= 1")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ParameterError("sigma must be > 0 when given")
-        if not self.ridge >= 0:
-            raise ParameterError("ridge must be >= 0")
+        if self.sigma is not None and not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise ParameterError(f"sigma must be > 0 and finite when given, got {self.sigma}")
+        if not (self.ridge >= 0 and math.isfinite(self.ridge)):
+            raise ParameterError(f"ridge must be >= 0 and finite, got {self.ridge}")
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,28 @@ is symmetric positive definite: the averaging kernel is symmetric and
 replicating the edge folds it back symmetrically, so alpha^2 (1 - avg)
 is positive semi-definite with only constant flow in its null space, and
 the rank-one data term g g^T is positive wherever the image has a
-gradient. The system is solved by conjugate gradients, preconditioned
-with each pixel's own 2x2 block alpha^2 + g g^T, for a fixed number of
-iterations from zero flow. Every array has a fixed shape and every
-reduction is an `np.sum` over it, so the result is deterministic and
-bit-reproducible. Intensity gradients are taken in 8-bit units (frames
-in [0,1] are scaled by 255) so that the default regularization weight
-follows the classical byte-image parameterization.
+gradient. The system is solved by conjugate gradients from zero flow,
+for a fixed number of iterations, with a two-level additive
+preconditioner: each pixel's own 2x2 block, plus an exact solve on a
+coarse space of flows that are constant over CELL x CELL pixel cells
+(the Galerkin operator P^T A P, factored once per frame pair by banded
+Cholesky). The per-pixel blocks damp the rough part of the error and
+the coarse solve the smooth part, which plain block-preconditioned CG
+removes slowly. Every array has a fixed shape, the dot products are
+`np.einsum` sums, which call no BLAS, and the banded factorization and
+solves use only BLAS calls that run in the calling thread, so the
+result is deterministic and bit-reproducible whatever the number of
+BLAS threads, and no BLAS worker is left spinning after a solve.
+Intensity gradients are taken in 8-bit units (frames in [0,1] are
+scaled by 255) so that the default regularization weight follows the
+classical byte-image parameterization.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -33,20 +44,23 @@ from scipy.ndimage import gaussian_filter
 from .errors import DimensionError, ParameterError
 from .seqio import FrameSequence, atomic_write, read_binary
 
+CELL = 8  # side in pixels of the aggregation cells of the coarse correction
+
 
 @dataclass(frozen=True)
 class FlowParams:
     alpha: float = 15.0
-    iterations: int = 40  # conjugate-gradient iterations
+    iterations: int = 22  # two-level preconditioned conjugate-gradient iterations
     presmooth_sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ParameterError("alpha must be > 0")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ParameterError(f"alpha must be > 0 and finite, got {self.alpha}")
         if self.iterations < 1:
             raise ParameterError("iterations must be >= 1")
-        if not self.presmooth_sigma >= 0:
-            raise ParameterError("presmooth_sigma must be >= 0")
+        if not (self.presmooth_sigma >= 0 and math.isfinite(self.presmooth_sigma)):
+            raise ParameterError(
+                f"presmooth_sigma must be >= 0 and finite, got {self.presmooth_sigma}")
 
 
 @dataclass(frozen=True)
@@ -129,40 +143,167 @@ def _block_apply(diag: np.ndarray, cross: np.ndarray, x: np.ndarray,
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _coarse_space(h: int, w: int) -> np.ndarray:
+    """Read-only smoothness part of A_c for an H x W image, built once per
+    image size.
+
+    The cells are CELL x CELL pixels, the last row and column of cells
+    shorter when CELL does not divide H or W. With P the piecewise-constant
+    aggregation, the coarse smoothness operator P^T (16 - S) P is
+    16 diag(cell sizes) - T_y (x) T_x: S is the Kronecker product of the
+    1-D [1,2,1] sums along y and x, and T = P_1^T [1,2,1] P_1 is
+    tridiagonal, 1 between neighbouring cells (one pixel pair straddles
+    their border) and, because every row of [1,2,1] sums to 4,
+    4 * size - (number of neighbours) on the diagonal. It is stored in
+    LAPACK's lower band form (row d holds the entries (j + d, j)) over the
+    unknowns u, v of cell (I, J) at 2 (I Wc + J) and 2 (I Wc + J) + 1.
+    """
+    def sizes_and_t(n: int) -> tuple[np.ndarray, np.ndarray]:
+        size = np.bincount(np.arange(n) // CELL)
+        neighbours = np.full(size.size, 2)
+        neighbours[0] -= 1
+        neighbours[-1] -= 1
+        return size, 4 * size - neighbours
+
+    (ny, ty), (nx, tx) = sizes_and_t(h), sizes_and_t(w)
+    hc, wc = ny.size, nx.size
+    band = np.zeros((2 * wc + 3, hc, wc, 2))
+    band[0] = (16.0 * np.outer(ny, nx) - np.outer(ty, tx))[..., None]
+    band[2, :, :-1] = -ty[:, None, None]  # (I, J+1)
+    band[2 * wc, :-1] = -tx[None, :, None]  # (I+1, J)
+    band[2 * wc + 2, :-1, :-1] = -1.0  # (I+1, J+1)
+    band[2 * wc - 2, :-1, 1:] -= 1.0  # (I+1, J-1); the diagonal when Wc = 1
+    band = band.reshape(2 * wc + 3, -1)
+    band.flags.writeable = False
+    return band
+
+
+@functools.lru_cache(maxsize=1)
+def _dpbtf2():
+    """LAPACK's unblocked banded Cholesky, dpbtf2, as a ctypes function.
+
+    `scipy.linalg.cholesky_banded` calls the blocked dpbtrf, which for a
+    bandwidth of 32 or more works on 32-column blocks with level-3 BLAS.
+    At 256 x 256 (bandwidth 66) OpenBLAS hands those blocks to a worker
+    thread, which then spins for about 130 ms of the second core after
+    every factorization (2-core x86, OpenBLAS 0.3.31). dpbtf2 does the same arithmetic with level-2
+    calls that stay in the calling thread, and is no slower at these
+    sizes. Its Fortran entry point comes from the capsules of
+    `scipy.linalg.cython_lapack`, so it is the LAPACK scipy itself uses.
+    """
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__["dpbtf2"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    int_p = ctypes.POINTER(ctypes.c_int)
+    prototype = ctypes.CFUNCTYPE(None, ctypes.c_char_p, int_p, int_p, ctypes.c_void_p,
+                                 int_p, int_p)
+    return prototype(get_pointer(capsule, get_name(capsule)))
+
+
+def _cholesky_banded(ab: np.ndarray) -> None:
+    """Overwrite ab, a symmetric positive definite matrix in LAPACK's lower
+    band form (kd + 1, n) held in Fortran order, with its Cholesky factor
+    in the same form."""
+    if not (ab.flags.f_contiguous and ab.dtype == np.float64):
+        raise ValueError("the band must be a Fortran-ordered float64 array")
+    info = ctypes.c_int(0)
+    _dpbtf2()(b"L", ctypes.c_int(ab.shape[1]), ctypes.c_int(ab.shape[0] - 1),
+              ab.ctypes.data, ctypes.c_int(ab.shape[0]), info)
+    if info.value != 0:
+        raise np.linalg.LinAlgError(
+            f"{info.value}-th leading minor not positive definite")
+
+
+def _restrict(x: np.ndarray) -> np.ndarray:
+    """Sums of x (..., H, W) over each cell: (..., Hc, Wc).
+
+    The rows are summed first, over a reshaped contiguous view for every
+    full row of cells and directly for the last one."""
+    *lead, h, w = x.shape
+    full = CELL * ((h - 1) // CELL)
+    rows = np.empty((*lead, full // CELL + 1, w))
+    x[..., :full, :].reshape(*lead, full // CELL, CELL, w).sum(axis=-2, out=rows[..., :-1, :])
+    x[..., full:, :].sum(axis=-2, out=rows[..., -1, :])
+    return np.add.reduceat(rows, np.arange(0, w, CELL), axis=-1)
+
+
+def _prolong_add(coarse: np.ndarray, out: np.ndarray) -> None:
+    """out (2, H, W) += the value of each cell of coarse (2, Hc, Wc) on its pixels."""
+    w = out.shape[2]
+    cols = coarse[:, :, np.arange(w) // CELL]  # (2, Hc, W)
+    full = CELL * ((out.shape[1] - 1) // CELL)
+    out[:, :full].reshape(2, full // CELL, CELL, w)[...] += cols[:, :-1, None, :]
+    out[:, full:] += cols[:, -1:]
+
+
 def _solve(ix: np.ndarray, iy: np.ndarray, it: np.ndarray, alpha2: float,
            iterations: int) -> tuple[np.ndarray, np.ndarray]:
-    """Preconditioned conjugate gradients on the Horn-Schunck system, from zero.
+    """Two-level preconditioned conjugate gradients on the Horn-Schunck
+    system, from zero.
 
     With S the [1,2,1] x [1,2,1] sum, avg(w) = S(w)/12 - w/3, so k = 12/alpha^2
-    times the system reads (16 - S) w + k g (g . w) = -k g I_t: same
-    solution, no scaling of S. The preconditioner inverts each pixel's
-    block alpha^2 + g g^T: [[a+Iy^2, -IxIy], [-IxIy, a+Ix^2]] / (a (a+Ix^2+Iy^2))
-    with a = alpha^2 (a constant factor on it leaves the iterates unchanged).
+    times the system reads A w = (16 - S) w + k g (g . w) = -k g I_t: same
+    solution, no scaling of S. The preconditioner is additive,
+    z = M^-1 r + P A_c^-1 P^T r. M = 12 + k g g^T is each pixel's block of
+    A in the interior, inverted in closed form:
+    [[12+k Iy^2, -k IxIy], [-k IxIy, 12+k Ix^2]] / (12 (12 + k |g|^2)).
+    P aggregates CELL x CELL pixels, and A_c = P^T A P is factored once per
+    pair by unblocked banded Cholesky: it removes the smooth error that the
+    per-pixel blocks leave to CG. A_c is singular when every gradient is
+    parallel (the constant flow across them costs nothing), so its
+    diagonal gets a shift of 1e-9 times its largest entry.
     """
     k = 12.0 / alpha2
-    diag = np.stack([16.0 + k * ix * ix, 16.0 + k * iy * iy])
-    cross = k * ix * iy
-    det = alpha2 * (alpha2 + ix * ix + iy * iy)
-    pre_diag = np.stack([alpha2 + iy * iy, alpha2 + ix * ix]) / det
-    pre_cross = -ix * iy / det
+    kxx, kyy, kxy = k * ix * ix, k * iy * iy, k * ix * iy
+    diag = np.stack([16.0 + kxx, 16.0 + kyy])
+    det = 12.0 * (12.0 + kxx + kyy)
+    pre_diag = np.stack([12.0 + kyy, 12.0 + kxx]) / det
+    pre_cross = -kxy / det
 
     uv = np.zeros((2,) + ix.shape)
     r = np.stack([ix, iy]) * (-k * it)  # residual of the zero start
+    if not r.any():  # zero right-hand side (identical frames): stay exactly zero
+        return uv[0], uv[1]
+    # imported here, not at the top: scipy.linalg takes ~60 ms to import, and
+    # the subcommands that compute no flow should not pay for it
+    from scipy.linalg.lapack import dpbtrs
+
+    band = np.array(_coarse_space(*ix.shape), order="F")
+    data = _restrict(np.stack([kxx, kyy, kxy]))  # (3, Hc, Wc)
+    band[0, 0::2] += data[0].ravel()
+    band[0, 1::2] += data[1].ravel()
+    band[1, 0::2] = data[2].ravel()
+    band[0] += 1e-9 * band[0].max()
+    _cholesky_banded(band)
+
     z, p, q, tmp, rows = (np.empty_like(uv) for _ in range(5))
     pairs = np.empty(uv.size - 1)
-    _block_apply(pre_diag, pre_cross, r, z, tmp)
-    rz = np.sum(np.multiply(r, z, out=tmp))
+
+    def precondition(r: np.ndarray, out: np.ndarray) -> None:
+        _block_apply(pre_diag, pre_cross, r, out, tmp)
+        rc = _restrict(r).transpose(1, 2, 0)  # (Hc, Wc, 2): u, v of each cell
+        ec, _ = dpbtrs(band, rc.ravel(), lower=1)
+        _prolong_add(ec.reshape(rc.shape).transpose(2, 0, 1), out)
+
+    rf, zf, pf, qf = (a.reshape(-1) for a in (r, z, p, q))
+    precondition(r, z)
+    rz = np.einsum("i,i->", rf, zf)
     p[...] = z
     for _ in range(iterations):
-        if rz == 0.0:  # zero right-hand side (identical frames): stay exactly zero
+        if rz == 0.0:  # converged exactly
             break
-        _block_apply(diag, cross, p, q, tmp)  # q = A p = blocks(p) - S(p)
+        _block_apply(diag, kxy, p, q, tmp)  # q = A p = blocks(p) - S(p)
         q -= _stencil_sum(p, pairs, rows, tmp)
-        step = rz / np.sum(np.multiply(p, q, out=tmp))
+        step = rz / np.einsum("i,i->", pf, qf)
         uv += np.multiply(p, step, out=tmp)
         r -= np.multiply(q, step, out=tmp)
-        _block_apply(pre_diag, pre_cross, r, z, tmp)
-        rz_next = np.sum(np.multiply(r, z, out=tmp))
+        precondition(r, z)
+        rz_next = np.einsum("i,i->", rf, zf)
         p *= rz_next / rz
         p += z
         rz = rz_next

@@ -314,6 +314,42 @@ def test_non_finite_flag_value_exits_1(tmp_path, capsys):
     assert "presmooth_sigma must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("make,field", [
+    (lambda inf: FlowParams(alpha=inf), "alpha"),
+    (lambda inf: FlowParams(presmooth_sigma=inf), "presmooth_sigma"),
+    (lambda inf: RbfConfig(learn_rate=inf), "learn_rate"),
+    (lambda inf: RbfConfig(sigma=inf), "sigma"),
+    (lambda inf: RbfConfig(ridge=inf), "ridge"),
+    (lambda inf: SectorGrid(r_max=inf), "r_max"),
+], ids=["alpha", "presmooth_sigma", "learn_rate", "sigma", "ridge", "r_max"])
+def test_parameter_checks_reject_infinity(make, field):
+    with pytest.raises(ParameterError, match=f"^{field} must be .* finite"):
+        make(float("inf"))
+
+
+def test_infinite_flag_value_exits_before_any_solve(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "seq"
+    assert main(["phantom", "--t", "4", "--size", "64", "--base-radius", "12",
+                 "-o", str(src)]) == 0
+    monkeypatch.setattr(flow, "_solve", lambda *a, **k: pytest.fail("a pair was solved"))
+    assert main(["flow", str(src / "frames"), "--alpha", "inf",
+                 "-o", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err
+    assert "error [ParameterError]" in err and "alpha must be > 0 and finite" in err
+    assert not (tmp_path / "f").exists()
+
+
+def test_flow_flag_help_reads_flow_params_defaults(capsys, monkeypatch):
+    for params in (FlowParams(), FlowParams(alpha=7.5, iterations=9, presmooth_sigma=0.5)):
+        monkeypatch.setattr(flow, "FlowParams", lambda: params)
+        with pytest.raises(SystemExit):
+            main(["flow", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"weight (default {params.alpha})" in text
+        assert f"iterations (default {params.iterations})" in text
+        assert f"px (default {params.presmooth_sigma})" in text
+
+
 def test_wrong_config_type_exits_before_flow(tmp_path, capsys):
     src = tmp_path / "seq"
     assert main(["phantom", "--t", "4", "--size", "64", "--base-radius", "12",

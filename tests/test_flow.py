@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.ndimage import convolve, gaussian_filter
 
+from echodyn import flow
 from echodyn.errors import DimensionError, FormatError, ParameterError
 from echodyn.flow import FlowField, FlowParams, compute_flow, flow_sequence, load_flow, save_flow
-from echodyn.seqio import FrameSequence
+from echodyn.seqio import FrameSequence, PhantomSpec, generate_phantom
 
 from conftest import make_frames
 
@@ -195,3 +201,111 @@ def test_default_iterations_within_one_percent_of_converged(phantom):
     # two independent solvers agreeing shows the oracle has converged
     assert rel_l2(compute_flow(a, b, FlowParams(iterations=300)), ref_u, ref_v) < 1e-6
     assert rel_l2(compute_flow(a, b, FlowParams()), ref_u, ref_v) < 0.01
+
+
+def smooth_texture_pair(h, w, seed):
+    """Two crops of one smooth random texture, the second moved by (-1, +1) px."""
+    rng = np.random.default_rng(seed)
+    canvas = gaussian_filter(rng.random((h + 8, w + 8)), 2.0)
+    canvas = 0.2 + 0.6 * (canvas - canvas.min()) / np.ptp(canvas)
+    return canvas[4:4 + h, 4:4 + w], canvas[3:3 + h, 5:5 + w]
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (9, 17), (50, 37)])
+def test_converges_to_jacobi_fixed_point_with_partial_cells(shape):
+    # 8 divides none of these sides, so the last coarse cells are shorter
+    a, b = smooth_texture_pair(*shape, seed=11)
+    ref_u, ref_v = jacobi_oracle(a, b, FlowParams(), 20_000)
+    assert rel_l2(compute_flow(a, b, FlowParams(iterations=300)), ref_u, ref_v) < 1e-6
+
+
+def test_parallel_gradients_keep_v_exactly_zero():
+    # the pattern varies along x only, so every gradient is parallel and the
+    # coarse operator's constant-v direction costs nothing
+    ys, xs = np.mgrid[0:64, 0:64].astype(float)
+    a = 0.5 + 0.2 * np.sin(xs / 3)
+    b = 0.5 + 0.2 * np.sin((xs - 0.5) / 3)
+    ref_u, ref_v = jacobi_oracle(a, b, FlowParams(), 2000)
+    f = compute_flow(a, b, FlowParams())  # FlowField rejects non-finite values
+    assert np.abs(f.v).max() == 0.0 and np.abs(ref_v).max() == 0.0
+    assert rel_l2(f, ref_u, ref_v) < 1e-6
+    assert f.u.mean() > 0.3
+
+
+@pytest.mark.parametrize("size,base_radius", [(64, 12.0), (256, 48.0)])
+def test_default_iterations_within_one_percent_across_sizes(size, base_radius):
+    seq, _ = generate_phantom(PhantomSpec(t_count=18, height=size, width=size,
+                                          base_radius=base_radius))
+    t = seq.t_count // 4  # peak wall speed
+    a, b = seq.frames[t], seq.frames[t + 1]
+    ref = compute_flow(a, b, FlowParams(iterations=300))
+    assert rel_l2(compute_flow(a, b, FlowParams()), ref.u, ref.v) < 0.01
+
+
+_FLOW_DIGEST = """
+import hashlib
+from echodyn.flow import compute_flow
+from echodyn.seqio import PhantomSpec, generate_phantom
+seq, _ = generate_phantom(PhantomSpec(t_count=18, height=256, width=256, base_radius=48.0))
+f = compute_flow(seq.frames[4], seq.frames[5])
+print(hashlib.sha256(f.u.tobytes() + f.v.tobytes()).hexdigest())
+"""
+
+
+def test_flow_bytes_do_not_depend_on_blas_threads():
+    # at 256 x 256 the coarse band is wide enough for LAPACK's blocked
+    # factorization, which OpenBLAS would hand to a second thread
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _FLOW_DIGEST], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("shape", [(9, 17), (50, 37), (256, 256)])
+def test_coarse_factorization_matches_scipy(shape):
+    from scipy.linalg import cholesky_banded
+
+    rng = np.random.default_rng(3)
+    band = np.array(flow._coarse_space(*shape), order="F")
+    band[0] += 100.0 * rng.random(band.shape[1])
+    band[1, 0::2] = 10.0 * rng.random(band.shape[1] // 2)
+    ref = cholesky_banded(band, lower=True)
+    flow._cholesky_banded(band)
+    np.testing.assert_allclose(band, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_coarse_factorization_rejects_indefinite_and_c_order():
+    band = np.array(flow._coarse_space(16, 16), order="F")  # singular: constant flow is free
+    band[0, 5] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        flow._cholesky_banded(band)
+    with pytest.raises(ValueError):
+        flow._cholesky_banded(np.ascontiguousarray(flow._coarse_space(16, 16)))
+
+
+_OTHER_THREAD_CPU = """
+import time
+from echodyn.flow import compute_flow
+from echodyn.seqio import PhantomSpec, generate_phantom
+seq, _ = generate_phantom(PhantomSpec(t_count=18, height=256, width=256, base_radius=48.0))
+compute_flow(seq.frames[4], seq.frames[5])
+time.sleep(0.3)
+process, thread = time.process_time(), time.thread_time()
+compute_flow(seq.frames[5], seq.frames[6])
+time.sleep(0.3)
+print(((time.process_time() - process) - (time.thread_time() - thread)) * 1e3)
+"""
+
+
+def test_flow_leaves_no_blas_worker_spinning():
+    # CPU time of every thread but the caller's, over one 256 x 256 pair and
+    # the 0.3 s after it: a BLAS worker woken by the solve spins for ~130 ms
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _OTHER_THREAD_CPU], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert float(proc.stdout.strip()) < 30.0
