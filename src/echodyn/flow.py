@@ -19,11 +19,18 @@ coarse space of flows that are constant over CELL x CELL pixel cells
 (the Galerkin operator P^T A P, factored once per frame pair by banded
 Cholesky). The per-pixel blocks damp the rough part of the error and
 the coarse solve the smooth part, which plain block-preconditioned CG
-removes slowly. Every array has a fixed shape, the dot products are
-`np.einsum` sums, which call no BLAS, and the banded factorization and
-solves use only BLAS calls that run in the calling thread, so the
-result is deterministic and bit-reproducible whatever the number of
-BLAS threads, and no BLAS worker is left spinning after a solve.
+removes slowly. Precision is mixed: the CG vectors and the per-pixel
+operator and preconditioner coefficients are float32, which halves the
+memory traffic of an iteration, while the flow, the dot products and the
+coarse factorization and solves are float64. Whenever the float32
+residual has fallen far enough for its rounding to stall the solve, it
+is recomputed from the flow in float64 and CG restarts from it, so more
+iterations still converge to float64 accuracy (mixed-precision iterative
+refinement). Every array has a fixed shape, the dot products are
+float64 `np.einsum` sums, which call no BLAS, and the banded
+factorization and solves use only BLAS calls that run in the calling
+thread, so the result is deterministic and bit-reproducible whatever the
+number of BLAS threads, and no BLAS worker is left spinning after a solve.
 Intensity gradients are taken in 8-bit units (frames in [0,1] are
 scaled by 255) so that the default regularization weight follows the
 classical byte-image parameterization.
@@ -45,6 +52,11 @@ from .errors import DimensionError, ParameterError
 from .seqio import FrameSequence, atomic_write, read_binary
 
 CELL = 8  # side in pixels of the aggregation cells of the coarse correction
+# The float32 residual recurrence of `_solve` drifts from the true residual
+# by a few float32 roundings (6e-8) of the residual it started from. Once r.z
+# has fallen by RESTART_FALL (|r| by about 1e-6) since the last (re)start,
+# that drift is a sizeable share of r, so r is recomputed in float64.
+RESTART_FALL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -157,8 +169,15 @@ def _coarse_space(h: int, w: int) -> np.ndarray:
     their border) and, because every row of [1,2,1] sums to 4,
     4 * size - (number of neighbours) on the diagonal. It is stored in
     LAPACK's lower band form (row d holds the entries (j + d, j)) over the
-    unknowns u, v of cell (I, J) at 2 (I Wc + J) and 2 (I Wc + J) + 1.
+    unknowns u, v of cell (I, J) at 2 n and 2 n + 1. The cells are numbered
+    along the shorter side (`_cells`), n = I Wc + J when H >= W and
+    n = J Hc + I otherwise, so that the band is 2 min(Hc, Wc) + 3 rows
+    deep. The smoothness operator is unchanged by swapping the axes, so a
+    wide frame's band is that of the transposed, tall frame.
     """
+    if w > h:
+        return _coarse_space(w, h)
+
     def sizes_and_t(n: int) -> tuple[np.ndarray, np.ndarray]:
         size = np.bincount(np.arange(n) // CELL)
         neighbours = np.full(size.size, 2)
@@ -226,19 +245,31 @@ def _restrict(x: np.ndarray) -> np.ndarray:
     full row of cells and directly for the last one."""
     *lead, h, w = x.shape
     full = CELL * ((h - 1) // CELL)
-    rows = np.empty((*lead, full // CELL + 1, w))
+    rows = np.empty((*lead, full // CELL + 1, w), dtype=x.dtype)
     x[..., :full, :].reshape(*lead, full // CELL, CELL, w).sum(axis=-2, out=rows[..., :-1, :])
     x[..., full:, :].sum(axis=-2, out=rows[..., -1, :])
     return np.add.reduceat(rows, np.arange(0, w, CELL), axis=-1)
 
 
+def _cells(x: np.ndarray, wide: bool) -> np.ndarray:
+    """Per-cell values (..., Hc, Wc) in the order of the coarse unknowns,
+    as a view: the cells are numbered row by row, or column by column when
+    the frame is wider than tall (`_coarse_space`). Its own inverse."""
+    return x.swapaxes(-1, -2) if wide else x
+
+
 def _prolong_add(coarse: np.ndarray, out: np.ndarray) -> None:
     """out (2, H, W) += the value of each cell of coarse (2, Hc, Wc) on its pixels."""
     w = out.shape[2]
-    cols = coarse[:, :, np.arange(w) // CELL]  # (2, Hc, W)
+    cols = np.repeat(coarse, CELL, axis=2)[:, :, :w]  # (2, Hc, W)
     full = CELL * ((out.shape[1] - 1) // CELL)
     out[:, :full].reshape(2, full // CELL, CELL, w)[...] += cols[:, :-1, None, :]
     out[:, full:] += cols[:, -1:]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two flat arrays, summed in float64 by `np.einsum` (no BLAS)."""
+    return float(np.einsum("i,i->", a, b, dtype=np.float64))
 
 
 def _solve(ix: np.ndarray, iy: np.ndarray, it: np.ndarray, alpha2: float,
@@ -257,56 +288,89 @@ def _solve(ix: np.ndarray, iy: np.ndarray, it: np.ndarray, alpha2: float,
     per-pixel blocks leave to CG. A_c is singular when every gradient is
     parallel (the constant flow across them costs nothing), so its
     diagonal gets a shift of 1e-9 times its largest entry.
+
+    Precision is mixed. The Krylov vectors r, z, p, q, their scratch planes
+    and the coefficients of A and M are float32, which halves the memory
+    traffic of each iteration. The flow itself, both dot products and the
+    coarse factorization and solves are float64. The float32 residual r,
+    updated by recurrence, drifts from the true residual b - A w by about
+    float32 rounding, which would stall the solve near 1e-6 relative; so
+    once r.z has fallen by RESTART_FALL since the last (re)start, r is
+    recomputed from w in float64 and the search restarts from it. A
+    restart counts as no iteration.
     """
     k = 12.0 / alpha2
     kxx, kyy, kxy = k * ix * ix, k * iy * iy, k * ix * iy
-    diag = np.stack([16.0 + kxx, 16.0 + kyy])
+    f32 = np.float32
+    diag = np.stack([16.0 + kxx, 16.0 + kyy]).astype(f32)
     det = 12.0 * (12.0 + kxx + kyy)
-    pre_diag = np.stack([12.0 + kyy, 12.0 + kxx]) / det
-    pre_cross = -kxy / det
+    pre_diag = (np.stack([12.0 + kyy, 12.0 + kxx]) / det).astype(f32)
+    pre_cross = (-kxy / det).astype(f32)
 
     uv = np.zeros((2,) + ix.shape)
-    r = np.stack([ix, iy]) * (-k * it)  # residual of the zero start
+    r = (np.stack([ix, iy]) * (-k * it)).astype(f32)  # residual of the zero start
     if not r.any():  # zero right-hand side (identical frames): stay exactly zero
         return uv[0], uv[1]
     # imported here, not at the top: scipy.linalg takes ~60 ms to import, and
     # the subcommands that compute no flow should not pay for it
     from scipy.linalg.lapack import dpbtrs
 
+    wide = ix.shape[1] > ix.shape[0]
     band = np.array(_coarse_space(*ix.shape), order="F")
-    data = _restrict(np.stack([kxx, kyy, kxy]))  # (3, Hc, Wc)
+    data = _cells(_restrict(np.stack([kxx, kyy, kxy])), wide)
     band[0, 0::2] += data[0].ravel()
     band[0, 1::2] += data[1].ravel()
     band[1, 0::2] = data[2].ravel()
     band[0] += 1e-9 * band[0].max()
     _cholesky_banded(band)
+    kxy = kxy.astype(f32)
+    del kxx, kyy, det, data  # the float64 planes are not needed in the loop
 
-    z, p, q, tmp, rows = (np.empty_like(uv) for _ in range(5))
-    pairs = np.empty(uv.size - 1)
+    z, p, q, tmp, rows = (np.empty_like(r) for _ in range(5))
+    pairs = np.empty(r.size - 1, dtype=f32)
 
     def precondition(r: np.ndarray, out: np.ndarray) -> None:
         _block_apply(pre_diag, pre_cross, r, out, tmp)
-        rc = _restrict(r).transpose(1, 2, 0)  # (Hc, Wc, 2): u, v of each cell
+        rc = _cells(_restrict(r), wide).transpose(1, 2, 0)  # u, v of each cell
         ec, _ = dpbtrs(band, rc.ravel(), lower=1)
-        _prolong_add(ec.reshape(rc.shape).transpose(2, 0, 1), out)
+        _prolong_add(_cells(ec.astype(f32).reshape(rc.shape).transpose(2, 0, 1), wide), out)
+
+    def true_residual() -> None:
+        """r = b - A w = S(w) - 16 w - k g (g . w + I_t), in float64."""
+        planes = np.empty_like(uv)
+        res = _stencil_sum(uv, np.empty(uv.size - 1), planes, np.empty_like(uv))
+        res -= np.multiply(uv, 16.0, out=planes)
+        flux = (ix * uv[0] + iy * uv[1] + it) * k
+        res[0] -= ix * flux
+        res[1] -= iy * flux
+        r[...] = res
 
     rf, zf, pf, qf = (a.reshape(-1) for a in (r, z, p, q))
-    precondition(r, z)
-    rz = np.einsum("i,i->", rf, zf)
-    p[...] = z
+
+    def start() -> float:
+        """Start the search from r: p = z = the preconditioned r; returns r.z."""
+        precondition(r, z)
+        p[...] = z
+        return _dot(rf, zf)
+
+    rz = rz_start = start()
     for _ in range(iterations):
         if rz == 0.0:  # converged exactly
             break
         _block_apply(diag, kxy, p, q, tmp)  # q = A p = blocks(p) - S(p)
         q -= _stencil_sum(p, pairs, rows, tmp)
-        step = rz / np.einsum("i,i->", pf, qf)
+        step = rz / _dot(pf, qf)
         uv += np.multiply(p, step, out=tmp)
         r -= np.multiply(q, step, out=tmp)
         precondition(r, z)
-        rz_next = np.einsum("i,i->", rf, zf)
-        p *= rz_next / rz
-        p += z
-        rz = rz_next
+        rz_next = _dot(rf, zf)
+        if rz_next < RESTART_FALL * rz_start:
+            true_residual()
+            rz = rz_start = start()
+        else:
+            p *= rz_next / rz
+            p += z
+            rz = rz_next
     return uv[0], uv[1]
 
 

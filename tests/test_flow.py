@@ -24,12 +24,8 @@ _AVG_KERNEL = np.array(
 )
 
 
-def jacobi_oracle(prev, next, params, sweeps):
-    """Horn-Schunck by plain Jacobi sweeps from zero flow; returns (u, v).
-
-    Its fixed point is the solution compute_flow's conjugate-gradient
-    solve approaches, so enough sweeps give the converged flow.
-    """
+def hs_terms(prev, next, params):
+    """Gradients (I_x, I_y, I_t) of the Horn-Schunck system, in float64."""
     def smooth(frame):
         frame = np.asarray(frame, dtype=np.float64)
         if params.presmooth_sigma <= 0:
@@ -38,12 +34,19 @@ def jacobi_oracle(prev, next, params, sweeps):
 
     a, b = smooth(prev), smooth(next)
     avg = 0.5 * (a + b)
-    ix = np.gradient(avg, axis=1)
-    iy = np.gradient(avg, axis=0)
-    it = b - a
+    return np.gradient(avg, axis=1), np.gradient(avg, axis=0), b - a
+
+
+def jacobi_oracle(prev, next, params, sweeps):
+    """Horn-Schunck by plain Jacobi sweeps from zero flow; returns (u, v).
+
+    Its fixed point is the solution compute_flow's conjugate-gradient
+    solve approaches, so enough sweeps give the converged flow.
+    """
+    ix, iy, it = hs_terms(prev, next, params)
     denom = params.alpha ** 2 + ix ** 2 + iy ** 2
-    u = np.zeros_like(avg)
-    v = np.zeros_like(avg)
+    u = np.zeros_like(it)
+    v = np.zeros_like(it)
     for _ in range(sweeps):
         u_bar = convolve(u, _AVG_KERNEL, mode="nearest")
         v_bar = convolve(v, _AVG_KERNEL, mode="nearest")
@@ -309,3 +312,72 @@ def test_flow_leaves_no_blas_worker_spinning():
     proc = subprocess.run([sys.executable, "-c", _OTHER_THREAD_CPU], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
     assert float(proc.stdout.strip()) < 30.0
+
+
+@pytest.mark.parametrize("shape", [(9, 17), (50, 37), (256, 256)])
+def test_prolong_add_matches_per_pixel_reference(shape):
+    h, w = shape
+    rng = np.random.default_rng(7)
+    coarse = rng.normal(size=(2, -(-h // flow.CELL), -(-w // flow.CELL))).astype(np.float32)
+    out = rng.normal(size=(2, h, w)).astype(np.float32)
+    expected = out.copy()
+    for i in range(h):
+        for j in range(w):
+            expected[:, i, j] += coarse[:, i // flow.CELL, j // flow.CELL]
+    flow._prolong_add(coarse, out)
+    assert np.array_equal(out, expected)
+
+
+def test_wide_coarse_band_is_as_narrow_as_tall():
+    # the cells are numbered along the shorter side, so the band's depth
+    # follows min(H, W) and not W
+    assert flow._coarse_space(64, 1024).shape == flow._coarse_space(1024, 64).shape
+    assert flow._coarse_space(64, 1024).shape[0] == 2 * (64 // flow.CELL) + 3
+
+
+def test_wide_frame_flow_is_transposed_tall_flow():
+    a, b = smooth_texture_pair(37, 90, seed=13)  # wide, with partial cells
+    wide = compute_flow(a, b, FlowParams(iterations=300))
+    tall = compute_flow(a.T, b.T, FlowParams(iterations=300))
+    assert rel_l2(wide, tall.v.T, tall.u.T) < 1e-9
+    # both orientations get the same coarse space, so even the early iterates
+    # agree to float32 rounding; a coarse correction that mixed up the cell
+    # order would still converge, but differ by ~1e-2 after 10 iterations
+    wide = compute_flow(a, b, FlowParams(iterations=10))
+    tall = compute_flow(a.T, b.T, FlowParams(iterations=10))
+    assert rel_l2(wide, tall.v.T, tall.u.T) < 1e-5
+
+
+def hs_relative_residual(prev, next, params, f):
+    """||b - A w|| / ||b|| of the Horn-Schunck system in float64, with the
+    operator built from scipy's convolution rather than the solver's."""
+    ix, iy, it = hs_terms(prev, next, params)
+    flux = ix * f.u + iy * f.v + it
+    alpha2 = params.alpha ** 2
+    res_u = alpha2 * (f.u - convolve(f.u, _AVG_KERNEL, mode="nearest")) + ix * flux
+    res_v = alpha2 * (f.v - convolve(f.v, _AVG_KERNEL, mode="nearest")) + iy * flux
+    rhs = np.sum((ix * it) ** 2 + (iy * it) ** 2)
+    return float(np.sqrt(np.sum(res_u ** 2 + res_v ** 2) / rhs))
+
+
+def test_float64_restarts_converge_past_float32_rounding():
+    # the float32 recurrence alone stalls about 7e-7 from the converged flow
+    # at 256 x 256, and its float64 residual near 1e-7; it stalls at the same
+    # flow after 300 and 600 iterations, so only the residual shows it
+    seq, _ = generate_phantom(PhantomSpec(t_count=18, height=256, width=256,
+                                          base_radius=48.0))
+    a, b = seq.frames[4], seq.frames[5]
+    f300 = compute_flow(a, b, FlowParams(iterations=300))
+    f600 = compute_flow(a, b, FlowParams(iterations=600))
+    assert rel_l2(f300, f600.u, f600.v) < 1e-9
+    assert hs_relative_residual(a, b, FlowParams(), f300) < 1e-12
+
+
+def test_iterating_past_convergence_keeps_the_flow():
+    # without restarts the recurrence runs on into rounding noise: a plain
+    # float64 recurrence drifted 290x the flow's norm away after 3000
+    # iterations on this pair
+    seq, _ = generate_phantom(PhantomSpec(t_count=18, height=64, width=64, base_radius=12.0))
+    a, b = seq.frames[4], seq.frames[5]
+    ref = compute_flow(a, b, FlowParams(iterations=300))
+    assert rel_l2(compute_flow(a, b, FlowParams(iterations=3000)), ref.u, ref.v) < 1e-9
