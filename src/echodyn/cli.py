@@ -105,13 +105,10 @@ def cmd_cpda_demo(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     clip = cpda.load_feature_clip(args.clip)
     t = clip.t_count
-    if args.weights:
-        weights = cpda.load_cpda_weights(args.weights)
-    elif args.seed_weights:
+    if args.seed_weights:
         weights = _seeded_weights(cfg, clip.channels)
     else:
-        print("error: pass --weights FILE or --seed-weights", file=sys.stderr)
-        return 2
+        weights = cpda.load_cpda_weights(args.weights)
     phase = cpda.phase_track(t, args.ed, args.es)
     if args.pedg:
         pedg = dynamics.align_pedg(dynamics.load_pedg_csv(args.pedg), t)
@@ -200,9 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cpda-demo", help="forward the attention module on a clip")
     _add_common(p)
     p.add_argument("clip", help=".ftc feature clip")
-    p.add_argument("--weights", default=None, help="CPDA weight JSON")
-    p.add_argument("--seed-weights", action="store_true",
-                   help="derive reproducible random weights from --seed")
+    weights = p.add_mutually_exclusive_group(required=True)
+    weights.add_argument("--weights", help="CPDA weight JSON")
+    weights.add_argument("--seed-weights", action="store_true",
+                         help="derive reproducible random weights from --seed")
     p.add_argument("--ed", type=int, required=True, help="end-diastole frame index")
     p.add_argument("--es", type=int, required=True, help="end-systole frame index")
     p.add_argument("--pedg", default=None,

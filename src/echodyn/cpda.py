@@ -12,14 +12,13 @@ MLPs are two layers with ReLU after the first, linear output.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ModelError, NumericError, ParameterError
-from .seqio import atomic_write, read_binary, read_json, write_json
+from .seqio import read_binary, read_json, write_binary, write_json
 
 
 @dataclass(frozen=True)
@@ -270,11 +269,7 @@ def load_cpda_weights(path: Path | str) -> CpdaWeights:
 
 def save_feature_clip(clip: FeatureClip, path: Path | str) -> None:
     """Binary clip: magic FTC1, u32 T,H,W,C, then row-major little-endian f32."""
-    t, h, w, c = clip.data.shape
-    with atomic_write(path, "wb") as fh:
-        fh.write(b"FTC1")
-        fh.write(struct.pack("<4I", t, h, w, c))
-        fh.write(clip.data.astype("<f4").tobytes())
+    write_binary(path, b"FTC1", clip.data.shape, clip.data.astype("<f4").tobytes())
 
 
 def load_feature_clip(path: Path | str) -> FeatureClip:

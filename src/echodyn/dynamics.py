@@ -33,7 +33,7 @@ from .errors import (
     ModelError,
     ParameterError,
 )
-from .seqio import atomic_write, quantize_frame, read_json, write_json, write_pgm
+from .seqio import quantize_frame, read_json, write_csv, write_json, write_pgm
 
 
 @dataclass(frozen=True)
@@ -287,22 +287,15 @@ def save_edg_outputs(maps: np.ndarray, grid: SectorGrid, h: int, w: int,
         if hi > lo:
             img[inside] = (sectors.reshape(-1)[ids] - lo) / (hi - lo)
         write_pgm(out_dir / f"edg_{t:04d}.pgm", quantize_frame(img))
-    with atomic_write(out_dir / "edg.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "r", "theta", "energy"])
-        for t, sectors in enumerate(maps):
-            for r in range(grid.r_bins):
-                for th in range(grid.theta_bins):
-                    writer.writerow([t, r, th, repr(float(sectors[r, th]))])
+    write_csv(out_dir / "edg.csv", ["t", "r", "theta", "energy"],
+              ([t, r, th, sectors[r, th]] for t, sectors in enumerate(maps)
+               for r in range(grid.r_bins) for th in range(grid.theta_bins)))
 
 
 def save_pedg_csv(p: np.ndarray, path: Path | str) -> None:
     """P_EDG rows, one per frame, header t,p0..p{k2-1}."""
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"p{i}" for i in range(p.shape[1])])
-        for t, row in enumerate(p):
-            writer.writerow([t] + [repr(float(v)) for v in row])
+    write_csv(path, ["t"] + [f"p{i}" for i in range(p.shape[1])],
+              ([t, *row] for t, row in enumerate(p)))
 
 
 def load_pedg_csv(path: Path | str) -> np.ndarray:

@@ -17,9 +17,10 @@ for a fixed number of iterations, with a two-level additive
 preconditioner: each pixel's own 2x2 block, plus an exact solve on a
 coarse space of flows that are constant over CELL x CELL pixel cells
 (the Galerkin operator P^T A P, factored once per frame pair by banded
-Cholesky). The per-pixel blocks damp the rough part of the error and
-the coarse solve the smooth part, which plain block-preconditioned CG
-removes slowly. Precision is mixed: the CG vectors and the per-pixel
+Cholesky; a frame wider than tall is solved as its transpose, so that
+band follows the shorter side). The per-pixel blocks damp the rough part
+of the error and the coarse solve the smooth part, which plain
+block-preconditioned CG removes slowly. Precision is mixed: the CG vectors and the per-pixel
 operator and preconditioner coefficients are float32, which halves the
 memory traffic of an iteration, while the flow, the dot products and the
 coarse factorization and solves are float64. Whenever the float32
@@ -41,7 +42,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -49,7 +49,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import DimensionError, ParameterError
-from .seqio import FrameSequence, atomic_write, read_binary
+from .seqio import FrameSequence, read_binary, write_binary
 
 CELL = 8  # side in pixels of the aggregation cells of the coarse correction
 # The float32 residual recurrence of `_solve` drifts from the true residual
@@ -100,8 +100,9 @@ def _presmooth(frame: np.ndarray, sigma: float) -> np.ndarray:
 def compute_flow(prev: np.ndarray, next: np.ndarray,
                  params: FlowParams = FlowParams()) -> FlowField:
     """Horn-Schunck flow from `prev` to `next` (both H x W in [0,1])."""
-    prev = np.asarray(prev, dtype=np.float64)
-    next = np.asarray(next, dtype=np.float64)
+    # C order: the solver sums neighbours over flattened views of its planes
+    prev = np.ascontiguousarray(prev, dtype=np.float64)
+    next = np.ascontiguousarray(next, dtype=np.float64)
     if prev.shape != next.shape:
         raise DimensionError(f"frame shapes differ: {prev.shape} vs {next.shape}")
     if prev.ndim != 2 or prev.shape[0] < 3 or prev.shape[1] < 3:
@@ -115,6 +116,12 @@ def compute_flow(prev: np.ndarray, next: np.ndarray,
     iy = np.gradient(avg, axis=0)
     it = b - a
 
+    if ix.shape[1] > ix.shape[0]:
+        # wider than tall: solve the transposed, tall frame, whose coarse cells
+        # are numbered along its shorter side (`_coarse_space`); x and y swap
+        u, v = _solve(*(np.ascontiguousarray(g.T) for g in (iy, ix, it)),
+                      params.alpha ** 2, params.iterations)
+        return FlowField(v.T, u.T)
     return FlowField(*_solve(ix, iy, it, params.alpha ** 2, params.iterations))
 
 
@@ -169,15 +176,11 @@ def _coarse_space(h: int, w: int) -> np.ndarray:
     their border) and, because every row of [1,2,1] sums to 4,
     4 * size - (number of neighbours) on the diagonal. It is stored in
     LAPACK's lower band form (row d holds the entries (j + d, j)) over the
-    unknowns u, v of cell (I, J) at 2 n and 2 n + 1. The cells are numbered
-    along the shorter side (`_cells`), n = I Wc + J when H >= W and
-    n = J Hc + I otherwise, so that the band is 2 min(Hc, Wc) + 3 rows
-    deep. The smoothness operator is unchanged by swapping the axes, so a
-    wide frame's band is that of the transposed, tall frame.
+    unknowns u, v of cell (I, J) at 2 n and 2 n + 1, with the cells numbered
+    row by row, n = I Wc + J, so that the band is 2 Wc + 3 rows deep.
+    `compute_flow` solves a frame wider than tall as its transpose, so Wc
+    is the shorter side.
     """
-    if w > h:
-        return _coarse_space(w, h)
-
     def sizes_and_t(n: int) -> tuple[np.ndarray, np.ndarray]:
         size = np.bincount(np.arange(n) // CELL)
         neighbours = np.full(size.size, 2)
@@ -251,13 +254,6 @@ def _restrict(x: np.ndarray) -> np.ndarray:
     return np.add.reduceat(rows, np.arange(0, w, CELL), axis=-1)
 
 
-def _cells(x: np.ndarray, wide: bool) -> np.ndarray:
-    """Per-cell values (..., Hc, Wc) in the order of the coarse unknowns,
-    as a view: the cells are numbered row by row, or column by column when
-    the frame is wider than tall (`_coarse_space`). Its own inverse."""
-    return x.swapaxes(-1, -2) if wide else x
-
-
 def _prolong_add(coarse: np.ndarray, out: np.ndarray) -> None:
     """out (2, H, W) += the value of each cell of coarse (2, Hc, Wc) on its pixels."""
     w = out.shape[2]
@@ -315,9 +311,8 @@ def _solve(ix: np.ndarray, iy: np.ndarray, it: np.ndarray, alpha2: float,
     # the subcommands that compute no flow should not pay for it
     from scipy.linalg.lapack import dpbtrs
 
-    wide = ix.shape[1] > ix.shape[0]
     band = np.array(_coarse_space(*ix.shape), order="F")
-    data = _cells(_restrict(np.stack([kxx, kyy, kxy])), wide)
+    data = _restrict(np.stack([kxx, kyy, kxy]))
     band[0, 0::2] += data[0].ravel()
     band[0, 1::2] += data[1].ravel()
     band[1, 0::2] = data[2].ravel()
@@ -331,9 +326,9 @@ def _solve(ix: np.ndarray, iy: np.ndarray, it: np.ndarray, alpha2: float,
 
     def precondition(r: np.ndarray, out: np.ndarray) -> None:
         _block_apply(pre_diag, pre_cross, r, out, tmp)
-        rc = _cells(_restrict(r), wide).transpose(1, 2, 0)  # u, v of each cell
+        rc = _restrict(r).transpose(1, 2, 0)  # u, v of each cell
         ec, _ = dpbtrs(band, rc.ravel(), lower=1)
-        _prolong_add(_cells(ec.astype(f32).reshape(rc.shape).transpose(2, 0, 1), wide), out)
+        _prolong_add(ec.astype(f32).reshape(rc.shape).transpose(2, 0, 1), out)
 
     def true_residual() -> None:
         """r = b - A w = S(w) - 16 w - k g (g . w + I_t), in float64."""
@@ -391,12 +386,8 @@ def flow_sequence(seq: FrameSequence, params: FlowParams = FlowParams()) -> list
 
 def save_flow(flow: FlowField, path: Path | str) -> None:
     """Binary dump: magic FLW1, u32 H,W, then f32 u values then v values."""
-    h, w = flow.u.shape
-    with atomic_write(path, "wb") as fh:
-        fh.write(b"FLW1")
-        fh.write(struct.pack("<2I", h, w))
-        fh.write(flow.u.astype("<f4").tobytes())
-        fh.write(flow.v.astype("<f4").tobytes())
+    write_binary(path, b"FLW1", flow.u.shape, flow.u.astype("<f4").tobytes(),
+                 flow.v.astype("<f4").tobytes())
 
 
 def load_flow(path: Path | str) -> FlowField:

@@ -8,7 +8,6 @@ the mean absolute change of the per-frame Dice series; lower is better.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 from scipy.ndimage import binary_erosion, distance_transform_edt, find_objects
 
 from .errors import DimensionError, InsufficientDataError, UndefinedDistanceError
-from .seqio import MaskSequence, atomic_write, write_json
+from .seqio import MaskSequence, write_csv, write_json
 
 LABEL_NAMES = {1: "LV", 2: "LVM", 3: "LA"}
 
@@ -130,14 +129,10 @@ def save_report_json(report: MetricsReport, path: Path | str) -> None:
 
 def save_report_csv(report: MetricsReport, path: Path | str) -> None:
     """Flat rows `label,frame,dice,hd95` plus per-label and overall summary rows."""
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "frame", "dice", "hd95"])
-        for name, m in report.per_label.items():
-            for t, (d, h) in enumerate(zip(m.dice_per_frame, m.hd95_per_frame)):
-                writer.writerow([name, t, repr(d), "" if h is None else repr(h)])
-        for name, m in report.per_label.items():
-            writer.writerow([name, "mean", repr(m.mean_dice),
-                             "" if m.mean_hd95 is None else repr(m.mean_hd95)])
-            writer.writerow([name, "tcd", repr(m.tcd), ""])
-        writer.writerow(["all", "average_tcd", repr(report.average_tcd), ""])
+    labels = report.per_label.items()
+    rows = [[name, t, d, h] for name, m in labels
+            for t, (d, h) in enumerate(zip(m.dice_per_frame, m.hd95_per_frame))]
+    for name, m in labels:
+        rows += [[name, "mean", m.mean_dice, m.mean_hd95], [name, "tcd", m.tcd, None]]
+    rows.append(["all", "average_tcd", report.average_tcd, None])
+    write_csv(path, ["label", "frame", "dice", "hd95"], rows)

@@ -11,12 +11,14 @@ On-disk formats are deliberately simple and bit-exact:
 Every JSON file (config, models, weights, reports, ``meta.json``) is a
 dataclass written by `write_json` and read back by `read_json`, which
 checks it against the dataclass's type hints: the dataclass is the
-schema. Every writer goes through `atomic_write`, so a failed write
-leaves the target as it was.
+schema. `write_binary` writes every ``.eds``, FLW1 and FTC1 file and
+`write_csv` every CSV file. Every writer goes through `atomic_write`, so
+a failed write leaves the target as it was.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -138,8 +140,11 @@ class PhantomSpec:
             raise FormatError(
                 f"contraction_fraction must be in [0, 0.9), got {self.contraction_fraction}"
             )
-        if self.speckle_sigma < 0:
-            raise FormatError("speckle_sigma must be >= 0")
+        if not (self.base_radius > 0 and math.isfinite(self.base_radius)):
+            raise FormatError(f"base_radius must be > 0 and finite, got {self.base_radius}")
+        if not (self.speckle_sigma >= 0 and math.isfinite(self.speckle_sigma)):
+            raise FormatError(
+                f"speckle_sigma must be >= 0 and finite, got {self.speckle_sigma}")
         if self.cycles < 1:
             raise FormatError("cycles must be >= 1")
 
@@ -216,6 +221,28 @@ def read_binary(path: Path | str, magic: bytes, n_fields: int, n_dims: int,
     if len(raw) - end != math.prod(dims) * item_bytes:
         raise FormatError(f"{path}: payload size mismatch")
     return fields, raw[end:]
+
+
+def write_binary(path: Path | str, magic: bytes, fields, *payloads) -> None:
+    """Write `magic`, `fields` as little-endian u32, then each bytes-like
+    payload in turn: the layout `read_binary` reads."""
+    with atomic_write(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack(f"<{len(fields)}I", *fields))
+        for payload in payloads:
+            fh.write(payload)
+
+
+def write_csv(path: Path | str, header, rows) -> None:
+    """Write the `header` row, then `rows`, one `writerow` each: a float cell
+    (a numpy float too) as repr(float(x)), which reads back exactly, and
+    None as an empty cell."""
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(x)) if isinstance(x, (float, np.floating)) else x
+                             for x in row])
 
 
 def _file_mode() -> int:
@@ -416,12 +443,8 @@ def load_sequence(path: Path | str) -> FrameSequence:
 
 
 def _save_eds(seq: FrameSequence, path: Path) -> None:
-    t, (h, w) = seq.t_count, seq.shape
-    with atomic_write(path, "wb") as fh:
-        fh.write(b"EDS1")
-        fh.write(struct.pack("<5I", t, h, w, seq.ed_index, seq.es_index))
-        for i in range(t):
-            fh.write(quantize_frame(seq.frames[i]).tobytes())
+    write_binary(path, b"EDS1", (seq.t_count, *seq.shape, seq.ed_index, seq.es_index),
+                 *map(quantize_frame, seq.frames))
 
 
 def _load_eds(path: Path) -> FrameSequence:

@@ -227,10 +227,11 @@ def test_pipeline_config_roundtrip(tmp_path):
         cfg.to_json(tmp_path / "cfg.json")
         back = PipelineConfig.from_json(tmp_path / "cfg.json")
         assert back == cfg
-    partial = {"seed": 99, "rbf": {"m_centers": 4}}
+    partial = {"seed": 99, "rbf": {"m_centers": 4}, "flow": {"alpha": 15}}
     (tmp_path / "partial.json").write_text(json.dumps(partial))
     got = PipelineConfig.from_json(tmp_path / "partial.json")
     assert got.seed == 99 and got.rbf.m_centers == 4
+    assert type(got.flow.alpha) is float and got.flow.alpha == 15.0  # a JSON int fits float
     assert got.pca_k == 10  # untouched default
 
 
@@ -366,6 +367,17 @@ def test_rbf_seed_is_not_a_config_key(tmp_path, capsys):
     assert main(["seed-weights", "--channels", "2", "--config", str(tmp_path / "cfg.json"),
                  "-o", str(tmp_path / "w.json")]) == 1
     assert "unexpected key 'rbf.seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weights", [[], ["--weights", "w.json", "--seed-weights"]])
+def test_cpda_demo_needs_exactly_one_weight_source(tmp_path, capsys, weights):
+    save_feature_clip(FeatureClip(data=np.zeros((3, 4, 4, 2))), tmp_path / "c.ftc")
+    with pytest.raises(SystemExit) as exc:
+        main(["cpda-demo", str(tmp_path / "c.ftc"), *weights, "--ed", "0", "--es", "1",
+              "-o", str(tmp_path / "o.ftc")])
+    assert exc.value.code == 2
+    assert "--weights" in capsys.readouterr().err
+    assert not (tmp_path / "o.ftc").exists()
 
 
 def test_cpda_demo_truncated_clip_exits_1(tmp_path, capsys):

@@ -146,6 +146,12 @@ def test_train_ls_mode_matches_oracle():
     assert len(model.residual_history) == cfg.epochs
 
 
+def test_train_keeps_an_explicit_sigma():
+    model = train_dynamics(noisy_circle(n=60, seed=1), RbfConfig(m_centers=6, sigma=0.7,
+                                                                  epochs=5), seed=2)
+    assert model.sigma == 0.7
+
+
 def test_train_divergence_error():
     z = noisy_circle(n=50, seed=5)
     with pytest.raises(DivergenceError):

@@ -328,24 +328,41 @@ def test_prolong_add_matches_per_pixel_reference(shape):
     assert np.array_equal(out, expected)
 
 
-def test_wide_coarse_band_is_as_narrow_as_tall():
-    # the cells are numbered along the shorter side, so the band's depth
-    # follows min(H, W) and not W
-    assert flow._coarse_space(64, 1024).shape == flow._coarse_space(1024, 64).shape
-    assert flow._coarse_space(64, 1024).shape[0] == 2 * (64 // flow.CELL) + 3
+def test_wide_frame_asks_only_for_the_tall_band(monkeypatch):
+    # a wide frame is solved as its transpose, so its coarse band follows
+    # the shorter side: 2 * 64 / CELL + 3 rows, not 2 * 1024 / CELL + 3
+    asked = []
+    real = flow._coarse_space
+
+    def spy(h, w):
+        asked.append((h, w))
+        return real(h, w)
+
+    monkeypatch.setattr(flow, "_coarse_space", spy)
+    a, b = smooth_texture_pair(64, 1024, seed=5)
+    compute_flow(a, b, FlowParams(iterations=1))
+    assert asked == [(1024, 64)]
 
 
 def test_wide_frame_flow_is_transposed_tall_flow():
+    # unsmoothed, as `flow_sequence` calls it: Gaussian presmoothing along
+    # the other axis first can round an intensity differently in the last bit
     a, b = smooth_texture_pair(37, 90, seed=13)  # wide, with partial cells
-    wide = compute_flow(a, b, FlowParams(iterations=300))
-    tall = compute_flow(a.T, b.T, FlowParams(iterations=300))
-    assert rel_l2(wide, tall.v.T, tall.u.T) < 1e-9
-    # both orientations get the same coarse space, so even the early iterates
-    # agree to float32 rounding; a coarse correction that mixed up the cell
-    # order would still converge, but differ by ~1e-2 after 10 iterations
-    wide = compute_flow(a, b, FlowParams(iterations=10))
-    tall = compute_flow(a.T, b.T, FlowParams(iterations=10))
-    assert rel_l2(wide, tall.v.T, tall.u.T) < 1e-5
+    for iterations in (10, 300):
+        params = FlowParams(iterations=iterations, presmooth_sigma=0.0)
+        wide = compute_flow(a, b, params)
+        tall = compute_flow(a.T, b.T, params)
+        assert np.array_equal(wide.u, tall.v.T) and np.array_equal(wide.v, tall.u.T)
+
+
+def test_fortran_order_frames_give_the_c_order_flow():
+    # the solver sums neighbours over flattened planes, which frames in
+    # Fortran order would turn into copies left unwritten
+    a, b = smooth_texture_pair(20, 60, seed=3)
+    params = FlowParams(presmooth_sigma=0.0)
+    f = compute_flow(np.asfortranarray(a), np.asfortranarray(b), params)
+    ref = compute_flow(a, b, params)
+    assert np.array_equal(f.u, ref.u) and np.array_equal(f.v, ref.v)
 
 
 def hs_relative_residual(prev, next, params, f):

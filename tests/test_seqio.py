@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import ast
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import echodyn
 from echodyn.cli import main
 from echodyn.errors import (
     DimensionError,
@@ -262,6 +265,16 @@ def test_phantom_static_heart():
     assert all(np.array_equal(seq.frames[0], seq.frames[t]) for t in range(spec.t_count))
 
 
+def test_phantom_without_speckle_is_noise_free():
+    seq, masks = generate_phantom(PhantomSpec(speckle_sigma=0.0, seed=1))
+    other_seed, _ = generate_phantom(PhantomSpec(speckle_sigma=0.0, seed=2))
+    speckled, speckled_masks = generate_phantom(PhantomSpec(seed=1))
+    assert np.array_equal(seq.frames, other_seed.frames)  # no random draw reaches a frame
+    assert np.all(seq.frames[:, 0, 0] == 0.45)  # bare background gray
+    assert not np.all(speckled.frames[:, 0, 0] == 0.45)
+    assert np.array_equal(masks.masks, speckled_masks.masks)
+
+
 def test_phantom_mask_partition_and_area_ordering(phantom):
     seq, masks = phantom
     lv_areas = (masks.masks == 1).sum(axis=(1, 2))
@@ -283,9 +296,27 @@ def test_phantom_spec_validation():
     with pytest.raises(FormatError):
         PhantomSpec(contraction_fraction=0.95)
     with pytest.raises(FormatError):
-        PhantomSpec(speckle_sigma=-0.1)
-    with pytest.raises(FormatError):
         PhantomSpec(t_count=1)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("base_radius", float("nan")), ("base_radius", float("inf")), ("base_radius", -5.0),
+    ("base_radius", 0.0), ("speckle_sigma", float("nan")), ("speckle_sigma", float("inf")),
+    ("speckle_sigma", -0.1)])
+def test_phantom_spec_rejects_non_finite_and_out_of_range(name, value):
+    with pytest.raises(FormatError, match=f"{name} must be .* and finite, got {value}"):
+        PhantomSpec(**{name: value})
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--speckle", "nan", "speckle_sigma"), ("--speckle", "inf", "speckle_sigma"),
+    ("--base-radius", "-5", "base_radius"), ("--base-radius", "nan", "base_radius")])
+def test_phantom_bad_parameter_exits_1_and_writes_nothing(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "p"
+    assert main(["phantom", "--t", "4", "--size", "64", flag, value, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error [FormatError]: {field} must be" in err
+    assert not out.exists()
 
 
 def test_meta_json_fields(tmp_path):
@@ -295,3 +326,18 @@ def test_meta_json_fields(tmp_path):
     meta = json.loads((tmp_path / "p" / "meta.json").read_text())
     assert {"t", "h", "w", "ed", "es"} <= set(meta)
     assert meta["t"] == 4 and meta["h"] == 64
+
+
+def test_only_seqio_lays_out_written_files():
+    # seqio owns every on-disk layout: no other module opens an atomic write
+    # or packs a binary header or CSV row of its own
+    calls = []
+    for path in sorted(Path(echodyn.__file__).parent.glob("*.py")):
+        if path.name == "seqio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name.endswith("atomic_write") or name in ("struct.pack", "csv.writer"):
+                    calls.append(f"{path.name}:{node.lineno}: {name}")
+    assert calls == []
