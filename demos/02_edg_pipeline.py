@@ -62,7 +62,7 @@ def main():
     print(f"\npeak-speed frames carry {busy / quiet:.1f}x the energy of the "
           "ED/ES-adjacent frames - the dynamic signature diminishes at the extremes.")
 
-    save_edg_result(result, *seq.shape, out)
+    save_edg_result(result, out)
     print(f"EDG heatmaps, edg.csv, pedg.csv and model.json written to {out}/")
 
 

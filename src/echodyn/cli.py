@@ -12,14 +12,16 @@ One executable with subcommands::
     echodyn seed-weights write a reproducible random CPDA weight file
 
 Settings resolve as defaults < ``--config`` file < explicit flags; per-stage
-seeds derive from ``--seed`` (see `pipeline.stage_seed`). Exit codes:
-0 success, 1 runtime failure, 2 usage error. Every output file is
-written to a temp file and renamed into place (`seqio.atomic_write`).
+seeds derive from ``--seed`` (see `pipeline.stage_seed`). ``eval`` reads no
+config, and ``flow``, which draws no random numbers, takes no ``--seed``.
+Exit codes: 0 success, 1 runtime failure, 2 usage error. Every output file
+is written to a temp file and renamed into place (`seqio.atomic_write`).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -43,15 +45,19 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _config_flag(parser: argparse.ArgumentParser, flag: str, path: str, type,
-                 help: str | None = None) -> None:
-    """Add `flag`, which overrides the config value at dotted `path` when given."""
-    parser.add_argument(flag, dest=_CONFIG_DEST + path, type=type, default=None, help=help,
+                 help: str) -> None:
+    """Add `flag`, which overrides the config value at dotted `path` when given;
+    its help names the `PipelineConfig()` default at that path."""
+    default = functools.reduce(getattr, path.split("."), PipelineConfig())
+    parser.add_argument(flag, dest=_CONFIG_DEST + path, type=type, default=None,
+                        help=f"{help} (default {default})",
                         metavar=flag.lstrip("-").upper().replace("-", "_"))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_config(parser: argparse.ArgumentParser, seed: bool = True) -> None:
     parser.add_argument("--config", help="JSON config overriding built-in defaults")
-    _config_flag(parser, "--seed", "seed", int, "master 64-bit seed (default 7)")
+    if seed:
+        _config_flag(parser, "--seed", "seed", int, "master 64-bit seed")
 
 
 def cmd_phantom(args: argparse.Namespace) -> int:
@@ -87,7 +93,7 @@ def cmd_edg(args: argparse.Namespace) -> int:
     result = pipeline.run_edg(seq, cfg, method=args.fit)
     if all(np.abs(f.u).max() == 0 and np.abs(f.v).max() == 0 for f in result.flows):
         print("warning: no motion detected", file=sys.stderr)
-    pipeline.save_edg_result(result, *seq.shape, args.out)
+    pipeline.save_edg_result(result, args.out)
     print(f"final training mse={result.model.residual_history[-1]:.6e}")
     return 0
 
@@ -143,13 +149,11 @@ def cmd_seed_weights(args: argparse.Namespace) -> int:
 
 
 def _add_flow_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = flow.FlowParams()
-    _config_flag(parser, "--alpha", "flow.alpha", float,
-                 f"regularization weight (default {defaults.alpha})")
+    _config_flag(parser, "--alpha", "flow.alpha", float, "regularization weight")
     _config_flag(parser, "--iterations", "flow.iterations", int,
-                 f"two-level preconditioned CG iterations (default {defaults.iterations})")
+                 "two-level preconditioned CG iterations")
     _config_flag(parser, "--presmooth", "flow.presmooth_sigma", float,
-                 f"Gaussian presmoothing sigma in px (default {defaults.presmooth_sigma})")
+                 "Gaussian presmoothing sigma in px")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,43 +163,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    spec = seqio.PhantomSpec()
     p = sub.add_parser("phantom", help="generate a synthetic beating-heart sequence")
-    _add_common(p)
-    p.add_argument("--t", type=int, default=32, help="frames per cycle (default 32)")
-    p.add_argument("--size", type=int, default=128, help="image side in px (default 128)")
-    p.add_argument("--cycles", type=int, default=1)
-    p.add_argument("--base-radius", type=float, default=24.0)
-    p.add_argument("--contraction", type=float, default=0.3,
-                   help="fractional radius loss at end-systole (default 0.3)")
-    p.add_argument("--speckle", type=float, default=0.02,
-                   help="speckle noise stddev (default 0.02)")
+    _add_config(p)
+    p.add_argument("--t", type=int, default=spec.t_count,
+                   help="frames per cycle (default %(default)s)")
+    p.add_argument("--size", type=int, default=spec.height,
+                   help="image side in px (default %(default)s)")
+    p.add_argument("--cycles", type=int, default=spec.cycles)
+    p.add_argument("--base-radius", type=float, default=spec.base_radius)
+    p.add_argument("--contraction", type=float, default=spec.contraction_fraction,
+                   help="fractional radius loss at end-systole (default %(default)s)")
+    p.add_argument("--speckle", type=float, default=spec.speckle_sigma,
+                   help="speckle noise stddev (default %(default)s)")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("flow", help="compute and dump dense optical flow")
-    _add_common(p)
+    _add_config(p, seed=False)
     p.add_argument("in_dir")
     _add_flow_flags(p)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("edg", help="run the full dynamic-learning pipeline")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("in_dir")
     _add_flow_flags(p)
-    _config_flag(p, "--r-bins", "grid.r_bins", int, "rings R (default 4)")
-    _config_flag(p, "--theta-bins", "grid.theta_bins", int, "angular bins TH (default 12)")
-    _config_flag(p, "--pca-k", "pca_k", int, "descriptor PCA dimension (default 10)")
-    _config_flag(p, "--m-centers", "rbf.m_centers", int, "RBF center count M (default 16)")
-    _config_flag(p, "--epochs", "rbf.epochs", int, "training epochs (default 200)")
-    _config_flag(p, "--k2", "k2", int, "P_EDG dimension (default 8)")
+    _config_flag(p, "--r-bins", "grid.r_bins", int, "rings R")
+    _config_flag(p, "--theta-bins", "grid.theta_bins", int, "angular bins TH")
+    _config_flag(p, "--pca-k", "pca_k", int, "descriptor PCA dimension")
+    _config_flag(p, "--m-centers", "rbf.m_centers", int, "RBF center count M")
+    _config_flag(p, "--epochs", "rbf.epochs", int, "training epochs")
+    _config_flag(p, "--k2", "k2", int, "P_EDG dimension")
     p.add_argument("--fit", choices=("lms", "ls"), default="lms",
                    help="weight fit: incremental LMS or closed-form ridge")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_edg)
 
     p = sub.add_parser("cpda-demo", help="forward the attention module on a clip")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("clip", help=".ftc feature clip")
     weights = p.add_mutually_exclusive_group(required=True)
     weights.add_argument("--weights", help="CPDA weight JSON")
@@ -209,20 +216,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cpda_demo)
 
     p = sub.add_parser("eval", help="score predicted masks against ground truth")
-    _add_common(p)
     p.add_argument("pred_dir")
     p.add_argument("gt_dir")
     p.add_argument("--report", required=True, help="output report JSON path")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("seed-weights", help="write a reproducible CPDA weight file")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--channels", type=int, required=True)
-    _config_flag(p, "--d-p", "cpda.d_p", int, "phase MLP width (default 8)")
-    _config_flag(p, "--d-e", "cpda.d_e", int, "dynamics MLP width (default 8)")
-    _config_flag(p, "--k2", "k2", int, "P_EDG dimension (default 8)")
-    _config_flag(p, "--heads", "cpda.heads", int, "attention heads (default 2)")
-    _config_flag(p, "--alpha", "cpda.alpha", float, "modulation strength in (0,1] (default 0.5)")
+    _config_flag(p, "--d-p", "cpda.d_p", int, "phase MLP width")
+    _config_flag(p, "--d-e", "cpda.d_e", int, "dynamics MLP width")
+    _config_flag(p, "--k2", "k2", int, "P_EDG dimension")
+    _config_flag(p, "--heads", "cpda.heads", int, "attention heads")
+    _config_flag(p, "--alpha", "cpda.alpha", float, "modulation strength in (0,1]")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_seed_weights)
     return parser

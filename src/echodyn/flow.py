@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, NumericError, ParameterError
 from .seqio import FrameSequence, read_binary, write_binary
 
 CELL = 8  # side in pixels of the aggregation cells of the coarse correction
@@ -86,7 +86,7 @@ class FlowField:
         if self.u.shape != self.v.shape or self.u.ndim != 2:
             raise DimensionError("u and v must be matching 2-D arrays")
         if not (np.isfinite(self.u).all() and np.isfinite(self.v).all()):
-            raise DimensionError("flow components must be finite")
+            raise NumericError("flow components must be finite")
 
     @property
     def magnitude(self) -> np.ndarray:

@@ -130,12 +130,12 @@ def run_edg(seq: seqio.FrameSequence, cfg: PipelineConfig = PipelineConfig(),
                      energies=energies, maps=maps, pedg=pedg)
 
 
-def save_edg_result(result: EdgResult, h: int, w: int, out: Path | str) -> None:
-    """Write EDG heatmaps, edg.csv, model.json, descriptor_model.json and pedg.csv
-    (one row per flow frame, T-1: the final transition's row repeats)."""
+def save_edg_result(result: EdgResult, out: Path | str) -> None:
+    """Write EDG heatmaps at the frame size, edg.csv, model.json, descriptor_model.json
+    and pedg.csv (one row per flow frame, T-1: the final transition's row repeats)."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    dynamics.save_edg_outputs(result.maps, result.config.grid, h, w, out)
+    dynamics.save_edg_outputs(result.maps, result.config.grid, *result.flows[0].u.shape, out)
     dynamics.save_pedg_csv(dynamics.align_pedg(result.pedg, len(result.flows)),
                            out / "pedg.csv")
     dynamics.save_dynamics_model(result.model, out / "model.json")

@@ -3,17 +3,20 @@
 On-disk formats are deliberately simple and bit-exact:
 
 * frame directory: ``meta.json`` (a `SequenceMeta`) plus
-  ``frame_%04d.pgm`` binary PGM (P5, maxval 255);
+  ``frame_%04d.pgm`` binary PGM (P5, maxval 255; the header numbers are
+  decimal digits, each after whitespace or ``#`` comments to end of line);
 * mask directory: ``mask_%04d.pgm`` with label bytes 0/1/2/3 stored directly;
 * ``.eds`` container: magic ``EDS1``, little-endian u32 T,H,W,ed,es,
   then T*H*W raw gray bytes.
 
-Every JSON file (config, models, weights, reports, ``meta.json``) is a
-dataclass written by `write_json` and read back by `read_json`, which
-checks it against the dataclass's type hints: the dataclass is the
-schema. `write_binary` writes every ``.eds``, FLW1 and FTC1 file and
-`write_csv` every CSV file. Every writer goes through `atomic_write`, so
-a failed write leaves the target as it was.
+Every JSON file (config, models, weights, ``meta.json``, and the
+``report.json`` of `metrics.MetricsReport`) is a dataclass written by
+`write_json` and read back by `read_json`, which checks it against the
+dataclass's type hints: the dataclass is the schema. `write_binary` writes
+every ``.eds``, FLW1 and FTC1 file and `write_csv` every CSV file. Every
+writer goes through `atomic_write`, so a failed write leaves the target as
+it was, and a written file gets the mode a plain `open()` gives under the
+current umask.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ import dataclasses
 import json
 import math
 import os
+import re
 import reprlib
 import struct
-import tempfile
 import types
 import typing
 from contextlib import contextmanager
@@ -51,6 +54,10 @@ _TEXTURE_CORR_PX = 1.5
 _DECORR_CORR_PX = 1.0
 # wall displacement (px/frame) at which decorrelation reaches full strength
 _DECORR_DISP_REF = 0.7
+
+# "P5", then width, height and maxval, each after whitespace and '#' comment
+# lines and ending at whitespace; one whitespace byte separates the pixels
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)*([^\s#]\S*)(?!\S)" * 3)
 
 
 @dataclass(frozen=True)
@@ -170,30 +177,15 @@ def read_pgm(path: Path | str) -> np.ndarray:
         raw = fh.read()
     if not raw.startswith(b"P5"):
         raise FormatError(f"{path}: not a binary PGM (missing P5 magic)")
-    # tokenize the header, skipping '#' comment lines
-    tokens: list[bytes] = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError(f"{path}: truncated PGM header")
-        tokens.append(raw[start:pos])
-    pos += 1  # single whitespace byte after maxval
-    try:
-        w, h, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise FormatError(f"{path}: non-numeric PGM header {tokens}") from None
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise FormatError(f"{path}: truncated PGM header")
+    if not all(map(bytes.isdigit, header.groups())):  # int() would take b"+4" and b"1_0"
+        raise FormatError(f"{path}: non-numeric PGM header {list(header.groups())}")
+    w, h, maxval = map(int, header.groups())
     if maxval != 255:
         raise FormatError(f"{path}: unsupported PGM maxval {maxval} (need 255)")
-    payload = raw[pos:]  # the pixels and nothing after them
+    payload = raw[header.end() + 1:]  # the pixels and nothing after them
     if len(payload) != h * w:
         raise FormatError(f"{path}: expected {h * w} pixel bytes, found {len(payload)}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
@@ -245,33 +237,24 @@ def write_csv(path: Path | str, header, rows) -> None:
                              for x in row])
 
 
-def _file_mode() -> int:
-    """The mode a plain `open(path, "w")` would give a new file (0o666 less umask)."""
-    umask = os.umask(0)
-    os.umask(umask)
-    return 0o666 & ~umask
-
-
-_FILE_MODE = _file_mode()
-
-
 @contextmanager
 def atomic_write(path: Path | str, mode: str = "w", **open_kwargs):
     """Open a file object for writing `path`; it is renamed into place on success.
 
-    The temporary file is unique to the call and sits beside `path`; if
-    the body raises it is removed, so `path` keeps its old bytes (or stays
+    The temporary file is unique to the call and sits beside `path`, created
+    with the mode a plain `open()` gives under the current umask; if the
+    body raises it is removed, so `path` keeps its old bytes (or stays
     absent) and nothing else is left behind.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode, **open_kwargs) as fh:
-            os.chmod(tmp, _FILE_MODE)  # mkstemp creates it owner-only
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        Path(tmp).unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -300,52 +283,23 @@ def read_json(path: Path | str, cls, error: type[Exception] = FormatError):
 def from_json_dict(cls, raw, error: type[Exception] = FormatError, context: str = ""):
     """Build dataclass `cls` from parsed JSON, checked against its type hints.
 
-    A nested dataclass loads from an object; an `np.ndarray` from a
-    rectangular nested list of numbers (as float64); a fixed-length tuple
-    from a list; an int fits float, and a bool fits only bool. A key may be
-    absent only when its field has a default. Every missing key,
-    unexpected key, wrong-typed value and non-finite number (NaN,
-    Infinity, 1e999), at any depth, goes into one `error` that names it
-    by dotted path; each object's missing and unexpected keys come before
-    the problems inside its values.
+    A dataclass loads from an object (as a field, list item or dict value
+    too); an `np.ndarray` from a rectangular nested list of numbers (as
+    float64); a fixed-length tuple or a list from a list; an int fits float,
+    and a bool fits only bool. A key may be absent only when its field has
+    a default. Every missing key, unexpected key, wrong-typed value and
+    non-finite number (NaN, Infinity, 1e999), at any depth, goes into one
+    `error` that names the dataclass field holding it by dotted path; each
+    object's missing and unexpected keys come before the problems inside its values.
     """
     problems: list[str] = []
-    obj = _decode_fields(cls, raw, "", problems)
+    obj = _decode(cls, raw, "", problems)
     if problems:
         raise error(context + ", ".join(problems))
     return obj
 
 
 _BAD = object()  # marks a JSON value that does not fit its declared type
-
-
-def _decode_fields(cls, value, key: str, problems: list[str]):
-    if not isinstance(value, dict):
-        problems.append(f"'{key or '<root>'}' must be a JSON object")
-        return None
-    start = len(problems)
-    prefix = f"{key}." if key else ""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    problems += [f"missing key '{prefix}{name}'" for name, f in fields.items()
-                 if name not in value and f.default is dataclasses.MISSING
-                 and f.default_factory is dataclasses.MISSING]
-    problems += [f"unexpected key '{prefix}{name}'" for name in value if name not in fields]
-    kwargs = {}
-    for name, tp in typing.get_type_hints(cls).items():
-        if name not in value:
-            continue
-        if dataclasses.is_dataclass(tp):
-            kwargs[name] = _decode_fields(tp, value[name], prefix + name, problems)
-            continue
-        if _non_finite(value[name]):
-            problems.append(f"'{prefix}{name}' must be finite")
-            continue
-        kwargs[name] = _decode_value(tp, value[name])
-        if kwargs[name] is _BAD:
-            type_name = tp.__name__ if isinstance(tp, type) else tp
-            problems.append(f"'{prefix}{name}' must be {type_name}, "
-                            f"got {reprlib.repr(value[name])}")
-    return cls(**kwargs) if len(problems) == start else None
 
 
 def _non_finite(value) -> bool:
@@ -360,25 +314,53 @@ def _non_finite(value) -> bool:
     return False
 
 
-def _decode_value(tp, value):
-    """`value` converted to the non-dataclass type `tp`, or _BAD."""
+def _decode(tp, value, key: str, problems: list[str]):
+    """`value` converted to type `tp`, or _BAD. A dataclass adds its own problems
+    to `problems` by dotted key; the field holding any other misfit is named."""
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            problems.append(f"'{key or '<root>'}' must be a JSON object")
+            return _BAD
+        start = len(problems)
+        prefix = f"{key}." if key else ""
+        fields = {f.name: f for f in dataclasses.fields(tp)}
+        problems += [f"missing key '{prefix}{name}'" for name, f in fields.items()
+                     if name not in value and f.default is dataclasses.MISSING
+                     and f.default_factory is dataclasses.MISSING]
+        problems += [f"unexpected key '{prefix}{name}'" for name in value if name not in fields]
+        kwargs = {}
+        for name, hint in typing.get_type_hints(tp).items():
+            if name not in value:
+                continue
+            before = len(problems)
+            kwargs[name] = _decode(hint, value[name], prefix + name, problems)
+            if kwargs[name] is _BAD and len(problems) == before:
+                type_name = hint.__name__ if isinstance(hint, type) else hint
+                problems.append(f"'{prefix}{name}' must be finite" if _non_finite(value[name])
+                                else f"'{prefix}{name}' must be {type_name}, "
+                                     f"got {reprlib.repr(value[name])}")
+        return tp(**kwargs) if len(problems) == start else _BAD
     if isinstance(tp, types.UnionType):
         for arm in typing.get_args(tp):
-            out = _decode_value(arm, value)
+            out = _decode(arm, value, key, problems)
             if out is not _BAD:
                 return out
         return _BAD
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is tuple:
-        if not isinstance(value, list) or len(value) != len(args):
+    if origin in (tuple, list):
+        if not isinstance(value, list) or origin is tuple and len(value) != len(args):
             return _BAD
-        items = tuple(map(_decode_value, args, value))
-        return _BAD if any(item is _BAD for item in items) else items
+        hints = args if origin is tuple else args * len(value)
+        items = [_decode(hint, item, f"{key}.{i}", problems)
+                 for i, (hint, item) in enumerate(zip(hints, value))]
+        return _BAD if any(item is _BAD for item in items) else origin(items)
     if origin is dict:
         if not isinstance(value, dict):
             return _BAD
-        items = {k: _decode_value(args[1], v) for k, v in value.items()}
+        items = {k: _decode(args[1], v, f"{key}.{k}", problems) for k, v in value.items()}
         return _BAD if any(item is _BAD for item in items.values()) else items
+    if _non_finite(value):
+        return _BAD
     if tp is np.ndarray:
         if not isinstance(value, list):
             return _BAD

@@ -1,19 +1,20 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from echodyn import flow
+from echodyn import cli, flow, metrics
 from echodyn.cli import PipelineConfig, main, stage_seed
 from echodyn.descriptor import SectorGrid
 from echodyn.dynamics import RbfConfig
 from echodyn.flow import FlowParams
 from echodyn.errors import ParameterError
 from echodyn.cpda import load_feature_clip, save_feature_clip, FeatureClip, identity_conv_kernel, seed_cpda_weights, save_cpda_weights
-from echodyn.seqio import (FrameSequence, MaskSequence, atomic_write, load_masks, save_masks,
-                           save_sequence)
+from echodyn.seqio import (FrameSequence, MaskSequence, atomic_write, load_masks, read_json,
+                           save_masks, save_sequence)
 
 from conftest import make_frames
 
@@ -165,6 +166,19 @@ def test_eval_empty_label_and_jitter(tmp_path, capsys, phantom):
     assert report2["per_label"]["LV"]["tcd"] > 0.0
 
 
+def test_eval_report_json_reads_back(tmp_path, phantom):
+    gt = phantom[1].masks[:6]
+    pred = gt.copy()
+    pred[1:3][pred[1:3] == 3] = 0  # LA missing on two frames: HD95 undefined there
+    save_masks(MaskSequence(masks=gt), tmp_path / "gt")
+    save_masks(MaskSequence(masks=pred), tmp_path / "pred")
+    assert main(["eval", str(tmp_path / "pred"), str(tmp_path / "gt"),
+                 "--report", str(tmp_path / "r.json")]) == 0
+    report = metrics.evaluate(MaskSequence(masks=pred), MaskSequence(masks=gt))
+    assert report.per_label["LA"].hd95_missing_frames == [1, 2]
+    assert read_json(tmp_path / "r.json", metrics.MetricsReport) == report
+
+
 def test_seed_weights_subcommand(tmp_path):
     out1, out2 = tmp_path / "w1.json", tmp_path / "w2.json"
     for out in (out1, out2):
@@ -185,6 +199,18 @@ def test_exit_codes(tmp_path):
                  "-o", str(tmp_path / "g")]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "p", "g", "--report", "r.json", "--seed", "1"],
+    ["eval", "p", "g", "--report", "r.json", "--config", "c.json"],
+    ["flow", "frames", "--seed", "3", "-o", "f"],
+])
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bad_flow_flag_is_a_parameter_error(tmp_path, capsys):
     src = tmp_path / "seq"
     assert main(["phantom", "--t", "4", "--size", "64", "--base-radius", "12",
@@ -198,7 +224,7 @@ def test_bad_flow_flag_is_a_parameter_error(tmp_path, capsys):
 
 
 def test_help_lists_defaults(capsys):
-    for sub in ("phantom", "flow", "edg", "cpda-demo", "eval", "seed-weights"):
+    for sub in ("phantom", "edg", "cpda-demo", "seed-weights"):
         with pytest.raises(SystemExit) as exc:
             main([sub, "--help"])
         assert exc.value.code == 0
@@ -342,7 +368,7 @@ def test_infinite_flag_value_exits_before_any_solve(tmp_path, capsys, monkeypatc
 
 def test_flow_flag_help_reads_flow_params_defaults(capsys, monkeypatch):
     for params in (FlowParams(), FlowParams(alpha=7.5, iterations=9, presmooth_sigma=0.5)):
-        monkeypatch.setattr(flow, "FlowParams", lambda: params)
+        monkeypatch.setattr(cli, "PipelineConfig", lambda: PipelineConfig(flow=params))
         with pytest.raises(SystemExit):
             main(["flow", "--help"])
         text = " ".join(capsys.readouterr().out.split())
@@ -431,6 +457,17 @@ def test_atomic_write_leaves_nothing_behind_on_failure(tmp_path):
     with atomic_write(target, "wb") as fh:
         fh.write(b"new")
     assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == b"new"
-    # the renamed file gets the mode a plain open() gives, not mkstemp's 0600
+    # the renamed file gets the mode a plain open() gives
     (tmp_path / "plain").write_bytes(b"")
     assert target.stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+def test_atomic_write_follows_the_umask_at_write_time(tmp_path):
+    old = os.umask(0o077)
+    try:
+        with atomic_write(tmp_path / "atomic") as fh:
+            fh.write("x")
+        (tmp_path / "plain").write_text("x")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode

@@ -10,7 +10,7 @@ import pytest
 from scipy.ndimage import convolve, gaussian_filter
 
 from echodyn import flow
-from echodyn.errors import DimensionError, FormatError, ParameterError
+from echodyn.errors import DimensionError, FormatError, NumericError, ParameterError
 from echodyn.flow import FlowField, FlowParams, compute_flow, flow_sequence, load_flow, save_flow
 from echodyn.seqio import FrameSequence, PhantomSpec, generate_phantom
 
@@ -175,6 +175,17 @@ def test_flow_dump_roundtrip(tmp_path):
     assert np.array_equal(back.u, f.u) and np.array_equal(back.v, f.v)
     raw = (tmp_path / "f.bin").read_bytes()
     assert raw[:4] == b"FLW1"
+
+
+def test_non_finite_flow_is_a_numeric_error(tmp_path):
+    with pytest.raises(NumericError, match="must be finite"):
+        FlowField(u=np.zeros((3, 4)), v=np.full((3, 4), np.nan))
+    planes = np.zeros((2, 3, 4), dtype="<f4")
+    planes[0, 1, 2] = np.nan
+    (tmp_path / "f.bin").write_bytes(b"FLW1" + np.array([3, 4], "<u4").tobytes()
+                                     + planes.tobytes())
+    with pytest.raises(NumericError, match="must be finite"):
+        load_flow(tmp_path / "f.bin")
 
 
 def test_load_flow_truncated_header(tmp_path):

@@ -51,9 +51,10 @@ def test_pgm_trailing_bytes_rejected(tmp_path):
         fh.write(b"\x00")
     with pytest.raises(FormatError, match="expected 12 pixel bytes, found 13"):
         read_pgm(tmp_path / "x.pgm")
-    (tmp_path / "y.pgm").write_bytes(b"P5\nfour 3\n255\n" + bytes(12))
-    with pytest.raises(FormatError, match="non-numeric PGM header"):
-        read_pgm(tmp_path / "y.pgm")
+    for header in (b"P5\nfour 3\n255\n", b"P5\n+4 3\n255\n", b"P5\n4 3\n2_55\n"):
+        (tmp_path / "y.pgm").write_bytes(header + bytes(12))
+        with pytest.raises(FormatError, match="non-numeric PGM header"):
+            read_pgm(tmp_path / "y.pgm")
 
 
 def test_pgm_byte_normalization(tmp_path):
