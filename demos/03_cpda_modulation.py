@@ -12,6 +12,7 @@ Usage: python3 demos/03_cpda_modulation.py [-o OUTDIR]
 """
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,12 +65,10 @@ def main():
         print(f"  t={t:2d} {d:.4f}")
 
     # identity configuration: zero gate -> S = 0.5 -> factor 1; identity kernel
-    ident = seed_cpda_weights(channels=clip.channels, d_p=8, d_e=8, k2=8,
-                              heads=2, alpha=0.5, seed=42)
-    object.__setattr__(ident, "gate_w", np.zeros_like(ident.gate_w))
-    object.__setattr__(ident, "gate_b", np.zeros_like(ident.gate_b))
-    object.__setattr__(ident, "conv_kernel", identity_conv_kernel(clip.channels))
-    object.__setattr__(ident, "conv_bias", np.zeros(clip.channels))
+    ident = replace(weights, gate_w=np.zeros_like(weights.gate_w),
+                    gate_b=np.zeros_like(weights.gate_b),
+                    conv_kernel=identity_conv_kernel(clip.channels),
+                    conv_bias=np.zeros(clip.channels))
     same = cpda_forward(clip, phase, pedg, ident)
     print(f"\nidentity configuration max |out - in| = "
           f"{np.abs(same.data - clip.data).max():.2e} (zero gate + center-tap kernel)")

@@ -115,11 +115,8 @@ def kmeans(z: np.ndarray, m: int, seed: int) -> np.ndarray:
 def rbf_response(z: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian kernel responses exp(-||z - c_i||^2 / (2 sigma^2)), each in (0,1]."""
     z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    zz = z[None, :] if single else z
-    d2 = ((zz[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    phi = np.exp(-d2 / (2.0 * sigma ** 2))
-    return phi[0] if single else phi
+    d2 = ((z[..., None, :] - centers) ** 2).sum(axis=-1)
+    return np.exp(-d2 / (2.0 * sigma ** 2))
 
 
 def _resolve_sigma(centers: np.ndarray, config: RbfConfig) -> float:

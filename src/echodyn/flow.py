@@ -16,7 +16,7 @@ gradient. The system is solved by conjugate gradients from zero flow,
 for a fixed number of iterations, with a two-level additive
 preconditioner: each pixel's own 2x2 block, plus an exact solve on a
 coarse space of flows that are constant over CELL x CELL pixel cells
-(the Galerkin operator P^T A P, factored once per frame pair by banded
+(the Galerkin product P^T A P, factored once per frame pair by banded
 Cholesky; a frame wider than tall is solved as its transpose, so that
 band follows the shorter side). The per-pixel blocks damp the rough part
 of the error and the coarse solve the smooth part, which plain
@@ -165,38 +165,34 @@ def _block_apply(diag: np.ndarray, cross: np.ndarray, x: np.ndarray,
 @functools.lru_cache(maxsize=4)
 def _coarse_space(h: int, w: int) -> np.ndarray:
     """Read-only smoothness part of A_c for an H x W image, built once per
-    image size.
-
-    The cells are CELL x CELL pixels, the last row and column of cells
-    shorter when CELL does not divide H or W. With P the piecewise-constant
-    aggregation, the coarse smoothness operator P^T (16 - S) P is
-    16 diag(cell sizes) - T_y (x) T_x: S is the Kronecker product of the
-    1-D [1,2,1] sums along y and x, and T = P_1^T [1,2,1] P_1 is
-    tridiagonal, 1 between neighbouring cells (one pixel pair straddles
-    their border) and, because every row of [1,2,1] sums to 4,
-    4 * size - (number of neighbours) on the diagonal. It is stored in
+    image size: the Galerkin product P^T (16 - S) P of the CELL x CELL cell
+    aggregation P (the last row and column of cells shorter when CELL does
+    not divide H or W) and the [1,2,1] x [1,2,1] sum S with replicated
+    edges. Both factor by axis, so it is 16 diag(n_y (x) n_x) - T_y (x) T_x,
+    n the cell sizes and T = P_1^T S_1 P_1, formed from 1-D sparse factors;
+    every entry is a small integer, so the band is exact. It is stored in
     LAPACK's lower band form (row d holds the entries (j + d, j)) over the
     unknowns u, v of cell (I, J) at 2 n and 2 n + 1, with the cells numbered
     row by row, n = I Wc + J, so that the band is 2 Wc + 3 rows deep.
     `compute_flow` solves a frame wider than tall as its transpose, so Wc
     is the shorter side.
     """
-    def sizes_and_t(n: int) -> tuple[np.ndarray, np.ndarray]:
-        size = np.bincount(np.arange(n) // CELL)
-        neighbours = np.full(size.size, 2)
-        neighbours[0] -= 1
-        neighbours[-1] -= 1
-        return size, 4 * size - neighbours
+    # imported here, as scipy.linalg is in `_solve`: only flow needs it
+    from scipy import sparse
 
-    (ny, ty), (nx, tx) = sizes_and_t(h), sizes_and_t(w)
-    hc, wc = ny.size, nx.size
-    band = np.zeros((2 * wc + 3, hc, wc, 2))
-    band[0] = (16.0 * np.outer(ny, nx) - np.outer(ty, tx))[..., None]
-    band[2, :, :-1] = -ty[:, None, None]  # (I, J+1)
-    band[2 * wc, :-1] = -tx[None, :, None]  # (I+1, J)
-    band[2 * wc + 2, :-1, :-1] = -1.0  # (I+1, J+1)
-    band[2 * wc - 2, :-1, 1:] -= 1.0  # (I+1, J-1); the diagonal when Wc = 1
-    band = band.reshape(2 * wc + 3, -1)
+    def factors(n: int):
+        """The cell sizes P_1^T 1 and T = P_1^T S_1 P_1 along an axis of n pixels."""
+        p = sparse.csr_array((np.ones(n), (np.arange(n), np.arange(n) // CELL)))
+        s1 = sparse.diags_array([1.0, 2.0, 1.0], offsets=(-1, 0, 1), shape=(n, n), format="lil")
+        s1[0, 0] = s1[-1, -1] = 3.0  # an edge pixel's replicated neighbour is itself
+        return p.sum(axis=0), p.T @ s1 @ p
+
+    (ny, ty), (nx, tx) = factors(h), factors(w)
+    a = sparse.kron(16.0 * sparse.diags_array(np.outer(ny, nx).ravel()) - sparse.kron(ty, tx),
+                    sparse.eye_array(2))
+    band = np.zeros((2 * nx.size + 3, a.shape[0]))
+    for d in range(min(band.shape)):
+        band[d, :band.shape[1] - d] = a.diagonal(-d)
     band.flags.writeable = False
     return band
 

@@ -5,7 +5,11 @@ On-disk formats are deliberately simple and bit-exact:
 * frame directory: ``meta.json`` (a `SequenceMeta`) plus
   ``frame_%04d.pgm`` binary PGM (P5, maxval 255; the header numbers are
   decimal digits, each after whitespace or ``#`` comments to end of line);
-* mask directory: ``mask_%04d.pgm`` with label bytes 0/1/2/3 stored directly;
+* mask directory: ``mask_%04d.pgm`` with label bytes 0/1/2/3 stored directly.
+  One reader takes both: files numbered from 0000 with no gap, all H x W
+  with H, W >= 1. For frames, T, H and W come from meta.json, and frames
+  numbered T or above are ignored; for masks, T is the number of mask
+  files and H x W the first mask's shape;
 * ``.eds`` container: magic ``EDS1``, little-endian u32 T,H,W,ed,es,
   then T*H*W raw gray bytes.
 
@@ -116,11 +120,13 @@ class MaskSequence:
 
     def __post_init__(self):
         m = np.asarray(self.masks)
-        if m.ndim != 3:
-            raise DimensionError(f"masks must be T x H x W, got shape {m.shape}")
-        if not np.isin(m, (0, 1, 2, 3)).all():
+        if m.ndim != 3 or 0 in m.shape[1:]:
+            raise DimensionError(f"masks must be T x H x W with H, W >= 1, got shape {m.shape}")
+        with np.errstate(invalid="ignore"):  # NaN casts to some byte; the check below fails it
+            labels = m.astype(np.uint8)
+        if not (np.array_equal(labels, m) and labels.max(initial=0) <= 3):
             raise FormatError("mask labels must be in {0,1,2,3}")
-        object.__setattr__(self, "masks", m.astype(np.uint8))
+        object.__setattr__(self, "masks", labels)
 
     @property
     def t_count(self) -> int:
@@ -408,20 +414,27 @@ def load_sequence(path: Path | str) -> FrameSequence:
     meta = read_json(meta_path, SequenceMeta)
     if meta.t < 2:
         raise InsufficientDataError(f"{path}: sequence too short (T={meta.t})")
-    frames = []
-    for i in range(meta.t):
-        frame_path = path / f"frame_{i:04d}.pgm"
-        if not frame_path.is_file():
-            raise FormatError(f"{path}: {frame_path.name} is missing "
-                              f"(meta.json lists {meta.t} frames)")
-        img = read_pgm(frame_path)
-        if img.shape != (meta.h, meta.w):
-            raise DimensionError(
-                f"{frame_path.name} has shape {img.shape}, expected {(meta.h, meta.w)}"
-            )
-        frames.append(img)
-    return FrameSequence(frames=np.stack(frames) / 255.0, ed_index=meta.ed,
-                         es_index=meta.es, meta=meta.meta)
+    frames = _read_pgm_series(path, "frame", meta.t, (meta.h, meta.w))
+    return FrameSequence(frames=frames / 255.0, ed_index=meta.ed, es_index=meta.es,
+                         meta=meta.meta)
+
+
+def _read_pgm_series(path: Path, stem: str, count: int, shape: tuple | None) -> np.ndarray:
+    """``{stem}_0000.pgm`` .. ``{stem}_{count-1:04d}.pgm`` of directory `path` as
+    a (count, H, W) uint8 array, each image of `shape` (H, W), or of the
+    first image's shape when `shape` is None. A missing or misfit file is named."""
+    images = []
+    for i in range(count):
+        file = path / f"{stem}_{i:04d}.pgm"
+        if not file.is_file():
+            raise FormatError(f"{path}: {file.name} is missing (expected "
+                              f"{stem}_0000.pgm .. {stem}_{count - 1:04d}.pgm with no gap)")
+        image = read_pgm(file)
+        shape = shape or image.shape
+        if image.shape != shape:
+            raise DimensionError(f"{file.name} has shape {image.shape}, expected {shape}")
+        images.append(image)
+    return np.stack(images)
 
 
 def _save_eds(seq: FrameSequence, path: Path) -> None:
@@ -450,15 +463,7 @@ def load_masks(path: Path | str) -> MaskSequence:
     count = len(list(path.glob("mask_*.pgm")))
     if not count:
         raise FormatError(f"{path}: no mask_*.pgm files found")
-    files = [path / f"mask_{i:04d}.pgm" for i in range(count)]
-    missing = next((f for f in files if not f.is_file()), None)
-    if missing is not None:
-        raise FormatError(f"{path}: {missing.name} is missing (mask numbering has a gap)")
-    imgs = [read_pgm(f) for f in files]
-    shapes = {im.shape for im in imgs}
-    if len(shapes) != 1:
-        raise DimensionError(f"{path}: inconsistent mask dimensions {shapes}")
-    return MaskSequence(masks=np.stack(imgs))
+    return MaskSequence(masks=_read_pgm_series(path, "mask", count, None))
 
 
 def phantom_radius(t: int, spec: PhantomSpec) -> float:

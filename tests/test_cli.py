@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +167,41 @@ def test_eval_empty_label_and_jitter(tmp_path, capsys, phantom):
                  "--report", str(tmp_path / "r2.json")]) == 0
     report2 = json.loads((tmp_path / "r2.json").read_text())
     assert report2["per_label"]["LV"]["tcd"] > 0.0
+
+
+def test_eval_zero_width_masks_exit_1_without_a_report(tmp_path, capsys):
+    for name in ("pred", "gt"):
+        (tmp_path / name).mkdir()
+        for i in range(2):
+            (tmp_path / name / f"mask_{i:04d}.pgm").write_bytes(b"P5 0 3 255\n")
+    assert main(["eval", str(tmp_path / "pred"), str(tmp_path / "gt"),
+                 "--report", str(tmp_path / "r.json")]) == 1
+    assert "error [DimensionError]" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.csv").exists()
+
+
+_NO_SOLVER_IMPORTS = """
+import sys
+from echodyn.cli import main
+from echodyn.seqio import MaskSequence, save_masks
+import numpy as np
+out = sys.argv[1]
+masks = MaskSequence(masks=np.tile(np.arange(4, dtype=np.uint8), (2, 4, 1)))
+save_masks(masks, out + "/m")
+assert main(["eval", out + "/m", out + "/m", "--report", out + "/r.json"]) == 0
+assert main(["seed-weights", "--channels", "2", "-o", out + "/w.json"]) == 0
+print(sorted(m for m in ("scipy.sparse", "scipy.linalg") if m in sys.modules))
+"""
+
+
+def test_eval_and_seed_weights_import_no_flow_solver_modules(tmp_path):
+    # scipy.sparse (the coarse band) and scipy.linalg (the banded solves)
+    # are imported by flow on first use, not by the subcommands without flow
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _NO_SOLVER_IMPORTS, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_eval_report_json_reads_back(tmp_path, phantom):

@@ -279,6 +279,31 @@ def test_flow_bytes_do_not_depend_on_blas_threads():
     assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (8, 8), (9, 17), (50, 37), (64, 64)])
+def test_coarse_space_is_the_dense_galerkin_product(shape):
+    # P^T (16 - S) P column by column: S applied to each cell's indicator
+    # image as the [1,2,1] x [1,2,1] kernel over an edge-replicated pad
+    h, w = shape
+    wc = -(-w // flow.CELL)
+    cells = np.arange(h)[:, None] // flow.CELL * wc + np.arange(w) // flow.CELL
+    n = cells.max() + 1
+    kernel = np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0])
+    galerkin = np.empty((n, n))
+    for j in range(n):
+        one = (cells == j).astype(np.float64)
+        padded = np.pad(one, 1, mode="edge")
+        s = sum(kernel[dy, dx] * padded[dy:dy + h, dx:dx + w]
+                for dy in range(3) for dx in range(3))
+        galerkin[:, j] = np.bincount(cells.ravel(), (16.0 * one - s).ravel(), minlength=n)
+    dense = np.kron(galerkin, np.eye(2))  # the u and v of each cell
+    band = flow._coarse_space(h, w)
+    assert band.shape == (2 * wc + 3, 2 * n) and not band.flags.writeable
+    for d, row in enumerate(band):
+        diagonal = np.diagonal(dense, -d)
+        assert np.array_equal(row[:diagonal.size], diagonal) and not row[diagonal.size:].any()
+    assert not np.tril(dense, -len(band)).any()  # nothing lies below the band
+
+
 @pytest.mark.parametrize("shape", [(9, 17), (50, 37), (256, 256)])
 def test_coarse_factorization_matches_scipy(shape):
     from scipy.linalg import cholesky_banded

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,23 @@ def test_frame_sequence_invariants():
 def test_mask_labels_validated():
     with pytest.raises(FormatError):
         MaskSequence(masks=np.full((2, 4, 4), 9))
+    for dtype, bad in ((np.int64, -1), (np.float64, 1.5), (np.float64, np.nan),
+                       (np.uint8, 4), (np.uint16, 256), (np.float64, -1.0)):
+        masks = np.zeros((2, 4, 4), dtype=dtype)
+        masks[1, 2, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            with pytest.raises(FormatError, match="mask labels"):
+                MaskSequence(masks=masks)
+    labels = np.tile(np.arange(4, dtype=np.uint16), (2, 4, 1))
+    accepted = MaskSequence(masks=labels).masks
+    assert accepted.dtype == np.uint8 and np.array_equal(accepted, labels)
+
+
+@pytest.mark.parametrize("shape", [(2, 0, 4), (2, 4, 0)])
+def test_mask_sequence_rejects_zero_height_or_width(shape):
+    with pytest.raises(DimensionError, match="H, W >= 1"):
+        MaskSequence(masks=np.zeros(shape, dtype=np.uint8))
 
 
 def test_masks_roundtrip(tmp_path):
@@ -187,6 +205,13 @@ def test_masks_roundtrip(tmp_path):
     save_masks(masks, tmp_path / "m")
     back = load_masks(tmp_path / "m")
     assert np.array_equal(back.masks, masks.masks)
+
+
+def test_load_masks_names_a_misfit_mask(tmp_path):
+    save_masks(MaskSequence(masks=np.zeros((3, 4, 4), dtype=np.uint8)), tmp_path / "m")
+    write_pgm(tmp_path / "m" / "mask_0002.pgm", np.zeros((4, 5), dtype=np.uint8))
+    with pytest.raises(DimensionError, match=r"mask_0002.pgm has shape \(4, 5\), expected \(4, 4\)"):
+        load_masks(tmp_path / "m")
 
 
 def test_load_masks_rejects_numbering_gap(tmp_path):
