@@ -122,9 +122,8 @@ def cmd_cpda_demo(args: argparse.Namespace) -> int:
         pedg = np.zeros((t, weights.edg_w1.shape[0]))
     enhanced = cpda.cpda_forward(clip, phase, pedg, weights)
     cpda.save_feature_clip(enhanced, args.out)
-    delta = np.abs(enhanced.data - clip.data).mean(axis=(1, 2, 3))
-    for i, d in enumerate(delta):
-        print(f"frame {i}: mean_abs_delta={d:.6f}")
+    for i, (after, before) in enumerate(zip(enhanced.data, clip.data)):
+        print(f"frame {i}: mean_abs_delta={np.abs(after - before).mean():.6f}")
     return 0
 
 

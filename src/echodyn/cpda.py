@@ -6,6 +6,13 @@ self-attention over time, squashed into a channel modulation factor
 S in (0,1), and applied as X * (1 + alpha (2S - 1)); the result is
 blended 50/50 with a 3x3x3 zero-padded convolution over (T, H, W).
 
+The forward pass allocates one clip-sized array, its result. The
+modulated clip is written there and convolved in place: `conv3d_same`
+keeps a rolling accumulator of three output frames and writes frame s-1
+once input frame s has been read, the last time that input frame is
+needed. The blend then runs frame by frame, recomputing each frame of
+the modulated clip, and `save_feature_clip` converts one frame at a time.
+
 Weight matrices apply on the right (row vectors: y = x @ W + b).
 MLPs are two layers with ReLU after the first, linear output.
 """
@@ -153,13 +160,22 @@ def mha_forward(tokens: np.ndarray, weights: CpdaWeights) -> np.ndarray:
     return out @ weights.wo
 
 
-def conv3d_same(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def conv3d_same(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """3x3x3 zero-padded convolution over (T, H, W) for channels-last tensors.
 
     One matmul per input frame s: its nine (dh, dw) windows side by side,
     an (H*W) x 9C_in matrix, times the kernel as 9C_in x 3C_out. Column
     block dt of the product goes to output frame s + 1 - dt, where that
-    exists.
+    exists. A rolling accumulator holds output frames s-1, s and s+1, and
+    frame s-1 is complete, and written to `out`, once input frame s has
+    been read. Each output frame u is summed as bias + prod(u-1)[dt=0] +
+    prod(u)[dt=1] + prod(u+1)[dt=2], in that order.
+
+    Frame s-1 of `x` is never read again at that point, so `out` may be
+    `x` itself (C_in == C_out), which convolves in place; any other
+    overlap of `out` with `x` raises ModelError. With `out` None a new
+    array is returned.
     """
     t, h, w, c_in = x.shape
     c_out = kernel.shape[0]
@@ -167,9 +183,16 @@ def conv3d_same(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarr
         raise ModelError(
             f"conv kernel must be C_out x {c_in} x 3 x 3 x 3, got {kernel.shape}"
         )
+    if out is None:
+        out = np.empty((t, h, w, c_out))
+    elif out.shape != (t, h, w, c_out):
+        raise ModelError(f"conv output must be {(t, h, w, c_out)}, got {out.shape}")
+    elif out is not x and np.shares_memory(out, x):
+        raise ModelError("conv output overlaps its input without being the input")
     # rows ordered (dh, dw, c_in) like the windows, columns (dt, c_out)
     k = kernel.transpose(3, 4, 1, 2, 0).reshape(9 * c_in, 3 * c_out)
-    out = np.broadcast_to(bias, (t, h, w, c_out)).copy()
+    acc = np.empty((3, h, w, c_out))  # output frame u accumulates in acc[u % 3]
+    acc[0] = bias
     pad = np.zeros((h + 2, w + 2, c_in))
     windows = np.empty((h, w, 3, 3, c_in))
     for s in range(t):
@@ -178,9 +201,14 @@ def conv3d_same(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarr
             for dw in range(3):
                 windows[:, :, dh, dw] = pad[dh:dh + h, dw:dw + w]
         prod = (windows.reshape(h * w, 9 * c_in) @ k).reshape(h, w, 3, c_out)
-        for dt in range(3):
-            if 0 <= s + 1 - dt < t:
-                out[s + 1 - dt] += prod[:, :, dt]
+        if s > 0:
+            acc[(s - 1) % 3] += prod[:, :, 2]
+            out[s - 1] = acc[(s - 1) % 3]
+        acc[s % 3] += prod[:, :, 1]
+        if s + 1 < t:
+            np.add(bias, prod[:, :, 0], out=acc[(s + 1) % 3])
+        else:
+            out[s] = acc[s % 3]
     return out
 
 
@@ -220,8 +248,12 @@ def cpda_forward(clip: FeatureClip, phase: PhaseTrack, pedg: np.ndarray,
     f_attn = mha_forward(f_fused, weights)
     s = 1.0 / (1.0 + np.exp(-(f_attn @ weights.gate_w + weights.gate_b)))  # T x C
     factor = 1.0 + weights.alpha * (2.0 * s - 1.0)
-    x_mod = clip.data * factor[:, None, None, :]
-    out = 0.5 * x_mod + 0.5 * conv3d_same(x_mod, weights.conv_kernel, weights.conv_bias)
+    # x_mod = X * factor is the one new clip-sized array: it is convolved in
+    # place, then blended frame by frame with x_mod recomputed per frame
+    out = clip.data * factor[:, None, None, :]
+    conv3d_same(out, weights.conv_kernel, weights.conv_bias, out=out)
+    for u in range(t):
+        out[u] = 0.5 * (clip.data[u] * factor[u]) + 0.5 * out[u]
     return FeatureClip(data=out)
 
 
@@ -268,8 +300,10 @@ def load_cpda_weights(path: Path | str) -> CpdaWeights:
 
 
 def save_feature_clip(clip: FeatureClip, path: Path | str) -> None:
-    """Binary clip: magic FTC1, u32 T,H,W,C, then row-major little-endian f32."""
-    write_binary(path, b"FTC1", clip.data.shape, clip.data.astype("<f4").tobytes())
+    """Binary clip: magic FTC1, u32 T,H,W,C, then row-major little-endian f32,
+    converted and written one frame at a time."""
+    write_binary(path, b"FTC1", clip.data.shape,
+                 (frame.astype("<f4") for frame in clip.data))
 
 
 def load_feature_clip(path: Path | str) -> FeatureClip:

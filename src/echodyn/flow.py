@@ -382,8 +382,8 @@ def flow_sequence(seq: FrameSequence, params: FlowParams = FlowParams()) -> list
 
 def save_flow(flow: FlowField, path: Path | str) -> None:
     """Binary dump: magic FLW1, u32 H,W, then f32 u values then v values."""
-    write_binary(path, b"FLW1", flow.u.shape, flow.u.astype("<f4").tobytes(),
-                 flow.v.astype("<f4").tobytes())
+    write_binary(path, b"FLW1", flow.u.shape,
+                 (plane.astype("<f4") for plane in (flow.u, flow.v)))
 
 
 def load_flow(path: Path | str) -> FlowField:

@@ -91,19 +91,27 @@ def evaluate(pred: MaskSequence, gt: MaskSequence) -> MetricsReport:
 
     HD95 is skipped (recorded as missing) on frames where either side's
     label mask is empty; mean_hd95 averages the defined frames only.
+    Each frame is labelled once per side (`find_objects`), and each label
+    is scored on the union of its two bounding boxes, which holds every
+    pixel of both masks; a label absent on both sides gets an empty box.
     """
     if pred.masks.shape != gt.masks.shape:
         raise DimensionError(
             f"mask sequence shapes differ: {pred.masks.shape} vs {gt.masks.shape}"
         )
+    labels = len(LABEL_NAMES)
+    boxes = [[_union_box(*pair) for pair in zip(find_objects(p, labels),
+                                                 find_objects(g, labels))]
+             for p, g in zip(pred.masks, gt.masks)]
     per_label: dict[str, LabelMetrics] = {}
     for value, name in LABEL_NAMES.items():
         dices: list[float] = []
         hd95s: list[float | None] = []
         missing: list[int] = []
         for t in range(gt.t_count):
-            p = pred.masks[t] == value
-            g = gt.masks[t] == value
+            box = boxes[t][value - 1]
+            p = pred.masks[t][box] == value
+            g = gt.masks[t][box] == value
             dices.append(dice(p, g))
             if g.any() and p.any():
                 hd95s.append(hd95(p, g))
@@ -121,6 +129,16 @@ def evaluate(pred: MaskSequence, gt: MaskSequence) -> MetricsReport:
         )
     average_tcd = float(np.mean([m.tcd for m in per_label.values()]))
     return MetricsReport(per_label=per_label, average_tcd=average_tcd)
+
+
+def _union_box(a: tuple | None, b: tuple | None) -> tuple[slice, ...]:
+    """The smallest box holding boxes `a` and `b` (None for no box); an empty
+    box when both are None."""
+    boxes = [box for box in (a, b) if box is not None]
+    if not boxes:
+        return (slice(0, 0), slice(0, 0))
+    return tuple(slice(min(s.start for s in axis), max(s.stop for s in axis))
+                 for axis in zip(*boxes))
 
 
 def save_report_json(report: MetricsReport, path: Path | str) -> None:

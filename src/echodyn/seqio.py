@@ -8,8 +8,8 @@ On-disk formats are deliberately simple and bit-exact:
 * mask directory: ``mask_%04d.pgm`` with label bytes 0/1/2/3 stored directly.
   One reader takes both: files numbered from 0000 with no gap, all H x W
   with H, W >= 1. For frames, T, H and W come from meta.json, and frames
-  numbered T or above are ignored; for masks, T is the number of mask
-  files and H x W the first mask's shape;
+  numbered T or above are ignored; for masks, T is the number of files
+  named ``mask_%04d.pgm`` and H x W the first mask's shape;
 * ``.eds`` container: magic ``EDS1``, little-endian u32 T,H,W,ed,es,
   then T*H*W raw gray bytes.
 
@@ -17,7 +17,9 @@ Every JSON file (config, models, weights, ``meta.json``, and the
 ``report.json`` of `metrics.MetricsReport`) is a dataclass written by
 `write_json` and read back by `read_json`, which checks it against the
 dataclass's type hints: the dataclass is the schema. `write_binary` writes
-every ``.eds``, FLW1 and FTC1 file and `write_csv` every CSV file. Every
+every ``.eds``, FLW1 and FTC1 file, drawing its payload a frame or plane at
+a time, and `read_binary` hands the payload back as a view of the file's
+bytes, not a copy; `write_csv` writes every CSV file. Every
 writer goes through `atomic_write`, so a failed write leaves the target as
 it was, and a written file gets the mode a plain `open()` gives under the
 current umask.
@@ -198,12 +200,13 @@ def read_pgm(path: Path | str) -> np.ndarray:
 
 
 def read_binary(path: Path | str, magic: bytes, n_fields: int, n_dims: int,
-                item_bytes: int) -> tuple[tuple[int, ...], bytes]:
+                item_bytes: int) -> tuple[tuple[int, ...], memoryview]:
     """Read a file laid out as `magic`, `n_fields` little-endian u32, payload.
 
     The first `n_dims` fields are dimensions: each must be >= 1 and the
     payload must hold exactly their product times `item_bytes` bytes.
-    Returns (fields, payload); any mismatch raises FormatError.
+    Returns (fields, payload), the payload a view into the file's bytes
+    rather than a copy; any mismatch raises FormatError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -218,17 +221,18 @@ def read_binary(path: Path | str, magic: bytes, n_fields: int, n_dims: int,
         raise FormatError(f"{path}: zero dimension in header {dims}")
     if len(raw) - end != math.prod(dims) * item_bytes:
         raise FormatError(f"{path}: payload size mismatch")
-    return fields, raw[end:]
+    return fields, memoryview(raw)[end:]
 
 
-def write_binary(path: Path | str, magic: bytes, fields, *payloads) -> None:
-    """Write `magic`, `fields` as little-endian u32, then each bytes-like
-    payload in turn: the layout `read_binary` reads."""
+def write_binary(path: Path | str, magic: bytes, fields, payloads) -> None:
+    """Write `magic`, `fields` as little-endian u32, then the arrays drawn one
+    at a time from the iterable `payloads`, each as its bytes in C order
+    whatever its memory layout: the layout `read_binary` reads."""
     with atomic_write(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack(f"<{len(fields)}I", *fields))
         for payload in payloads:
-            fh.write(payload)
+            fh.write(np.ascontiguousarray(payload))
 
 
 def write_csv(path: Path | str, header, rows) -> None:
@@ -439,7 +443,7 @@ def _read_pgm_series(path: Path, stem: str, count: int, shape: tuple | None) -> 
 
 def _save_eds(seq: FrameSequence, path: Path) -> None:
     write_binary(path, b"EDS1", (seq.t_count, *seq.shape, seq.ed_index, seq.es_index),
-                 *map(quantize_frame, seq.frames))
+                 map(quantize_frame, seq.frames))
 
 
 def _load_eds(path: Path) -> FrameSequence:
@@ -458,11 +462,17 @@ def save_masks(masks: MaskSequence, path: Path | str) -> None:
 
 
 def load_masks(path: Path | str) -> MaskSequence:
-    """Load mask_0000.pgm .. mask_{T-1}.pgm; the numbering must have no gaps."""
+    """Load mask_0000.pgm .. mask_{T-1}.pgm; the numbering must have no gaps.
+
+    T counts the files named ``mask_%04d.pgm``; other files, such as
+    ``mask_0001_old.pgm``, are ignored.
+    """
     path = Path(path)
-    count = len(list(path.glob("mask_*.pgm")))
+    # exactly the names f"mask_{i:04d}.pgm" gives for i >= 0
+    count = sum(bool(re.fullmatch(r"mask_([0-9]{4}|[1-9][0-9]{4,})\.pgm", p.name))
+                for p in path.glob("mask_*.pgm"))
     if not count:
-        raise FormatError(f"{path}: no mask_*.pgm files found")
+        raise FormatError(f"{path}: no mask_%04d.pgm files found")
     return MaskSequence(masks=_read_pgm_series(path, "mask", count, None))
 
 

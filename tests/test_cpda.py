@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,32 @@ def test_conv3d_same_matches_direct_tap_sum(t):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+# out=x convolves in place: output frame s-1 is written once input frame s is read
+@pytest.mark.parametrize("t", [1, 2, 3, 5])
+def test_conv3d_same_in_place_matches_out_of_place(t):
+    rng = np.random.default_rng(70 + t)
+    x = rng.normal(size=(t, 4, 6, 3))
+    kernel = rng.normal(size=(3, 3, 3, 3, 3))
+    bias = rng.normal(size=3)
+    want = direct_conv3d(x, kernel, bias)
+    fresh = conv3d_same(x, kernel, bias)
+    in_place = x.copy()
+    assert conv3d_same(in_place, kernel, bias, out=in_place) is in_place
+    assert np.array_equal(in_place, fresh)
+    np.testing.assert_allclose(fresh, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_conv3d_same_rejects_partly_overlapping_or_misshapen_out():
+    buffer = np.zeros((4, 3, 3, 2))
+    kernel, bias = np.zeros((2, 2, 3, 3, 3)), np.zeros(2)
+    with pytest.raises(ModelError, match="overlaps"):
+        conv3d_same(buffer[:3], kernel, bias, out=buffer[1:])
+    with pytest.raises(ModelError, match="overlaps"):
+        conv3d_same(buffer[:3], kernel, bias, out=buffer[:3, :, :, ::-1])
+    with pytest.raises(ModelError, match="conv output"):
+        conv3d_same(buffer, kernel, bias, out=np.zeros((4, 3, 3, 1)))
+
+
 def test_conv3d_same_rejects_mismatched_kernel():
     with pytest.raises(ModelError):
         conv3d_same(np.zeros((2, 4, 4, 2)), np.zeros((3, 3, 3, 3, 3)), np.zeros(3))
@@ -328,6 +355,35 @@ def test_cpda_finite_difference_sensitivity():
     d_impl = scalar_sum(lambda c, p, e, w: cpda_forward(c, p, e, w).data)
     d_oracle = scalar_sum(lambda c, p, e, w: oracle_cpda_forward(c, p, e, w))
     assert d_impl == pytest.approx(d_oracle, rel=1e-3)
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes traced while `call()` runs, above what was allocated before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# cpda_forward allocates one clip-sized array (the result) and frame-sized
+# scratch; the five-clip version peaked at 3.3x the clip
+def test_cpda_forward_peaks_below_two_clips():
+    rng = np.random.default_rng(80)
+    clip = FeatureClip(data=rng.normal(size=(64, 16, 16, 8)))
+    wts = seed_cpda_weights(channels=8, d_p=8, d_e=8, k2=4, heads=2, seed=81)
+    phase = phase_track(64, 0, 32)
+    pedg = rng.normal(size=(64, 4))
+    peak = _traced_peak(lambda: cpda_forward(clip, phase, pedg, wts))
+    assert peak < 2 * clip.data.nbytes
+
+
+def test_save_feature_clip_converts_a_frame_at_a_time(tmp_path):
+    clip = FeatureClip(data=np.random.default_rng(82).normal(size=(64, 16, 16, 8)))
+    peak = _traced_peak(lambda: save_feature_clip(clip, tmp_path / "c.ftc"))
+    assert peak < 0.1 * clip.data.nbytes
 
 
 def test_cpda_shape_errors():

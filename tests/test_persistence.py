@@ -31,6 +31,8 @@ from echodyn.seqio import (
     FrameSequence,
     SequenceMeta,
     load_sequence,
+    quantize_frame,
+    read_binary,
     read_json,
     read_pgm,
     save_sequence,
@@ -244,6 +246,50 @@ def test_binary_roundtrip_and_truncation(work, name, data):
     path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
     with pytest.raises(FormatError):
         load(path)
+
+
+def u32(*fields) -> bytes:
+    return np.array(fields, dtype="<u4").tobytes()
+
+
+# each binary file's bytes, built whole with tobytes (C order)
+LAYOUTS = {
+    "eds": lambda s: (b"EDS1" + u32(s.t_count, *s.shape, s.ed_index, s.es_index)
+                      + quantize_frame(s.frames).tobytes()),
+    "flw1": lambda f: (b"FLW1" + u32(*f.u.shape) + f.u.astype("<f4").tobytes()
+                       + f.v.astype("<f4").tobytes()),
+    "ftc1": lambda c: b"FTC1" + u32(*c.data.shape) + c.data.astype("<f4").tobytes(),
+}
+
+
+def fortran_order(obj):
+    """`obj` with every array field stored in Fortran order."""
+    return dataclasses.replace(obj, **{f.name: np.asfortranarray(getattr(obj, f.name))
+                                       for f in dataclasses.fields(obj)
+                                       if isinstance(getattr(obj, f.name), np.ndarray)})
+
+
+# writers draw a frame or plane at a time; the bytes must not depend on how
+# the arrays lie in memory (a Fortran-order sequence failed to save as .eds)
+@pytest.mark.parametrize("name", LAYOUTS)
+@pytest.mark.parametrize("order", [lambda obj: obj, fortran_order], ids=["C", "F"])
+@given(data=st.data())
+@settings(max_examples=20)
+def test_binary_bytes_follow_the_layout_in_any_memory_order(work, name, order, data):
+    objects, file_name, save, load, check = BINARY[name]
+    obj, path = order(data.draw(objects)), work / file_name
+    save(obj, path)
+    assert path.read_bytes() == LAYOUTS[name](obj)
+    check(load(path), obj)
+
+
+def test_read_binary_returns_a_view_of_the_payload(work):
+    path = work / "x.ftc"
+    save_feature_clip(FeatureClip(data=np.arange(6.0).reshape(1, 2, 3, 1)), path)
+    fields, payload = read_binary(path, b"FTC1", 4, 4, 4)
+    assert fields == (1, 2, 3, 1)
+    assert isinstance(payload, memoryview)
+    assert payload.tobytes() == path.read_bytes()[20:]
 
 
 def flipped_bits(raw: bytes, n_bytes: int):

@@ -221,6 +221,22 @@ def test_load_masks_rejects_numbering_gap(tmp_path):
         load_masks(tmp_path / "m")
 
 
+def test_load_masks_ignores_unnumbered_mask_files(tmp_path):
+    masks = MaskSequence(masks=np.arange(3, dtype=np.uint8)[:, None, None].repeat(4, 1).repeat(4, 2))
+    save_masks(masks, tmp_path / "m")
+    for stray in ("mask_0001_old.pgm", "mask_1.pgm", "mask_00001.pgm", "mask_.pgm"):
+        write_pgm(tmp_path / "m" / stray, np.zeros((4, 4), dtype=np.uint8))
+    assert np.array_equal(load_masks(tmp_path / "m").masks, masks.masks)
+
+
+def test_load_masks_names_a_gap_among_stray_files(tmp_path):
+    save_masks(MaskSequence(masks=np.zeros((3, 4, 4), dtype=np.uint8)), tmp_path / "m")
+    write_pgm(tmp_path / "m" / "mask_0001_old.pgm", np.zeros((4, 4), dtype=np.uint8))
+    (tmp_path / "m" / "mask_0001.pgm").unlink()
+    with pytest.raises(FormatError, match="mask_0001.pgm is missing"):
+        load_masks(tmp_path / "m")
+
+
 def test_load_sequence_names_a_missing_frame(tmp_path, capsys):
     frames = np.zeros((8, 4, 4))
     save_sequence(FrameSequence(frames=frames, ed_index=0, es_index=4), tmp_path / "d")
