@@ -368,8 +368,8 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-# cpda_forward allocates one clip-sized array (the result) and frame-sized
-# scratch; the five-clip version peaked at 3.3x the clip
+# cpda_forward allocates one clip-sized array, the result, and frame-sized
+# scratch: about 1.4x the clip
 def test_cpda_forward_peaks_below_two_clips():
     rng = np.random.default_rng(80)
     clip = FeatureClip(data=rng.normal(size=(64, 16, 16, 8)))

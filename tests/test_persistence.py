@@ -270,7 +270,7 @@ def fortran_order(obj):
 
 
 # writers draw a frame or plane at a time; the bytes must not depend on how
-# the arrays lie in memory (a Fortran-order sequence failed to save as .eds)
+# the arrays lie in memory
 @pytest.mark.parametrize("name", LAYOUTS)
 @pytest.mark.parametrize("order", [lambda obj: obj, fortran_order], ids=["C", "F"])
 @given(data=st.data())
