@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import binary_dilation, binary_erosion
 
-from echodyn.metrics import evaluate, save_report_csv, save_report_json
-from echodyn.seqio import MaskSequence, PhantomSpec, generate_phantom
+from echodyn.metrics import evaluate, save_report_csv
+from echodyn.seqio import MaskSequence, PhantomSpec, generate_phantom, write_json
 
 
 def erode_lv(masks):
@@ -57,7 +57,7 @@ def main():
         lv = report.per_label["LV"]
         print(f"{name:22s} {lv.mean_dice:9.4f} {lv.mean_hd95:9.2f} "
               f"{lv.tcd:9.4f} {report.average_tcd:9.4f}")
-        save_report_json(report, out / f"report_{name}.json")
+        write_json(out / f"report_{name}.json", report)
         save_report_csv(report, out / f"report_{name}.csv")
 
     print("\nthe eroded prediction loses Dice but stays temporally stable (low TCD);")

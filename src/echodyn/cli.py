@@ -13,7 +13,8 @@ One executable with subcommands::
 
 Settings resolve as defaults < ``--config`` file < explicit flags; per-stage
 seeds derive from ``--seed`` (see `pipeline.stage_seed`). ``eval`` reads no
-config, and ``flow``, which draws no random numbers, takes no ``--seed``.
+config, ``flow``, which draws no random numbers, takes no ``--seed``, and
+``cpda-demo --weights`` takes neither ``--seed`` nor ``--config``.
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Every output file
 is written to a temp file and renamed into place (`seqio.atomic_write`).
 """
@@ -108,18 +109,20 @@ def _seeded_weights(cfg: PipelineConfig, channels: int) -> cpda.CpdaWeights:
 
 
 def cmd_cpda_demo(args: argparse.Namespace) -> int:
+    if args.weights and (args.config or vars(args)[_CONFIG_DEST + "seed"] is not None):
+        args.usage_error("--seed and --config are read only with --seed-weights, not --weights")
     cfg = _load_config(args)
     clip = cpda.load_feature_clip(args.clip)
     t = clip.t_count
     if args.seed_weights:
         weights = _seeded_weights(cfg, clip.channels)
     else:
-        weights = cpda.load_cpda_weights(args.weights)
+        weights = seqio.read_json(args.weights, cpda.CpdaWeights)
     phase = cpda.phase_track(t, args.ed, args.es)
     if args.pedg:
         pedg = dynamics.align_pedg(dynamics.load_pedg_csv(args.pedg), t)
     else:
-        pedg = np.zeros((t, weights.edg_w1.shape[0]))
+        pedg = np.zeros((t, weights.k2))
     enhanced = cpda.cpda_forward(clip, phase, pedg, weights)
     cpda.save_feature_clip(enhanced, args.out)
     for i, (after, before) in enumerate(zip(enhanced.data, clip.data)):
@@ -131,7 +134,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     pred = seqio.load_masks(args.pred_dir)
     gt = seqio.load_masks(args.gt_dir)
     report = metrics.evaluate(pred, gt)
-    metrics.save_report_json(report, args.report)
+    seqio.write_json(args.report, report)
     metrics.save_report_csv(report, Path(args.report).with_suffix(".csv"))
     dice_mean = float(np.mean([m.mean_dice for m in report.per_label.values()]))
     hd95_vals = [m.mean_hd95 for m in report.per_label.values() if m.mean_hd95 is not None]
@@ -142,7 +145,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_seed_weights(args: argparse.Namespace) -> int:
     weights = _seeded_weights(_load_config(args), args.channels)
-    cpda.save_cpda_weights(weights, args.out)
+    seqio.write_json(args.out, weights)
     print(f"wrote weights (d={weights.d_model}, heads={weights.heads}) to {args.out}")
     return 0
 
@@ -212,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pedg", default=None,
                    help="pedg.csv from `edg` (default: zero dynamic features)")
     p.add_argument("-o", "--out", required=True, help="enhanced .ftc output")
-    p.set_defaults(func=cmd_cpda_demo)
+    p.set_defaults(func=cmd_cpda_demo, usage_error=p.error)
 
     p = sub.add_parser("eval", help="score predicted masks against ground truth")
     p.add_argument("pred_dir")

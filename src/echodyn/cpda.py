@@ -19,13 +19,13 @@ MLPs are two layers with ReLU after the first, linear output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ModelError, NumericError, ParameterError
-from .seqio import read_binary, read_json, write_binary, write_json
+from .seqio import read_binary, write_binary
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,11 @@ def phase_track(t_count: int, ed_index: int, es_index: int) -> PhaseTrack:
 class CpdaWeights:
     """Deterministic parameter set for the attention module.
 
-    `d = channels + d_p + d_e` is the fused token width; `heads` must
-    divide it. Attention projections are bias-free d x d matrices.
+    The sizes come from the arrays: C, d_p and d_e are the lengths of
+    `conv_bias`, `phase_b1` and `edg_b1`, and k2 the rows of `edg_w1`;
+    each must be >= 1, and every array must have the shape they give it.
+    `d = C + d_p + d_e` is the fused token width; `heads` must divide it.
+    Attention projections are bias-free d x d matrices.
     """
 
     phase_w1: np.ndarray  # 2 x d_p
@@ -102,20 +105,31 @@ class CpdaWeights:
     heads: int
     gate_w: np.ndarray  # d x C
     gate_b: np.ndarray  # C
-    conv_kernel: np.ndarray  # C_out x C_in x 3 x 3 x 3
-    conv_bias: np.ndarray  # C_out
+    conv_kernel: np.ndarray  # C x C x 3 x 3 x 3 (C_out x C_in)
+    conv_bias: np.ndarray  # C
     alpha: float
 
     def __post_init__(self):
-        d = self.wq.shape[0]
+        c, d_p, d_e = np.size(self.conv_bias), np.size(self.phase_b1), np.size(self.edg_b1)
+        k2 = (np.shape(self.edg_w1) or (0,))[0]
+        if min(c, d_p, d_e, k2) < 1:
+            raise ModelError(f"C, d_p, d_e and k2 must be >= 1, got {c}, {d_p}, {d_e}, {k2}")
+        d = c + d_p + d_e
+        shapes = dict(phase_w1=(2, d_p), phase_b1=(d_p,), phase_w2=(d_p, d_p), phase_b2=(d_p,),
+                      edg_w1=(k2, d_e), edg_b1=(d_e,), edg_w2=(d_e, d_e), edg_b2=(d_e,),
+                      wq=(d, d), wk=(d, d), wv=(d, d), wo=(d, d), gate_w=(d, c), gate_b=(c,),
+                      conv_kernel=(c, c, 3, 3, 3), conv_bias=(c,))
+        for name, shape in shapes.items():
+            value = getattr(self, name)
+            if np.shape(value) != shape:
+                raise ModelError(f"weight '{name}' must have shape {shape} (C={c}, d_p={d_p}, "
+                                 f"d_e={d_e}, k2={k2}), got {np.shape(value)}")
+            if not np.isfinite(value).all():
+                raise NumericError(f"non-finite values in weight '{name}'")
         if self.heads < 1 or d % self.heads != 0:
             raise ModelError(f"heads={self.heads} must divide token width d={d}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ParameterError(f"alpha must be in [0,1], got {self.alpha}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.ndarray) and not np.isfinite(value).all():
-                raise NumericError(f"non-finite values in weight '{f.name}'")
 
     @property
     def d_model(self) -> int:
@@ -124,6 +138,10 @@ class CpdaWeights:
     @property
     def channels(self) -> int:
         return self.gate_w.shape[1]
+
+    @property
+    def k2(self) -> int:
+        return self.edg_w1.shape[0]
 
 
 def pool_spatial(clip: FeatureClip) -> np.ndarray:
@@ -223,12 +241,8 @@ def cpda_forward(clip: FeatureClip, phase: PhaseTrack, pedg: np.ndarray,
     pedg = np.asarray(pedg, dtype=np.float64)
     if phase.phi.shape[0] != t:
         raise ModelError(f"phase length {phase.phi.shape[0]} != clip frames {t}")
-    if pedg.ndim != 2 or pedg.shape[0] != t:
-        raise ModelError(f"pedg must be {t} x k2, got {pedg.shape}")
-    if pedg.shape[1] != weights.edg_w1.shape[0]:
-        raise ModelError(
-            f"pedg feature length {pedg.shape[1]} != edg_mlp input {weights.edg_w1.shape[0]}"
-        )
+    if pedg.shape != (t, weights.k2):
+        raise ModelError(f"pedg must be {t} x {weights.k2} (frames x k2), got {pedg.shape}")
     if clip.channels != weights.channels:
         raise ModelError(
             f"clip channels {clip.channels} != gate output {weights.channels}"
@@ -241,10 +255,6 @@ def cpda_forward(clip: FeatureClip, phase: PhaseTrack, pedg: np.ndarray,
                    weights.phase_w2, weights.phase_b2)
     f_edg = _mlp(pedg, weights.edg_w1, weights.edg_b1, weights.edg_w2, weights.edg_b2)
     f_fused = np.concatenate([f_pool, f_phase, f_edg], axis=1)
-    if f_fused.shape[1] != weights.d_model:
-        raise ModelError(
-            f"fused width {f_fused.shape[1]} != attention width {weights.d_model}"
-        )
     f_attn = mha_forward(f_fused, weights)
     s = 1.0 / (1.0 + np.exp(-(f_attn @ weights.gate_w + weights.gate_b)))  # T x C
     factor = 1.0 + weights.alpha * (2.0 * s - 1.0)
@@ -267,14 +277,16 @@ def identity_conv_kernel(channels: int) -> np.ndarray:
 
 def seed_cpda_weights(channels: int, d_p: int = 8, d_e: int = 8, k2: int = 8,
                       heads: int = 2, alpha: float = 0.5, seed: int = 0) -> CpdaWeights:
-    """Reproducible random weight set for a given shape; scaled ~1/sqrt(fan_in)."""
+    """Reproducible random weight set for a given shape; scaled ~1/sqrt(fan_in).
+    A size below 1 is a ParameterError, raised before any draw."""
+    if min(channels, d_p, d_e, k2) < 1:
+        raise ParameterError(f"channels, d_p, d_e and k2 must be >= 1, "
+                             f"got {channels}, {d_p}, {d_e}, {k2}")
     d = channels + d_p + d_e
-    if heads < 1 or d % heads != 0:
-        raise ModelError(f"heads={heads} must divide d={d}")
     rng = np.random.default_rng(seed)
 
     def mat(rows, cols):
-        return rng.normal(0.0, 1.0 / np.sqrt(max(rows, 1)), size=(rows, cols))
+        return rng.normal(0.0, 1.0 / np.sqrt(rows), size=(rows, cols))
 
     return CpdaWeights(
         phase_w1=mat(2, d_p), phase_b1=np.zeros(d_p),
@@ -289,14 +301,6 @@ def seed_cpda_weights(channels: int, d_p: int = 8, d_e: int = 8, k2: int = 8,
         conv_bias=np.zeros(channels),
         alpha=alpha,
     )
-
-
-def save_cpda_weights(weights: CpdaWeights, path: Path | str) -> None:
-    write_json(path, weights)
-
-
-def load_cpda_weights(path: Path | str) -> CpdaWeights:
-    return read_json(path, CpdaWeights)
 
 
 def save_feature_clip(clip: FeatureClip, path: Path | str) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .errors import (
     ParameterError,
 )
 from .flow import FlowField
-from .seqio import FrameSequence, read_json, write_json
+from .seqio import FrameSequence
 
 FEATURES_PER_SECTOR = 6
 
@@ -236,12 +235,3 @@ class FeatureModels:
 
     scaler: ScalerModel
     pca: PcaModel
-
-
-def save_feature_models(scaler: ScalerModel, pca: PcaModel, path: Path | str) -> None:
-    write_json(path, FeatureModels(scaler, pca))
-
-
-def load_feature_models(path: Path | str) -> tuple[ScalerModel, PcaModel]:
-    models = read_json(path, FeatureModels)
-    return models.scaler, models.pca

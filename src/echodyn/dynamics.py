@@ -11,8 +11,8 @@ second time by PCA into the low-dimensional per-frame feature P_EDG.
 
 from __future__ import annotations
 
-import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,12 +28,11 @@ from .descriptor import (
 )
 from .errors import (
     DivergenceError,
-    FormatError,
     InsufficientDataError,
     ModelError,
     ParameterError,
 )
-from .seqio import quantize_frame, read_json, write_csv, write_json, write_pgm
+from .seqio import quantize_frame, read_csv, write_csv, write_pgm
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,11 @@ class RbfConfig:
             raise ParameterError(f"learn_rate must be > 0 and finite, got {self.learn_rate}")
         if self.epochs < 1:
             raise ParameterError("epochs must be >= 1")
-        if self.sigma is not None and not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ParameterError(f"sigma must be > 0 and finite when given, got {self.sigma}")
+        # rbf_response divides by sigma * sigma, so the square must be a normal float too
+        if self.sigma is not None and not (
+                self.sigma > 0 and sys.float_info.min <= self.sigma * self.sigma < math.inf):
+            raise ParameterError("sigma must be > 0 with sigma * sigma a normal, finite "
+                                 f"float when given, got {self.sigma}")
         if not (self.ridge >= 0 and math.isfinite(self.ridge)):
             raise ParameterError(f"ridge must be >= 0 and finite, got {self.ridge}")
 
@@ -262,14 +264,6 @@ def align_pedg(p: np.ndarray, t_count: int) -> np.ndarray:
     raise ModelError(f"cannot align {p.shape[0]} dynamic rows to {t_count} frames")
 
 
-def save_dynamics_model(model: DynamicsModel, path: Path | str) -> None:
-    write_json(path, model)
-
-
-def load_dynamics_model(path: Path | str) -> DynamicsModel:
-    return read_json(path, DynamicsModel)
-
-
 def save_edg_outputs(maps: np.ndarray, grid: SectorGrid, h: int, w: int,
                      out_dir: Path | str) -> None:
     """Per-frame PGM heatmaps (min-max normalized over the sequence) + edg.csv
@@ -296,19 +290,6 @@ def save_pedg_csv(p: np.ndarray, path: Path | str) -> None:
 
 
 def load_pedg_csv(path: Path | str) -> np.ndarray:
-    """The P_EDG rows of a `save_pedg_csv` file; a non-numeric value, a row
-    whose length differs from the first row's, or no row at all is a FormatError."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    if not rows:
-        raise FormatError(f"{path}: no P_EDG rows")
-    values = []
-    for line, row in enumerate(rows, start=2):
-        try:
-            values.append([float(v) for v in row[1:]])
-        except ValueError:
-            raise FormatError(f"{path}: line {line}: non-numeric value in {row}") from None
-        if len(values[-1]) != len(values[0]):
-            raise FormatError(f"{path}: line {line} has {len(values[-1])} values, "
-                              f"line 2 has {len(values[0])}")
-    return np.array(values, dtype=np.float64)
+    """The P_EDG rows of a `save_pedg_csv` file without its `t` column; the
+    file is checked by `seqio.read_csv`."""
+    return read_csv(path)[1][:, 1:]

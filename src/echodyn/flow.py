@@ -42,6 +42,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -66,8 +67,10 @@ class FlowParams:
     presmooth_sigma: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ParameterError(f"alpha must be > 0 and finite, got {self.alpha}")
+        # the solver divides by alpha * alpha, so the square must be a normal float too
+        if not (self.alpha > 0 and sys.float_info.min <= self.alpha * self.alpha < math.inf):
+            raise ParameterError("alpha must be > 0 and finite, with alpha * alpha a normal, "
+                                 f"finite float, got {self.alpha}")
         if self.iterations < 1:
             raise ParameterError("iterations must be >= 1")
         if not (self.presmooth_sigma >= 0 and math.isfinite(self.presmooth_sigma)):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.ndimage import binary_erosion, distance_transform_edt, find_objects
 
 from .errors import DimensionError, InsufficientDataError, UndefinedDistanceError
-from .seqio import MaskSequence, write_csv, write_json
+from .seqio import MaskSequence, write_csv
 
 LABEL_NAMES = {1: "LV", 2: "LVM", 3: "LA"}
 
@@ -139,10 +139,6 @@ def _union_box(a: tuple | None, b: tuple | None) -> tuple[slice, ...]:
         return (slice(0, 0), slice(0, 0))
     return tuple(slice(min(s.start for s in axis), max(s.stop for s in axis))
                  for axis in zip(*boxes))
-
-
-def save_report_json(report: MetricsReport, path: Path | str) -> None:
-    write_json(path, report)
 
 
 def save_report_csv(report: MetricsReport, path: Path | str) -> None:

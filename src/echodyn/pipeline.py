@@ -55,18 +55,10 @@ class PipelineConfig:
     k2: int = 8
     cpda: CpdaDims = CpdaDims()
 
-    def to_json(self, path: Path | str) -> None:
-        seqio.write_json(path, self)
-
     @staticmethod
     def from_json(path: Path | str) -> "PipelineConfig":
         """Load a (partial) config file; a malformed file is a ParameterError."""
         return seqio.read_json(path, PipelineConfig, ParameterError)
-
-    @staticmethod
-    def from_dict(raw: dict) -> "PipelineConfig":
-        """Build from a (partial) nested dict; missing keys keep their defaults."""
-        return seqio.from_json_dict(PipelineConfig, raw, ParameterError)
 
 
 def override(cfg, path: str, value):
@@ -138,5 +130,6 @@ def save_edg_result(result: EdgResult, out: Path | str) -> None:
     dynamics.save_edg_outputs(result.maps, result.config.grid, *result.flows[0].u.shape, out)
     dynamics.save_pedg_csv(dynamics.align_pedg(result.pedg, len(result.flows)),
                            out / "pedg.csv")
-    dynamics.save_dynamics_model(result.model, out / "model.json")
-    descriptor.save_feature_models(result.scaler, result.pca, out / "descriptor_model.json")
+    seqio.write_json(out / "model.json", result.model)
+    seqio.write_json(out / "descriptor_model.json",
+                     descriptor.FeatureModels(result.scaler, result.pca))

@@ -19,7 +19,8 @@ Every JSON file (config, models, weights, ``meta.json``, and the
 dataclass's type hints: the dataclass is the schema. `write_binary` writes
 every ``.eds``, FLW1 and FTC1 file, drawing its payload a frame or plane at
 a time, and `read_binary` hands the payload back as a view of the file's
-bytes, not a copy; `write_csv` writes every CSV file. Every
+bytes, not a copy. `write_csv` writes every CSV file and `read_csv` reads
+every all-numeric one back: no other module opens a file. Every
 writer goes through `atomic_write`, so a failed write leaves the target as
 it was, and a written file gets the mode a plain `open()` gives under the
 current umask.
@@ -245,6 +246,29 @@ def write_csv(path: Path | str, header, rows) -> None:
         for row in rows:
             writer.writerow([repr(float(x)) if isinstance(x, (float, np.floating)) else x
                              for x in row])
+
+
+def read_csv(path: Path | str) -> tuple[list[str], np.ndarray]:
+    """The header row and the data rows, as floats, of a CSV file whose every
+    data cell is a number: the mirror of `write_csv`. No data row, a
+    non-numeric or non-finite cell, or a row whose width differs from the
+    header's is a FormatError naming the line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header, values = next(reader, []), []
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise FormatError(f"{where} has {len(row)} values, the header has {len(header)}")
+            try:
+                values.append([float(v) for v in row])
+            except ValueError:
+                raise FormatError(f"{where}: non-numeric value in {row}") from None
+            if not np.isfinite(values[-1]).all():
+                raise FormatError(f"{where}: non-finite value in {row}")
+    if not values:
+        raise FormatError(f"{path}: no data rows")
+    return header, np.array(values)
 
 
 @contextmanager

@@ -15,9 +15,9 @@ from echodyn.descriptor import SectorGrid
 from echodyn.dynamics import RbfConfig
 from echodyn.flow import FlowParams
 from echodyn.errors import ParameterError
-from echodyn.cpda import load_feature_clip, save_feature_clip, FeatureClip, identity_conv_kernel, seed_cpda_weights, save_cpda_weights
-from echodyn.seqio import (FrameSequence, MaskSequence, atomic_write, load_masks, read_json,
-                           save_masks, save_sequence)
+from echodyn.cpda import load_feature_clip, save_feature_clip, FeatureClip, identity_conv_kernel, seed_cpda_weights
+from echodyn.seqio import (FrameSequence, MaskSequence, atomic_write, from_json_dict, load_masks,
+                           read_json, save_masks, save_sequence, write_json)
 
 from conftest import make_frames
 
@@ -109,7 +109,7 @@ def test_cpda_demo_identity_path(tmp_path, capsys):
     object.__setattr__(wts, "gate_b", np.zeros_like(wts.gate_b))
     object.__setattr__(wts, "conv_kernel", identity_conv_kernel(3))
     object.__setattr__(wts, "conv_bias", np.zeros(3))
-    save_cpda_weights(wts, tmp_path / "w.json")
+    write_json(tmp_path / "w.json", wts)
     assert main(["cpda-demo", str(tmp_path / "in.ftc"), "--weights", str(tmp_path / "w.json"),
                  "--ed", "0", "--es", "2", "-o", str(tmp_path / "out.ftc")]) == 0
     out = load_feature_clip(tmp_path / "out.ftc")
@@ -288,7 +288,7 @@ def test_flow_subcommand(tmp_path):
 
 def test_pipeline_config_roundtrip(tmp_path):
     for cfg in (PipelineConfig(), PipelineConfig(grid=SectorGrid(center=(30.0, 41.5)))):
-        cfg.to_json(tmp_path / "cfg.json")
+        write_json(tmp_path / "cfg.json", cfg)
         back = PipelineConfig.from_json(tmp_path / "cfg.json")
         assert back == cfg
     partial = {"seed": 99, "rbf": {"m_centers": 4}, "flow": {"alpha": 15}}
@@ -301,7 +301,7 @@ def test_pipeline_config_roundtrip(tmp_path):
 
 def test_pipeline_config_rejects_unknown_keys(tmp_path, capsys):
     with pytest.raises(ParameterError, match="rbf.m_center"):
-        PipelineConfig.from_dict({"rbf": {"m_center": 4}})
+        from_json_dict(PipelineConfig, {"rbf": {"m_center": 4}}, ParameterError)
     src = tmp_path / "seq"
     assert main(["phantom", "--t", "4", "--size", "64", "--base-radius", "12",
                  "-o", str(src)]) == 0
@@ -327,7 +327,7 @@ def test_malformed_config_json_exits_1(tmp_path, capsys):
 ])
 def test_pipeline_config_rejects_wrong_value_types(raw, key):
     with pytest.raises(ParameterError, match=f"'{key}' must be"):
-        PipelineConfig.from_dict(raw)
+        from_json_dict(PipelineConfig, raw, ParameterError)
 
 
 # JSON text as Python's json reads it: the NaN and Infinity literals, and an
@@ -463,9 +463,12 @@ def test_cpda_demo_weights_missing_keys_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("text,needle", [
     ("t,p0,p1\n0,0.5,x\n", "line 2: non-numeric value"),
-    ("t,p0,p1\n0,0.5,1.0\n1,0.5\n", "line 3 has 1 values, line 2 has 2"),
-    ("t,p0,p1\n", "no P_EDG rows"),
-], ids=["non-numeric", "ragged", "header-only"])
+    ("t,p0,p1\n0,0.5,1.0\n1,0.5\n", "line 3 has 2 values, the header has 3"),
+    ("t,p0,p1\n", "no data rows"),
+    ("t,p0,p1\n0,0.5,nan\n", "line 2: non-finite value"),
+    ("t,p0,p1\n0,inf,1.0\n", "line 2: non-finite value"),
+    ("t,p0,p1\n0\n1\n", "line 2 has 1 values, the header has 3"),
+], ids=["non-numeric", "ragged", "header-only", "nan", "inf", "header-width"])
 def test_cpda_demo_malformed_pedg_csv_exits_1(tmp_path, capsys, text, needle):
     save_feature_clip(FeatureClip(data=np.zeros((3, 4, 4, 2))), tmp_path / "c.ftc")
     (tmp_path / "bad.csv").write_text(text)
@@ -509,3 +512,84 @@ def test_atomic_write_follows_the_umask_at_write_time(tmp_path):
     finally:
         os.umask(old)
     assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+@pytest.mark.filterwarnings("error")  # channels 0 once divided by zero in a numpy call
+@pytest.mark.parametrize("flags", [
+    ["--channels", "0"], ["--channels", "2", "--k2", "0"], ["--channels", "2", "--d-e", "0"],
+    ["--channels", "2", "--d-p", "-1", "--heads", "1"],
+    ["--channels", "2", "--k2", "-2", "--heads", "1"],
+], ids=["channels-0", "k2-0", "d_e-0", "d_p-neg", "k2-neg"])
+def test_seed_weights_size_below_one_exits_1(tmp_path, capsys, flags):
+    assert main(["seed-weights", *flags, "-o", str(tmp_path / "w.json")]) == 1
+    err = capsys.readouterr().err
+    assert "error [ParameterError]" in err and "must be >= 1" in err
+    assert not (tmp_path / "w.json").exists()
+
+
+@pytest.mark.parametrize("name,value", [("gate_b", [1.0]), ("phase_w1", [[1.0]])])
+def test_cpda_demo_misshapen_weight_exits_1(tmp_path, capsys, name, value):
+    save_feature_clip(FeatureClip(data=np.zeros((3, 4, 4, 4))), tmp_path / "c.ftc")
+    write_json(tmp_path / "w.json", seed_cpda_weights(channels=4, seed=1))
+    payload = json.loads((tmp_path / "w.json").read_text())
+    payload[name] = value
+    (tmp_path / "w.json").write_text(json.dumps(payload))
+    assert main(["cpda-demo", str(tmp_path / "c.ftc"), "--weights", str(tmp_path / "w.json"),
+                 "--ed", "0", "--es", "1", "-o", str(tmp_path / "o.ftc")]) == 1
+    err = capsys.readouterr().err
+    assert "error [ModelError]" in err and f"weight '{name}' must have shape" in err
+    assert not (tmp_path / "o.ftc").exists()
+
+
+@pytest.mark.parametrize("flags", [["--seed", "99"], ["--config", "cfg.json"]])
+def test_cpda_demo_weights_rejects_seed_and_config(tmp_path, capsys, flags):
+    save_feature_clip(FeatureClip(data=np.zeros((3, 4, 4, 2))), tmp_path / "c.ftc")
+    write_json(tmp_path / "w.json", seed_cpda_weights(channels=2, seed=1))
+    with pytest.raises(SystemExit) as exc:  # before any file is read
+        main(["cpda-demo", str(tmp_path / "c.ftc"), "--weights", str(tmp_path / "w.json"),
+              *flags, "--ed", "0", "--es", "1", "-o", str(tmp_path / "o.ftc")])
+    assert exc.value.code == 2
+    assert "not --weights" in capsys.readouterr().err
+    assert not (tmp_path / "o.ftc").exists()
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda x: FlowParams(alpha=x), "alpha"),
+    (lambda x: RbfConfig(sigma=x), "sigma"),
+])
+@pytest.mark.parametrize("value", [1e-300, 1e-160, 1e160])
+def test_parameter_checks_reject_a_square_that_is_not_normal(make, field, value):
+    # the solver and the kernel divide by the square, which underflows to 0
+    # or a subnormal, or overflows to inf
+    with pytest.raises(ParameterError, match=f"^{field} must be > 0 .* a normal, finite float"):
+        make(value)
+    make(1e-150)  # squares to a normal float: accepted
+    make(1e154)
+
+
+@pytest.mark.parametrize("alpha", ["1e-300", "1e160"])
+def test_flow_alpha_with_no_normal_square_exits_before_any_solve(tmp_path, capsys,
+                                                                 monkeypatch, alpha):
+    src = tmp_path / "seq"
+    assert main(["phantom", "--t", "4", "--size", "64", "--base-radius", "12",
+                 "-o", str(src)]) == 0
+    monkeypatch.setattr(flow, "_solve", lambda *a, **k: pytest.fail("a pair was solved"))
+    assert main(["flow", str(src / "frames"), "--alpha", alpha,
+                 "-o", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err
+    assert "error [ParameterError]" in err and "alpha must be > 0" in err
+    assert not (tmp_path / "f").exists()
+
+
+def test_edg_sigma_with_no_normal_square_exits_1(tmp_path, capsys):
+    # sigma 1e-300 used to give W = 0 and every EDG energy 0, with exit 0
+    src = tmp_path / "seq"
+    assert main(["phantom", "--t", "12", "--size", "48", "--base-radius", "8",
+                 "-o", str(src)]) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"pca_k": 3, "k2": 3, "rbf": {"sigma": 1e-300, "m_centers": 4, "epochs": 5}}))
+    assert main(["edg", str(src / "frames"), "--config", str(tmp_path / "cfg.json"),
+                 "-o", str(tmp_path / "e")]) == 1
+    err = capsys.readouterr().err
+    assert "error [ParameterError]" in err and "sigma must be > 0" in err
+    assert not (tmp_path / "e").exists()

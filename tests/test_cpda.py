@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,16 +17,15 @@ from echodyn.cpda import (
     conv3d_same,
     cpda_forward,
     identity_conv_kernel,
-    load_cpda_weights,
     load_feature_clip,
     mha_forward,
     phase_track,
     pool_spatial,
-    save_cpda_weights,
     save_feature_clip,
     seed_cpda_weights,
 )
 from echodyn.errors import FormatError, ModelError, ParameterError
+from echodyn.seqio import read_json, write_json
 
 
 # ------------------------------------------------------------------ oracle
@@ -195,11 +197,9 @@ def test_mha_two_token_hand_case():
     wk = np.array([[1.0, 0.0], [0.0, 1.0]])
     wv = np.array([[2.0, 0.0], [0.0, 1.0]])
     wo = np.array([[1.0, 0.0], [0.0, 1.0]])
-    wts = seed_cpda_weights(channels=1, d_p=1, d_e=0, heads=1, seed=0)
-    object.__setattr__(wts, "wq", wq)
-    object.__setattr__(wts, "wk", wk)
-    object.__setattr__(wts, "wv", wv)
-    object.__setattr__(wts, "wo", wo)
+    # CpdaWeights has d >= 3 (C, d_p, d_e >= 1): this stand-in holds just what
+    # mha_forward reads
+    wts = SimpleNamespace(wq=wq, wk=wk, wv=wv, wo=wo, heads=1, d_model=2)
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     got = mha_forward(x, wts)
     # row 0: scores = (x0.x0, x0.x1)/sqrt(2) = (1, 0)/sqrt(2)
@@ -398,8 +398,8 @@ def test_cpda_shape_errors():
 
 def test_weights_json_roundtrip(tmp_path):
     wts = seed_cpda_weights(channels=3, d_p=4, d_e=5, k2=2, heads=3, seed=9)
-    save_cpda_weights(wts, tmp_path / "w.json")
-    back = load_cpda_weights(tmp_path / "w.json")
+    write_json(tmp_path / "w.json", wts)
+    back = read_json(tmp_path / "w.json", CpdaWeights)
     assert back.heads == wts.heads and back.alpha == wts.alpha
     assert np.array_equal(back.wq, wts.wq)
     assert np.array_equal(back.conv_kernel, wts.conv_kernel)
@@ -409,34 +409,34 @@ def test_weights_json_roundtrip(tmp_path):
 def test_weights_json_names_missing_and_unexpected_keys(tmp_path):
     (tmp_path / "w.json").write_text(json.dumps({"heads": 2, "alpha": 0.5}))
     with pytest.raises(FormatError, match="missing key 'phase_w1'.*missing key 'conv_bias'"):
-        load_cpda_weights(tmp_path / "w.json")
-    save_cpda_weights(seed_cpda_weights(channels=2, seed=5), tmp_path / "w.json")
+        read_json(tmp_path / "w.json", CpdaWeights)
+    write_json(tmp_path / "w.json", seed_cpda_weights(channels=2, seed=5))
     payload = json.loads((tmp_path / "w.json").read_text())
     payload["extra"] = 1
     payload["wq"][1] = payload["wq"][1][:-1]  # ragged: one row is short
     (tmp_path / "w.json").write_text(json.dumps(payload))
     with pytest.raises(FormatError, match="unexpected key 'extra'"):
-        load_cpda_weights(tmp_path / "w.json")
+        read_json(tmp_path / "w.json", CpdaWeights)
     del payload["extra"]
     (tmp_path / "w.json").write_text(json.dumps(payload))
     with pytest.raises(FormatError, match="'wq' must be ndarray"):
-        load_cpda_weights(tmp_path / "w.json")
+        read_json(tmp_path / "w.json", CpdaWeights)
     payload["wq"] = payload["wk"]
     payload["heads"] = "2"
     (tmp_path / "w.json").write_text(json.dumps(payload))
     with pytest.raises(FormatError, match="'heads' must be int"):
-        load_cpda_weights(tmp_path / "w.json")
+        read_json(tmp_path / "w.json", CpdaWeights)
 
 
 def test_weights_json_rejects_non_finite_numbers(tmp_path):
-    save_cpda_weights(seed_cpda_weights(channels=2, d_p=2, d_e=2, k2=2, heads=1, seed=3),
-                      tmp_path / "w.json")
+    write_json(tmp_path / "w.json",
+               seed_cpda_weights(channels=2, d_p=2, d_e=2, k2=2, heads=1, seed=3))
     raw = json.loads((tmp_path / "w.json").read_text())
     raw["wq"][1][0] = float("nan")
     raw["alpha"] = float("inf")
     (tmp_path / "w.json").write_text(json.dumps(raw))
     with pytest.raises(FormatError, match="'wq' must be finite") as err:
-        load_cpda_weights(tmp_path / "w.json")
+        read_json(tmp_path / "w.json", CpdaWeights)
     assert "'alpha' must be finite" in str(err.value)
 
 
@@ -461,3 +461,47 @@ def test_weights_invariants():
         seed_cpda_weights(channels=2, d_p=2, d_e=1, heads=2, seed=0)  # 5 % 2 != 0
     with pytest.raises(ParameterError):
         seed_cpda_weights(channels=2, d_p=2, d_e=2, alpha=1.5, seed=0)
+
+
+WEIGHT_ARRAYS = [name for name, value in vars(seed_cpda_weights(channels=2, seed=0)).items()
+                 if isinstance(value, np.ndarray)]
+
+
+@pytest.mark.parametrize("name", WEIGHT_ARRAYS)
+def test_weights_reject_a_misshapen_array_naming_it(name):
+    wts = seed_cpda_weights(channels=3, d_p=4, d_e=5, k2=2, heads=2, seed=1)
+    grown = getattr(wts, name)[..., None]  # every array has one axis too many
+    with pytest.raises(ModelError, match=f"weight '{name}' must have shape"):
+        dataclasses.replace(wts, **{name: grown})
+
+
+@pytest.mark.parametrize("name,value", [("gate_b", [1.0]), ("phase_w1", [[1.0]])])
+def test_weights_reject_a_short_array_naming_it(name, value):
+    # a one-element gate bias used to broadcast over every channel
+    wts = seed_cpda_weights(channels=4, seed=1)
+    with pytest.raises(ModelError, match=f"weight '{name}' must have shape"):
+        dataclasses.replace(wts, **{name: np.array(value)})
+
+
+@pytest.mark.parametrize("name", ["phase_b1", "edg_b1", "conv_bias", "edg_w1"])
+def test_weights_reject_an_empty_size(name):
+    wts = seed_cpda_weights(channels=3, d_p=4, d_e=5, k2=2, heads=2, seed=1)
+    empty = getattr(wts, name)[:0]
+    with pytest.raises(ModelError, match="C, d_p, d_e and k2 must be >= 1"):
+        dataclasses.replace(wts, **{name: empty})
+
+
+@pytest.mark.parametrize("sizes", [dict(channels=0), dict(d_p=0), dict(d_e=0), dict(k2=0),
+                                   dict(d_p=-1, heads=1), dict(k2=-2, heads=1)],
+                         ids=["channels-0", "d_p-0", "d_e-0", "k2-0", "d_p-neg", "k2-neg"])
+def test_seed_weights_reject_a_size_below_one_before_drawing(sizes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # channels=0 once divided by zero
+        with pytest.raises(ParameterError, match="channels, d_p, d_e and k2 must be >= 1"):
+            seed_cpda_weights(**{"channels": 2, **sizes, "seed": 0})
+
+
+def test_weights_k2_is_the_rows_of_edg_w1():
+    wts = seed_cpda_weights(channels=3, d_p=4, d_e=5, k2=6, heads=2, seed=1)
+    assert wts.k2 == 6 == wts.edg_w1.shape[0]
+    assert wts.d_model == 3 + 4 + 5 and wts.channels == 3

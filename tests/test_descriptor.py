@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from echodyn.descriptor import (
+    FeatureModels,
     PcaModel,
     SectorGrid,
     apply_scaler,
@@ -14,9 +15,7 @@ from echodyn.descriptor import (
     extract_descriptor,
     fit_pca,
     fit_scaler,
-    load_feature_models,
     project,
-    save_feature_models,
     sector_index_map,
 )
 from echodyn.errors import (
@@ -27,7 +26,7 @@ from echodyn.errors import (
     ParameterError,
 )
 from echodyn.flow import FlowField
-from echodyn.seqio import FrameSequence
+from echodyn.seqio import FrameSequence, read_json, write_json
 
 from conftest import make_frames
 
@@ -363,8 +362,9 @@ def test_descriptor_sequence_determinism(phantom, phantom_flows, phantom_grid):
 
 def test_feature_model_json_roundtrip(tmp_path, phantom_descriptors):
     _, scaler, pca = phantom_descriptors
-    save_feature_models(scaler, pca, tmp_path / "m.json")
-    s2, p2 = load_feature_models(tmp_path / "m.json")
+    write_json(tmp_path / "m.json", FeatureModels(scaler, pca))
+    models = read_json(tmp_path / "m.json", FeatureModels)
+    s2, p2 = models.scaler, models.pca
     assert np.array_equal(s2.mean, scaler.mean)
     assert np.array_equal(s2.scale, scaler.scale)
     assert np.array_equal(p2.components, pca.components)
@@ -373,11 +373,11 @@ def test_feature_model_json_roundtrip(tmp_path, phantom_descriptors):
 
 def test_feature_model_json_names_bad_keys(tmp_path, phantom_descriptors):
     _, scaler, pca = phantom_descriptors
-    save_feature_models(scaler, pca, tmp_path / "m.json")
+    write_json(tmp_path / "m.json", FeatureModels(scaler, pca))
     payload = json.loads((tmp_path / "m.json").read_text())
     del payload["pca"]["k"]
     payload["scaler"]["std"] = payload["scaler"].pop("scale")
     (tmp_path / "m.json").write_text(json.dumps(payload))
     expected = "missing key 'scaler.scale', unexpected key 'scaler.std', missing key 'pca.k'"
     with pytest.raises(FormatError, match=expected):
-        load_feature_models(tmp_path / "m.json")
+        read_json(tmp_path / "m.json", FeatureModels)

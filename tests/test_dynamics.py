@@ -15,11 +15,9 @@ from echodyn.dynamics import (
     energy_sequence,
     fit_rbf_weights,
     kmeans,
-    load_dynamics_model,
     pedg_sequence,
     predict_delta,
     rbf_response,
-    save_dynamics_model,
     save_edg_outputs,
     train_dynamics,
 )
@@ -30,6 +28,7 @@ from echodyn.errors import (
     ModelError,
     ParameterError,
 )
+from echodyn.seqio import read_json, write_json
 
 
 def ridge_oracle(phi, targets, lam):
@@ -383,8 +382,8 @@ def test_align_pedg():
 # --------------------------------------------------------------------- io
 
 def test_dynamics_model_json_roundtrip(tmp_path, phantom_model):
-    save_dynamics_model(phantom_model, tmp_path / "m.json")
-    back = load_dynamics_model(tmp_path / "m.json")
+    write_json(tmp_path / "m.json", phantom_model)
+    back = read_json(tmp_path / "m.json", DynamicsModel)
     assert np.array_equal(back.centers, phantom_model.centers)
     assert np.array_equal(back.weights, phantom_model.weights)
     assert back.sigma == phantom_model.sigma
@@ -395,25 +394,25 @@ def test_dynamics_model_json_roundtrip(tmp_path, phantom_model):
 
 
 def test_dynamics_model_json_rejects_old_and_malformed_files(tmp_path, phantom_model):
-    save_dynamics_model(phantom_model, tmp_path / "m.json")
+    write_json(tmp_path / "m.json", phantom_model)
     payload = json.loads((tmp_path / "m.json").read_text())
     # the layout before kmeans_seed: the seed sat inside config
     payload["config"]["seed"] = payload.pop("kmeans_seed")
     (tmp_path / "m.json").write_text(json.dumps(payload))
     with pytest.raises(FormatError,
                        match="missing key 'kmeans_seed', unexpected key 'config.seed'"):
-        load_dynamics_model(tmp_path / "m.json")
+        read_json(tmp_path / "m.json", DynamicsModel)
     payload["kmeans_seed"] = 1.5
     del payload["config"]["seed"]
     (tmp_path / "m.json").write_text(json.dumps(payload))
     with pytest.raises(FormatError, match="'kmeans_seed' must be int, got 1.5"):
-        load_dynamics_model(tmp_path / "m.json")
+        read_json(tmp_path / "m.json", DynamicsModel)
     (tmp_path / "m.json").write_text("{")
     with pytest.raises(FormatError, match="malformed JSON"):
-        load_dynamics_model(tmp_path / "m.json")
+        read_json(tmp_path / "m.json", DynamicsModel)
     (tmp_path / "m.json").write_text("[]")
     with pytest.raises(FormatError, match="must be a JSON object"):
-        load_dynamics_model(tmp_path / "m.json")
+        read_json(tmp_path / "m.json", DynamicsModel)
 
 
 def test_edg_outputs(tmp_path, phantom_model, phantom_descriptors, phantom_grid):

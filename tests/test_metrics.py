@@ -13,10 +13,9 @@ from echodyn.metrics import (
     evaluate,
     hd95,
     save_report_csv,
-    save_report_json,
     tcd,
 )
-from echodyn.seqio import MaskSequence
+from echodyn.seqio import MaskSequence, write_json
 
 
 def brute_force_hd95(a, b):
@@ -252,7 +251,7 @@ def test_report_outputs(tmp_path, phantom):
     _, masks = phantom
     sub = MaskSequence(masks=masks.masks[:5])
     report = evaluate(sub, sub)
-    save_report_json(report, tmp_path / "r.json")
+    write_json(tmp_path / "r.json", report)
     save_report_csv(report, tmp_path / "r.csv")
     payload = json.loads((tmp_path / "r.json").read_text())
     assert set(payload["per_label"]) == {"LV", "LVM", "LA"}

@@ -17,13 +17,12 @@ from hypothesis.extra import numpy as hnp
 from echodyn.cpda import (
     CpdaWeights,
     FeatureClip,
-    load_cpda_weights,
     load_feature_clip,
     save_feature_clip,
     seed_cpda_weights,
 )
 from echodyn.descriptor import FeatureModels, PcaModel, ScalerModel, SectorGrid
-from echodyn.dynamics import DynamicsModel, RbfConfig, load_dynamics_model
+from echodyn.dynamics import DynamicsModel, RbfConfig
 from echodyn.errors import FormatError, ParameterError
 from echodyn.flow import FlowField, FlowParams, load_flow, save_flow
 from echodyn.pipeline import CpdaDims, PipelineConfig
@@ -100,10 +99,11 @@ sequence_metas = st.builds(
 # (strategy, record type, loader, error the loader raises for a damaged file)
 RECORDS = {
     "config": (configs, PipelineConfig, PipelineConfig.from_json, ParameterError),
-    "dynamics": (dynamics_models(), DynamicsModel, load_dynamics_model, FormatError),
+    "dynamics": (dynamics_models(), DynamicsModel, partial(read_json, cls=DynamicsModel),
+                 FormatError),
     "features": (feature_models(), FeatureModels, partial(read_json, cls=FeatureModels),
                  FormatError),
-    "cpda": (cpda_weights(), CpdaWeights, load_cpda_weights, FormatError),
+    "cpda": (cpda_weights(), CpdaWeights, partial(read_json, cls=CpdaWeights), FormatError),
     "meta": (sequence_metas, SequenceMeta, partial(read_json, cls=SequenceMeta), FormatError),
 }
 

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -26,9 +29,11 @@ from echodyn.seqio import (
     load_sequence,
     phantom_radius,
     quantize_frame,
+    read_csv,
     read_pgm,
     save_masks,
     save_sequence,
+    write_csv,
     write_pgm,
 )
 
@@ -371,8 +376,9 @@ def test_meta_json_fields(tmp_path):
 
 
 def test_only_seqio_lays_out_written_files():
-    # seqio owns every on-disk layout: no other module opens an atomic write
-    # or packs a binary header or CSV row of its own
+    # seqio owns every on-disk layout, both ways: no other module opens an
+    # atomic write or packs a binary header or CSV row of its own, imports a
+    # file-format module, or opens a file
     calls = []
     for path in sorted(Path(echodyn.__file__).parent.glob("*.py")):
         if path.name == "seqio.py":
@@ -380,6 +386,45 @@ def test_only_seqio_lays_out_written_files():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 name = ast.unparse(node.func)
-                if name.endswith("atomic_write") or name in ("struct.pack", "csv.writer"):
+                if (name.endswith("atomic_write") or name in ("struct.pack", "csv.writer")
+                        or name == "open" or name.endswith(".open")):
                     calls.append(f"{path.name}:{node.lineno}: {name}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                           else [node.module])
+                calls += [f"{path.name}:{node.lineno}: import {module}" for module in modules
+                          if module in ("csv", "json", "struct")]
     assert calls == []
+
+
+def test_importing_seqio_loads_no_other_stage():
+    # the package root re-exports nothing, so one submodule imports alone
+    code = ("import sys, echodyn.seqio; print(sorted(m for m in sys.modules "
+            "if m in ('echodyn.flow', 'echodyn.cpda', 'echodyn.dynamics')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          check=True, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_read_csv_reads_what_write_csv_wrote(tmp_path):
+    rows = [[0, 0.1, -2.5e-300], [1, 1e300, 3.0]]
+    write_csv(tmp_path / "x.csv", ["t", "a", "b"], rows)
+    header, values = read_csv(tmp_path / "x.csv")
+    assert header == ["t", "a", "b"]
+    assert values.dtype == np.float64 and values.tolist() == rows
+
+
+@pytest.mark.parametrize("text,needle", [
+    ("t,a\n0,nan\n", "line 2: non-finite value"),
+    ("t,a\n0,1\n1,-inf\n", "line 3: non-finite value"),
+    ("t,a\n0,x\n", "line 2: non-numeric value"),
+    ("t,a\n0,1\n1,2,3\n", "line 3 has 3 values, the header has 2"),
+    ("t,p0,p1\n0\n1\n", "line 2 has 1 values, the header has 3"),
+    ("t,a\n", "no data rows"),
+    ("", "no data rows"),
+], ids=["nan", "inf", "text", "ragged", "header-width", "header-only", "empty"])
+def test_read_csv_rejects_naming_the_line(tmp_path, text, needle):
+    (tmp_path / "x.csv").write_text(text)
+    with pytest.raises(FormatError, match=needle):
+        read_csv(tmp_path / "x.csv")
