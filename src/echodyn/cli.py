@@ -91,7 +91,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
 def cmd_edg(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     seq = seqio.load_sequence(args.in_dir)
-    result = pipeline.run_edg(seq, cfg, method=args.fit)
+    result = pipeline.run_edg(seq, cfg)
     if all(np.abs(f.u).max() == 0 and np.abs(f.v).max() == 0 for f in result.flows):
         print("warning: no motion detected", file=sys.stderr)
     pipeline.save_edg_result(result, args.out)
@@ -198,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     _config_flag(p, "--m-centers", "rbf.m_centers", int, "RBF center count M")
     _config_flag(p, "--epochs", "rbf.epochs", int, "training epochs")
     _config_flag(p, "--k2", "k2", int, "P_EDG dimension")
-    p.add_argument("--fit", choices=("lms", "ls"), default="lms",
-                   help="weight fit: incremental LMS or closed-form ridge")
+    _config_flag(p, "--fit", "rbf.fit", str,
+                 "weight fit: lms (incremental LMS) or ls (closed-form ridge)")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_edg)
 

@@ -24,8 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ModelError, NumericError, ParameterError
+from .errors import INT64_MAX, ModelError, NumericError, ParameterError
 from .seqio import read_binary, write_binary
+
+_F32_MAX = float(np.finfo(np.float32).max)  # an FTC1 file holds float32
 
 
 @dataclass(frozen=True)
@@ -248,6 +250,16 @@ def cpda_forward(clip: FeatureClip, phase: PhaseTrack, pedg: np.ndarray,
             f"clip channels {clip.channels} != gate output {weights.channels}"
         )
 
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return FeatureClip(data=_forward(clip, phase, pedg, weights))
+    except FloatingPointError as exc:
+        raise NumericError(f"the CPDA forward pass leaves the float64 range ({exc}): "
+                           "the clip, P_EDG or weight values are too large") from None
+
+
+def _forward(clip: FeatureClip, phase: PhaseTrack, pedg: np.ndarray,
+             weights: CpdaWeights) -> np.ndarray:
     f_pool = pool_spatial(clip)
     angles = 2.0 * np.pi * phase.phi
     f_phase = _mlp(np.stack([np.sin(angles), np.cos(angles)], axis=1),
@@ -256,15 +268,16 @@ def cpda_forward(clip: FeatureClip, phase: PhaseTrack, pedg: np.ndarray,
     f_edg = _mlp(pedg, weights.edg_w1, weights.edg_b1, weights.edg_w2, weights.edg_b2)
     f_fused = np.concatenate([f_pool, f_phase, f_edg], axis=1)
     f_attn = mha_forward(f_fused, weights)
-    s = 1.0 / (1.0 + np.exp(-(f_attn @ weights.gate_w + weights.gate_b)))  # T x C
+    with np.errstate(over="ignore"):  # exp overflows to inf only where s is 0
+        s = 1.0 / (1.0 + np.exp(-(f_attn @ weights.gate_w + weights.gate_b)))  # T x C
     factor = 1.0 + weights.alpha * (2.0 * s - 1.0)
     # x_mod = X * factor is the one new clip-sized array: it is convolved in
     # place, then blended frame by frame with x_mod recomputed per frame
     out = clip.data * factor[:, None, None, :]
     conv3d_same(out, weights.conv_kernel, weights.conv_bias, out=out)
-    for u in range(t):
+    for u in range(clip.t_count):
         out[u] = 0.5 * (clip.data[u] * factor[u]) + 0.5 * out[u]
-    return FeatureClip(data=out)
+    return out
 
 
 def identity_conv_kernel(channels: int) -> np.ndarray:
@@ -279,8 +292,8 @@ def seed_cpda_weights(channels: int, d_p: int = 8, d_e: int = 8, k2: int = 8,
                       heads: int = 2, alpha: float = 0.5, seed: int = 0) -> CpdaWeights:
     """Reproducible random weight set for a given shape; scaled ~1/sqrt(fan_in).
     A size below 1 is a ParameterError, raised before any draw."""
-    if min(channels, d_p, d_e, k2) < 1:
-        raise ParameterError(f"channels, d_p, d_e and k2 must be >= 1, "
+    if not all(1 <= n <= INT64_MAX for n in (channels, d_p, d_e, k2)):
+        raise ParameterError(f"channels, d_p, d_e and k2 must be >= 1 and fit int64, "
                              f"got {channels}, {d_p}, {d_e}, {k2}")
     d = channels + d_p + d_e
     rng = np.random.default_rng(seed)
@@ -305,12 +318,20 @@ def seed_cpda_weights(channels: int, d_p: int = 8, d_e: int = 8, k2: int = 8,
 
 def save_feature_clip(clip: FeatureClip, path: Path | str) -> None:
     """Binary clip: magic FTC1, u32 T,H,W,C, then row-major little-endian f32,
-    converted and written one frame at a time."""
-    write_binary(path, b"FTC1", clip.data.shape,
-                 (frame.astype("<f4") for frame in clip.data))
+    converted and written one frame at a time. A value past the float32 range
+    is a NumericError, and leaves no file."""
+    write_binary(path, b"FTC1", clip.data.shape, map(_to_f32, clip.data))
+
+
+def _to_f32(frame: np.ndarray) -> np.ndarray:
+    if not (-_F32_MAX <= frame.min() and frame.max() <= _F32_MAX):
+        raise NumericError("feature clip values exceed the float32 range of an FTC1 file")
+    return frame.astype("<f4")
 
 
 def load_feature_clip(path: Path | str) -> FeatureClip:
     (t, h, w, c), payload = read_binary(path, b"FTC1", 4, 4, 4)
-    data = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(t, h, w, c)
+    # a signalling NaN warns as it is cast; FeatureClip then rejects every NaN
+    with np.errstate(invalid="ignore"):
+        data = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(t, h, w, c)
     return FeatureClip(data=data)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    INT64_MAX,
     DimensionError,
     InsufficientDataError,
     ModelError,
@@ -39,8 +40,9 @@ class SectorGrid:
     r_max: float | None = None  # None = min(H, W) / 2
 
     def __post_init__(self):
-        if self.r_bins < 1 or self.theta_bins < 1:
-            raise ParameterError("r_bins and theta_bins must be >= 1")
+        if not (1 <= self.r_bins <= INT64_MAX and 1 <= self.theta_bins <= INT64_MAX):
+            raise ParameterError(f"r_bins and theta_bins must be >= 1 and fit int64, "
+                                 f"got {self.r_bins}, {self.theta_bins}")
         if self.r_max is not None and not (self.r_max > 0 and math.isfinite(self.r_max)):
             raise ParameterError(f"r_max must be > 0 and finite, got {self.r_max}")
 
@@ -202,31 +204,21 @@ def back_project(model: PcaModel, z: np.ndarray) -> np.ndarray:
 
 
 def descriptor_sequence(seq: FrameSequence, flows: list[FlowField], grid: SectorGrid,
-                        scaler: ScalerModel | None = None,
-                        pca: PcaModel | None = None,
-                        k: int = 10) -> tuple[np.ndarray, ScalerModel, PcaModel]:
-    """Per-frame-pair z_t rows: pool -> standardize -> PCA.
-
-    With `scaler`/`pca` absent the models are fitted on this sequence
-    (training mode); with both present they are applied as-is (inference
-    mode). Row t pairs frame t with flow t -> t+1.
+                        k: int) -> tuple[np.ndarray, ScalerModel, PcaModel]:
+    """Per-frame-pair z_t rows: pool -> standardize -> PCA to `k` dimensions,
+    with the scaler and PCA fitted on this sequence and returned beside z.
+    Row t pairs frame t with flow t -> t+1.
     """
     if len(flows) != seq.t_count - 1:
         raise DimensionError(
             f"expected {seq.t_count - 1} flow fields, got {len(flows)}"
         )
-    if (scaler is None) != (pca is None):
-        raise ParameterError("pass both scaler and pca, or neither")
     raw = np.stack([extract_descriptor(seq.frames[t], flows[t], grid)
                     for t in range(seq.t_count - 1)])
-    if scaler is None:
-        scaler = fit_scaler(raw)
-        scaled = apply_scaler(scaler, raw)
-        pca = fit_pca(scaled, k)
-    else:
-        scaled = apply_scaler(scaler, raw)
-    z = project(pca, scaled)
-    return z, scaler, pca
+    scaler = fit_scaler(raw)
+    scaled = apply_scaler(scaler, raw)
+    pca = fit_pca(scaled, k)
+    return project(pca, scaled), scaler, pca
 
 
 @dataclass(frozen=True)

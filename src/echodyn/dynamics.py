@@ -2,8 +2,8 @@
 
 The one-step state change dz_t = z_{t+1} - z_t is approximated by a
 Gaussian RBF network whose centers come from k-means over the trajectory.
-Weights are learned by cycling a per-sample LMS update over the frames
-(a closed-form ridge solve is available as an alternative). Prediction
+Weights are learned by cycling a per-sample LMS update over the frames,
+or, with `RbfConfig.fit` "ls", by a closed-form ridge solve. Prediction
 residuals weight the kernel responses into per-frame energy vectors E_t,
 which are remapped onto the polar sector grid (the EDG) and reduced a
 second time by PCA into the low-dimensional per-frame feature P_EDG.
@@ -27,6 +27,7 @@ from .descriptor import (
     sector_index_map,
 )
 from .errors import (
+    INT64_MAX,
     DivergenceError,
     InsufficientDataError,
     ModelError,
@@ -42,14 +43,15 @@ class RbfConfig:
     learn_rate: float = 0.05
     epochs: int = 200
     ridge: float = 1e-6
+    fit: str = "lms"  # weight fit: "lms" (incremental) or "ls" (closed-form ridge)
 
     def __post_init__(self):
-        if self.m_centers < 1:
-            raise ParameterError("m_centers must be >= 1")
+        if not 1 <= self.m_centers <= INT64_MAX:
+            raise ParameterError(f"m_centers must be >= 1 and fit int64, got {self.m_centers}")
         if not (self.learn_rate > 0 and math.isfinite(self.learn_rate)):
             raise ParameterError(f"learn_rate must be > 0 and finite, got {self.learn_rate}")
-        if self.epochs < 1:
-            raise ParameterError("epochs must be >= 1")
+        if not 1 <= self.epochs <= INT64_MAX:
+            raise ParameterError(f"epochs must be >= 1 and fit int64, got {self.epochs}")
         # rbf_response divides by sigma * sigma, so the square must be a normal float too
         if self.sigma is not None and not (
                 self.sigma > 0 and sys.float_info.min <= self.sigma * self.sigma < math.inf):
@@ -57,6 +59,8 @@ class RbfConfig:
                                  f"float when given, got {self.sigma}")
         if not (self.ridge >= 0 and math.isfinite(self.ridge)):
             raise ParameterError(f"ridge must be >= 0 and finite, got {self.ridge}")
+        if self.fit not in ("lms", "ls"):
+            raise ParameterError(f"fit must be 'lms' or 'ls', got {self.fit!r}")
 
 
 @dataclass(frozen=True)
@@ -133,30 +137,30 @@ def _resolve_sigma(centers: np.ndarray, config: RbfConfig) -> float:
     return med if med > 0 else 1.0
 
 
-def fit_rbf_weights(phi: np.ndarray, targets: np.ndarray, config: RbfConfig,
-                    method: str = "lms") -> tuple[np.ndarray, np.ndarray]:
+def fit_rbf_weights(phi: np.ndarray, targets: np.ndarray,
+                    config: RbfConfig) -> tuple[np.ndarray, np.ndarray]:
     """Fit output weights to precomputed kernel responses; returns (W, history).
 
-    method="lms": zero-initialized weights updated per sample in order
-    each epoch with W += lr * phi (target - W^T phi)^T; history holds the
-    full-set mean squared residual at each epoch end. method="ls": the
+    fit "lms": zero-initialized weights updated per sample in order each
+    epoch with W += lr * phi (target - W^T phi)^T; history holds the
+    full-set mean squared residual at each epoch end. fit "ls": the
     closed-form ridge solution (history is constant).
     """
     m = phi.shape[1]
-    if method == "ls":
+    if config.fit == "ls":
         w = np.linalg.solve(phi.T @ phi + config.ridge * np.eye(m), phi.T @ targets)
         mse = float(np.mean(np.sum((targets - phi @ w) ** 2, axis=1)))
         return w, np.full(config.epochs, mse)
-    if method != "lms":
-        raise ParameterError(f"unknown fit method '{method}' (use 'lms' or 'ls')")
     w = np.zeros((m, targets.shape[1]))
     history = np.empty(config.epochs)
     lr = config.learn_rate
     for epoch in range(config.epochs):
-        for t in range(phi.shape[0]):
-            err = targets[t] - w.T @ phi[t]
-            w += lr * np.outer(phi[t], err)
-        mse = float(np.mean(np.sum((targets - phi @ w) ** 2, axis=1)))
+        # a diverging epoch may overflow to inf or nan; the mse check names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(phi.shape[0]):
+                err = targets[t] - w.T @ phi[t]
+                w += lr * np.outer(phi[t], err)
+            mse = float(np.mean(np.sum((targets - phi @ w) ** 2, axis=1)))
         if not np.isfinite(mse) or mse > 1e6:
             raise DivergenceError(
                 f"training diverged at epoch {epoch} (mse={mse}); reduce learn_rate"
@@ -165,8 +169,7 @@ def fit_rbf_weights(phi: np.ndarray, targets: np.ndarray, config: RbfConfig,
     return w, history
 
 
-def train_dynamics(z: np.ndarray, config: RbfConfig = RbfConfig(), seed: int = 0,
-                   method: str = "lms") -> DynamicsModel:
+def train_dynamics(z: np.ndarray, config: RbfConfig = RbfConfig(), seed: int = 0) -> DynamicsModel:
     """Fit the RBF network to the one-step differences of the trajectory.
 
     Centers come from k-means over all states (seeded with `seed`), sigma defaults to the
@@ -183,7 +186,7 @@ def train_dynamics(z: np.ndarray, config: RbfConfig = RbfConfig(), seed: int = 0
     sigma = _resolve_sigma(centers, config)
     targets = z[1:] - z[:-1]
     phi = rbf_response(z[:-1], centers, sigma)  # (N-1) x M
-    w, history = fit_rbf_weights(phi, targets, config, method=method)
+    w, history = fit_rbf_weights(phi, targets, config)
     return DynamicsModel(centers=centers, weights=w, sigma=sigma, config=config,
                          residual_history=history, kmeans_seed=seed)
 
@@ -235,7 +238,7 @@ def edg_sequence(model: DynamicsModel, z: np.ndarray, pca: PcaModel,
     return sectors.reshape(-1, grid.r_bins, grid.theta_bins)
 
 
-def pedg_sequence(energies: np.ndarray, k2: int = 8) -> tuple[np.ndarray, PcaModel]:
+def pedg_sequence(energies: np.ndarray, k2: int) -> tuple[np.ndarray, PcaModel]:
     """Secondary PCA over the E_t rows; rows of P are P_EDG per frame."""
     e = np.asarray(energies, dtype=np.float64)
     if e.ndim != 2 or e.shape[0] < 2:

@@ -1,4 +1,8 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, and the bound on sizes."""
+
+# the largest size or count a parameter may take: numpy indexes with int64
+# (a seed may be larger, as `pipeline.stage_seed` keeps its low 64 bits)
+INT64_MAX = 2 ** 63 - 1
 
 
 class EchodynError(Exception):

@@ -23,7 +23,10 @@ of the error and the coarse solve the smooth part, which plain
 block-preconditioned CG removes slowly. Precision is mixed: the CG vectors and the per-pixel
 operator and preconditioner coefficients are float32, which halves the
 memory traffic of an iteration, while the flow, the dot products and the
-coarse factorization and solves are float64. Whenever the float32
+coarse factorization and solves are float64. A pair whose coefficients
+float32 cannot hold (a large or a very small alpha) is solved by the same
+loop in float64 (`_working_dtype`), and a system that float64 cannot hold
+either is a NumericError. Whenever the float32
 residual has fallen far enough for its rounding to stall the solve, it
 is recomputed from the flow in float64 and CG restarts from it, so more
 iterations still converge to float64 accuracy (mixed-precision iterative
@@ -49,7 +52,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import DimensionError, NumericError, ParameterError
+from .errors import INT64_MAX, DimensionError, NumericError, ParameterError
 from .seqio import FrameSequence, read_binary, write_binary
 
 CELL = 8  # side in pixels of the aggregation cells of the coarse correction
@@ -58,6 +61,20 @@ CELL = 8  # side in pixels of the aggregation cells of the coarse correction
 # has fallen by RESTART_FALL (|r| by about 1e-6) since the last (re)start,
 # that drift is a sizeable share of r, so r is recomputed in float64.
 RESTART_FALL = 1e-12
+# A precision holds a pair's system while its rounding of the diagonal
+# 16 + k I_x^2, 16 + k I_y^2 loses at most MAX_LOST of the sum of the data
+# terms k I_x^2 + k I_y^2. On phantom pairs float32 loses 6e-8 to 6e-7 of
+# it at the default alpha, 2-14% at 1e4 and all of it from 1e6; float64
+# loses about 2e-8 at 1e5 and 2e-4 at 1e7. `_solve` also leaves float32
+# once a data term passes F32_MAX_COEF (below 89 at the default alpha; the
+# float32 loop overflows between 2e20 and 2e24).
+MAX_LOST = 1e-4
+F32_MAX_COEF = 1e12
+# presmoothing wider than this flattens any frame; its Gaussian has 8 sigma + 1
+# taps (0.36 s a 256 x 256 frame at this bound)
+MAX_PRESMOOTH_SIGMA = 1000.0
+_UNSOLVABLE = ("float64 cannot hold the flow system at this flow.alpha and "
+               "flow.presmooth_sigma")
 
 
 @dataclass(frozen=True)
@@ -71,11 +88,11 @@ class FlowParams:
         if not (self.alpha > 0 and sys.float_info.min <= self.alpha * self.alpha < math.inf):
             raise ParameterError("alpha must be > 0 and finite, with alpha * alpha a normal, "
                                  f"finite float, got {self.alpha}")
-        if self.iterations < 1:
-            raise ParameterError("iterations must be >= 1")
-        if not (self.presmooth_sigma >= 0 and math.isfinite(self.presmooth_sigma)):
-            raise ParameterError(
-                f"presmooth_sigma must be >= 0 and finite, got {self.presmooth_sigma}")
+        if not 1 <= self.iterations <= INT64_MAX:
+            raise ParameterError(f"iterations must be >= 1 and fit int64, got {self.iterations}")
+        if not 0 <= self.presmooth_sigma <= MAX_PRESMOOTH_SIGMA:
+            raise ParameterError(f"presmooth_sigma must be >= 0 and finite, at most "
+                                 f"{MAX_PRESMOOTH_SIGMA}, got {self.presmooth_sigma}")
 
 
 @dataclass(frozen=True)
@@ -119,13 +136,18 @@ def compute_flow(prev: np.ndarray, next: np.ndarray,
     iy = np.gradient(avg, axis=0)
     it = b - a
 
-    if ix.shape[1] > ix.shape[0]:
-        # wider than tall: solve the transposed, tall frame, whose coarse cells
-        # are numbered along its shorter side (`_coarse_space`); x and y swap
-        u, v = _solve(*(np.ascontiguousarray(g.T) for g in (iy, ix, it)),
-                      params.alpha ** 2, params.iterations)
-        return FlowField(v.T, u.T)
-    return FlowField(*_solve(ix, iy, it, params.alpha ** 2, params.iterations))
+    # an overflow, invalid value or division by zero: not even float64 holds the system
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            if ix.shape[1] > ix.shape[0]:
+                # wider than tall: solve the transposed, tall frame, whose coarse cells
+                # are numbered along its shorter side (`_coarse_space`); x and y swap
+                u, v = _solve(*(np.ascontiguousarray(g.T) for g in (iy, ix, it)),
+                              params.alpha ** 2, params.iterations)
+                return FlowField(v.T, u.T)
+            return FlowField(*_solve(ix, iy, it, params.alpha ** 2, params.iterations))
+        except FloatingPointError as exc:
+            raise NumericError(f"{_UNSOLVABLE}: {exc}") from None
 
 
 def _sum_121(src: np.ndarray, shift: int, pairs: np.ndarray, out: np.ndarray) -> None:
@@ -267,6 +289,25 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b, dtype=np.float64))
 
 
+def _working_dtype(diag: np.ndarray, kxx: np.ndarray, kyy: np.ndarray) -> type:
+    """np.float32 when float32 holds a pair's system, else np.float64 when
+    float64 does, else a NumericError (see MAX_LOST and F32_MAX_COEF).
+
+    `diag` (2, H, W) holds the float64 diagonals 16 + k I_x^2 and
+    16 + k I_y^2, and `kxx`, `kyy` the data terms k I_x^2 and k I_y^2.
+    """
+    def lost(d: np.ndarray) -> float:
+        """The part of the data terms that the diagonal planes `d` round away."""
+        return np.abs(d[0] - 16.0 - kxx).sum() + np.abs(d[1] - 16.0 - kyy).sum()
+
+    bound = MAX_LOST * (kxx.sum() + kyy.sum())
+    if max(kxx.max(), kyy.max()) <= F32_MAX_COEF and lost(diag.astype(np.float32)) <= bound:
+        return np.float32
+    if lost(diag) <= bound:
+        return np.float64
+    raise NumericError(f"{_UNSOLVABLE}: float64 rounds away over {MAX_LOST:g} of the data term")
+
+
 def _solve(ix: np.ndarray, iy: np.ndarray, it: np.ndarray, alpha2: float,
            iterations: int) -> tuple[np.ndarray, np.ndarray]:
     """Two-level preconditioned conjugate gradients on the Horn-Schunck
@@ -286,8 +327,11 @@ def _solve(ix: np.ndarray, iy: np.ndarray, it: np.ndarray, alpha2: float,
 
     Precision is mixed. The Krylov vectors r, z, p, q, their scratch planes
     and the coefficients of A and M are float32, which halves the memory
-    traffic of each iteration. The flow itself, both dot products and the
-    coarse factorization and solves are float64. The float32 residual r,
+    traffic of each iteration, unless float32 cannot hold the coefficients
+    (`_working_dtype`): then they are float64 too. The flow itself, both dot
+    products and the coarse factorization and solves are float64. As A is
+    positive definite, p.Ap <= 0 or not finite means that even float64 cannot
+    hold the system, a NumericError. The float32 residual r,
     updated by recurrence, drifts from the true residual b - A w by about
     float32 rounding, which would stall the solve near 1e-6 relative; so
     once r.z has fallen by RESTART_FALL since the last (re)start, r is
@@ -296,14 +340,15 @@ def _solve(ix: np.ndarray, iy: np.ndarray, it: np.ndarray, alpha2: float,
     """
     k = 12.0 / alpha2
     kxx, kyy, kxy = k * ix * ix, k * iy * iy, k * ix * iy
-    f32 = np.float32
-    diag = np.stack([16.0 + kxx, 16.0 + kyy]).astype(f32)
+    diag = np.stack([16.0 + kxx, 16.0 + kyy])
+    dtype = _working_dtype(diag, kxx, kyy)
+    diag = diag.astype(dtype, copy=False)
     det = 12.0 * (12.0 + kxx + kyy)
-    pre_diag = (np.stack([12.0 + kyy, 12.0 + kxx]) / det).astype(f32)
-    pre_cross = (-kxy / det).astype(f32)
+    pre_diag = (np.stack([12.0 + kyy, 12.0 + kxx]) / det).astype(dtype, copy=False)
+    pre_cross = (-kxy / det).astype(dtype, copy=False)
 
     uv = np.zeros((2,) + ix.shape)
-    r = (np.stack([ix, iy]) * (-k * it)).astype(f32)  # residual of the zero start
+    r = (np.stack([ix, iy]) * (-k * it)).astype(dtype, copy=False)  # residual of the zero start
     if not r.any():  # zero right-hand side (identical frames): stay exactly zero
         return uv[0], uv[1]
     # imported here, not at the top: scipy.linalg takes ~60 ms to import, and
@@ -317,17 +362,17 @@ def _solve(ix: np.ndarray, iy: np.ndarray, it: np.ndarray, alpha2: float,
     band[1, 0::2] = data[2].ravel()
     band[0] += 1e-9 * band[0].max()
     _cholesky_banded(band)
-    kxy = kxy.astype(f32)
+    kxy = kxy.astype(dtype, copy=False)
     del kxx, kyy, det, data  # the float64 planes are not needed in the loop
 
     z, p, q, tmp, rows = (np.empty_like(r) for _ in range(5))
-    pairs = np.empty(r.size - 1, dtype=f32)
+    pairs = np.empty(r.size - 1, dtype=dtype)
 
     def precondition(r: np.ndarray, out: np.ndarray) -> None:
         _block_apply(pre_diag, pre_cross, r, out, tmp)
         rc = _restrict(r).transpose(1, 2, 0)  # u, v of each cell
         ec, _ = dpbtrs(band, rc.ravel(), lower=1)
-        _prolong_add(ec.astype(f32).reshape(rc.shape).transpose(2, 0, 1), out)
+        _prolong_add(ec.astype(dtype, copy=False).reshape(rc.shape).transpose(2, 0, 1), out)
 
     def true_residual() -> None:
         """r = b - A w = S(w) - 16 w - k g (g . w + I_t), in float64."""
@@ -353,7 +398,10 @@ def _solve(ix: np.ndarray, iy: np.ndarray, it: np.ndarray, alpha2: float,
             break
         _block_apply(diag, kxy, p, q, tmp)  # q = A p = blocks(p) - S(p)
         q -= _stencil_sum(p, pairs, rows, tmp)
-        step = rz / _dot(pf, qf)
+        pq = _dot(pf, qf)
+        if not 0.0 < pq < math.inf:
+            raise NumericError(f"{_UNSOLVABLE}: p.Ap = {pq}")
+        step = rz / pq
         uv += np.multiply(p, step, out=tmp)
         r -= np.multiply(q, step, out=tmp)
         precondition(r, z)

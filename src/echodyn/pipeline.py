@@ -102,22 +102,20 @@ def _check_sizes(cfg: PipelineConfig, t_count: int) -> None:
             f"m_centers={cfg.rbf.m_centers}, k2={cfg.k2}; got {t_count}")
 
 
-def run_edg(seq: seqio.FrameSequence, cfg: PipelineConfig = PipelineConfig(),
-            method: str = "lms") -> EdgResult:
-    """Run the dynamic pipeline on a sequence.
+def run_edg(seq: seqio.FrameSequence, cfg: PipelineConfig = PipelineConfig()) -> EdgResult:
+    """Run the dynamic pipeline on a sequence, every setting taken from `cfg`.
 
-    The k-means centers are seeded from stage_seed(cfg.seed, "kmeans");
-    `method` selects the RBF weight fit ("lms" or closed-form "ls").
+    The k-means centers are seeded from stage_seed(cfg.seed, "kmeans"), and
+    cfg.rbf.fit selects the RBF weight fit ("lms" or closed-form "ls").
     A config that cannot fit `seq` is rejected before any stage runs.
     """
     _check_sizes(cfg, seq.t_count)
     flows = flow.flow_sequence(seq, cfg.flow)
-    z, scaler, pca = descriptor.descriptor_sequence(seq, flows, cfg.grid, k=cfg.pca_k)
-    model = dynamics.train_dynamics(z, cfg.rbf, seed=stage_seed(cfg.seed, STAGE_KMEANS),
-                                    method=method)
+    z, scaler, pca = descriptor.descriptor_sequence(seq, flows, cfg.grid, cfg.pca_k)
+    model = dynamics.train_dynamics(z, cfg.rbf, seed=stage_seed(cfg.seed, STAGE_KMEANS))
     energies = dynamics.energy_sequence(model, z)
     maps = dynamics.edg_sequence(model, z, pca, scaler, cfg.grid)
-    pedg, _ = dynamics.pedg_sequence(energies, k2=cfg.k2)
+    pedg, _ = dynamics.pedg_sequence(energies, cfg.k2)
     return EdgResult(config=cfg, flows=flows, z=z, scaler=scaler, pca=pca, model=model,
                      energies=energies, maps=maps, pedg=pedg)
 

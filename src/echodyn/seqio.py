@@ -45,7 +45,13 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
 
-from .errors import DimensionError, FormatError, GeometryError, InsufficientDataError
+from .errors import (
+    INT64_MAX,
+    DimensionError,
+    FormatError,
+    GeometryError,
+    InsufficientDataError,
+)
 
 LABEL_BACKGROUND = 0
 LABEL_LV = 1
@@ -150,19 +156,21 @@ class PhantomSpec:
     seed: int = 7
 
     def __post_init__(self):
-        if self.t_count < 2:
-            raise FormatError(f"t_count must be >= 2, got {self.t_count}")
+        if not 2 <= self.t_count <= INT64_MAX:
+            raise FormatError(f"t_count must be >= 2 and fit int64, got {self.t_count}")
+        for name in ("height", "width", "cycles"):
+            if not 1 <= getattr(self, name) <= INT64_MAX:
+                raise FormatError(f"{name} must be >= 1 and fit int64, got {getattr(self, name)}")
         if not (0.0 <= self.contraction_fraction < 0.9):
             raise FormatError(
                 f"contraction_fraction must be in [0, 0.9), got {self.contraction_fraction}"
             )
-        if not (self.base_radius > 0 and math.isfinite(self.base_radius)):
-            raise FormatError(f"base_radius must be > 0 and finite, got {self.base_radius}")
+        # below 1 px the ventricle is a pixel at most; near 0 its ellipse test overflows
+        if not 1.0 <= self.base_radius < math.inf:
+            raise FormatError(f"base_radius must be >= 1 px and finite, got {self.base_radius}")
         if not (self.speckle_sigma >= 0 and math.isfinite(self.speckle_sigma)):
             raise FormatError(
                 f"speckle_sigma must be >= 0 and finite, got {self.speckle_sigma}")
-        if self.cycles < 1:
-            raise FormatError("cycles must be >= 1")
 
 
 def quantize_frame(frame: np.ndarray) -> np.ndarray:

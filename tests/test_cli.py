@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from echodyn import cli, flow, metrics
+from echodyn import cli, dynamics, flow, metrics
 from echodyn.cli import PipelineConfig, main, stage_seed
 from echodyn.descriptor import SectorGrid
 from echodyn.dynamics import RbfConfig
@@ -593,3 +594,72 @@ def test_edg_sigma_with_no_normal_square_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error [ParameterError]" in err and "sigma must be > 0" in err
     assert not (tmp_path / "e").exists()
+
+
+def test_fit_from_the_config_file_equals_the_fit_flag(tmp_path):
+    src = tmp_path / "seq"
+    assert main(["phantom", "--t", "20", "--size", "64", "--base-radius", "12",
+                 "--seed", "3", "-o", str(src)]) == 0
+    (tmp_path / "c.json").write_text(json.dumps({"rbf": {"fit": "ls"}}))
+    args = ["edg", str(src / "frames"), "--m-centers", "8", "--pca-k", "6", "--k2", "4"]
+    assert main(args + ["--config", str(tmp_path / "c.json"), "-o", str(tmp_path / "a")]) == 0
+    assert main(args + ["--fit", "ls", "-o", str(tmp_path / "b")]) == 0
+    assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
+    model = read_json(tmp_path / "a" / "model.json", dynamics.DynamicsModel)
+    assert model.config.fit == "ls"
+    assert main(args + ["-o", str(tmp_path / "c")]) == 0  # the default fit is LMS
+    lms = read_json(tmp_path / "c" / "model.json", dynamics.DynamicsModel)
+    assert lms.config.fit == "lms" and not np.array_equal(lms.weights, model.weights)
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_unknown_fit_exits_1_before_flow(tmp_path, capsys, monkeypatch, how):
+    src = tmp_path / "seq"
+    assert main(["phantom", "--t", "4", "--size", "64", "--base-radius", "12",
+                 "-o", str(src)]) == 0
+    monkeypatch.setattr(flow, "flow_sequence", lambda *a, **k: pytest.fail("flow ran"))
+    (tmp_path / "c.json").write_text(json.dumps({"rbf": {"fit": "lsq"}}))
+    extra = ["--fit", "lsq"] if how == "flag" else ["--config", str(tmp_path / "c.json")]
+    assert main(["edg", str(src / "frames"), *extra, "-o", str(tmp_path / "e")]) == 1
+    err = capsys.readouterr().err
+    assert "error [ParameterError]" in err and "fit must be 'lms' or 'ls', got 'lsq'" in err
+    assert not (tmp_path / "e").exists()
+
+
+def test_fit_flag_help_names_the_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["edg", "--help"])
+    assert "closed-form ridge) (default lms)" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("flags,field", [
+    (["--presmooth", "1e6"], "presmooth_sigma"),
+    (["--presmooth", "1e300"], "presmooth_sigma"),
+    (["--alpha", "1e-100"], "flow.alpha"),
+    (["--alpha", "1e8"], "flow.alpha"),
+])
+def test_flow_settings_float64_cannot_hold_exit_1_naming_the_field(tmp_path, capsys,
+                                                                  flags, field):
+    # --presmooth 1e6 escaped as a ZeroDivisionError, 1e300 as a ValueError
+    # from scipy; --alpha 1e8 returned a flow without an error
+    src = tmp_path / "seq"
+    assert main(["phantom", "--t", "4", "--size", "64", "--base-radius", "12",
+                 "-o", str(src)]) == 0
+    assert main(["flow", str(src / "frames"), *flags, "-o", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [") and field in err
+
+
+def test_flow_at_tiny_alpha_runs_in_float64(tmp_path):
+    # float32 overflowed here: RuntimeWarnings, then a NumericError that named
+    # no setting
+    src = tmp_path / "seq"
+    assert main(["phantom", "--t", "4", "--size", "64", "--base-radius", "12",
+                 "-o", str(src)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["flow", str(src / "frames"), "--alpha", "1e-10",
+                     "-o", str(tmp_path / "f")]) == 0
+    for path in sorted((tmp_path / "f").glob("flow_*.bin")):
+        f = flow.load_flow(path)
+        assert np.isfinite(f.u).all() and np.isfinite(f.v).all()

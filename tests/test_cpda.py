@@ -24,7 +24,7 @@ from echodyn.cpda import (
     save_feature_clip,
     seed_cpda_weights,
 )
-from echodyn.errors import FormatError, ModelError, ParameterError
+from echodyn.errors import FormatError, ModelError, NumericError, ParameterError
 from echodyn.seqio import read_json, write_json
 
 
@@ -505,3 +505,47 @@ def test_weights_k2_is_the_rows_of_edg_w1():
     wts = seed_cpda_weights(channels=3, d_p=4, d_e=5, k2=6, heads=2, seed=1)
     assert wts.k2 == 6 == wts.edg_w1.shape[0]
     assert wts.d_model == 3 + 4 + 5 and wts.channels == 3
+
+
+@pytest.mark.parametrize("sizes", [dict(channels=2 ** 63), dict(d_p=10 ** 30), dict(k2=2 ** 63)],
+                         ids=["channels", "d_p", "k2"])
+def test_seed_weights_reject_a_size_past_int64_before_drawing(sizes):
+    # these escaped as a ValueError or TypeError from numpy
+    with pytest.raises(ParameterError, match="must be >= 1 and fit int64"):
+        seed_cpda_weights(**{"channels": 2, **sizes, "seed": 0})
+
+
+@pytest.mark.parametrize("names", [["phase_b1"], ["edg_w1"], ["wq", "wk"]],
+                         ids=["phase_b1", "edg_w1", "wq-wk"])
+def test_forward_past_float64_is_a_numeric_error(names):
+    # matmul overflowed with a RuntimeWarning
+    wts = seed_cpda_weights(channels=2, d_p=2, d_e=2, k2=2, heads=1, seed=1)
+    wts = dataclasses.replace(wts, **{n: np.full_like(getattr(wts, n), 1e300) for n in names})
+    clip = FeatureClip(data=np.ones((3, 4, 4, 2)))
+    with pytest.raises(NumericError, match="CPDA forward pass leaves the float64 range"):
+        cpda_forward(clip, phase_track(3, 0, 1), np.ones((3, 2)), wts)
+
+
+def test_a_gate_that_saturates_is_no_error():
+    # the sigmoid's exp overflows to inf exactly where the gate is 0
+    wts = seed_cpda_weights(channels=2, d_p=2, d_e=2, k2=2, heads=1, alpha=1.0, seed=1)
+    wts = dataclasses.replace(wts, gate_b=np.full(2, -1e3), conv_kernel=identity_conv_kernel(2))
+    clip = FeatureClip(data=np.ones((3, 4, 4, 2)))
+    out = cpda_forward(clip, phase_track(3, 0, 1), np.zeros((3, 2)), wts)
+    assert np.array_equal(out.data, np.zeros_like(clip.data))
+
+
+def test_saving_a_clip_past_float32_is_a_numeric_error(tmp_path):
+    data = np.zeros((2, 2, 2, 1))
+    data[1, 0, 0, 0] = -1e39
+    with pytest.raises(NumericError, match="float32 range"):
+        save_feature_clip(FeatureClip(data=data), tmp_path / "c.ftc")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_loading_a_clip_with_a_signalling_nan_is_a_numeric_error(tmp_path):
+    save_feature_clip(FeatureClip(data=np.zeros((1, 1, 2, 1))), tmp_path / "c.ftc")
+    raw = (tmp_path / "c.ftc").read_bytes()
+    (tmp_path / "c.ftc").write_bytes(raw[:20] + bytes.fromhex("0100807f") + raw[24:])
+    with pytest.raises(NumericError, match="non-finite"):
+        load_feature_clip(tmp_path / "c.ftc")

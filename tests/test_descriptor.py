@@ -339,18 +339,6 @@ def test_descriptor_sequence_phantom(phantom, phantom_flows, phantom_grid, phant
     assert pca.explained_variance.sum() / spectrum.sum() >= 0.5
 
 
-def test_descriptor_sequence_inference_mode(phantom, phantom_flows, phantom_grid,
-                                            phantom_descriptors):
-    seq, _ = phantom
-    z, scaler, pca = phantom_descriptors
-    z2, s2, p2 = descriptor_sequence(seq, phantom_flows, phantom_grid,
-                                     scaler=scaler, pca=pca)
-    assert np.array_equal(z, z2)
-    assert s2 is scaler and p2 is pca
-    with pytest.raises(ParameterError):
-        descriptor_sequence(seq, phantom_flows, phantom_grid, scaler=scaler)
-
-
 def test_descriptor_sequence_determinism(phantom, phantom_flows, phantom_grid):
     seq, _ = phantom
     z1, _, _ = descriptor_sequence(seq, phantom_flows, phantom_grid, k=10)
@@ -381,3 +369,10 @@ def test_feature_model_json_names_bad_keys(tmp_path, phantom_descriptors):
     expected = "missing key 'scaler.scale', unexpected key 'scaler.std', missing key 'pca.k'"
     with pytest.raises(FormatError, match=expected):
         read_json(tmp_path / "m.json", FeatureModels)
+
+
+@pytest.mark.parametrize("field", ["r_bins", "theta_bins"])
+def test_grid_bins_past_int64_are_rejected(field):
+    # 10**30 escaped as an OverflowError after a RuntimeWarning
+    with pytest.raises(ParameterError, match="r_bins and theta_bins must be >= 1 and fit int64"):
+        SectorGrid(**{field: 10 ** 30})

@@ -135,8 +135,8 @@ def test_train_noisy_circle_oracle_bound():
 
 def test_train_ls_mode_matches_oracle():
     z = noisy_circle(n=60, seed=1)
-    cfg = RbfConfig(m_centers=6, epochs=10)
-    model = train_dynamics(z, cfg, seed=2, method="ls")
+    cfg = RbfConfig(m_centers=6, epochs=10, fit="ls")
+    model = train_dynamics(z, cfg, seed=2)
     targets = z[1:] - z[:-1]
     phi = rbf_response(z[:-1], model.centers, model.sigma)
     w_star, mse = ridge_oracle(phi, targets, cfg.ridge)
@@ -447,3 +447,24 @@ def test_edg_csv_failed_write_keeps_old_file(tmp_path, monkeypatch, phantom_grid
     assert (tmp_path / "edg.csv").read_bytes() == b"old"
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "edg.csv", "edg_0000.pgm", "edg_0001.pgm", "edg_0002.pgm"]
+
+
+def test_divergence_that_overflows_is_a_divergence_error():
+    # at this learn rate the weights overflow within the first epoch, which
+    # once escaped as a RuntimeWarning
+    with pytest.raises(DivergenceError, match="diverged at epoch 0"):
+        train_dynamics(noisy_circle(n=50, seed=5),
+                       RbfConfig(m_centers=8, learn_rate=2.0 ** 63, epochs=5), seed=0)
+
+
+@pytest.mark.parametrize("field", ["m_centers", "epochs"])
+def test_rbf_counts_past_int64_are_parameter_errors(field):
+    RbfConfig(**{field: 2 ** 63 - 1})
+    with pytest.raises(ParameterError, match=f"{field} must be >= 1 and fit int64"):
+        RbfConfig(**{field: 2 ** 63})
+
+
+def test_rbf_fit_is_lms_or_ls():
+    assert RbfConfig().fit == "lms"
+    with pytest.raises(ParameterError, match="fit must be 'lms' or 'ls', got 'lsq'"):
+        RbfConfig(fit="lsq")

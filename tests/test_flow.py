@@ -434,3 +434,89 @@ def test_iterating_past_convergence_keeps_the_flow():
     a, b = seq.frames[4], seq.frames[5]
     ref = compute_flow(a, b, FlowParams(iterations=300))
     assert rel_l2(compute_flow(a, b, FlowParams(iterations=3000)), ref.u, ref.v) < 1e-9
+
+
+def direct_oracle(prev, next, params):
+    """The Horn-Schunck system solved directly, by scipy's sparse LU, in the
+    form (w - avg(w)) + g (g . w) / alpha^2 = -g I_t / alpha^2, with avg as
+    a sparse matrix built from `_AVG_KERNEL` and replicated edges."""
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve
+
+    ix, iy, it = hs_terms(prev, next, params)
+    h, w = it.shape
+    idx = np.arange(h * w).reshape(h, w)
+    avg = sparse.csr_array((h * w, h * w))
+    for (dy, dx), weight in np.ndenumerate(_AVG_KERNEL):
+        rows = np.clip(np.arange(h) + dy - 1, 0, h - 1)
+        cols = np.clip(np.arange(w) + dx - 1, 0, w - 1)
+        avg += sparse.csr_array((np.full(h * w, weight), (idx.ravel(),
+                                                           idx[np.ix_(rows, cols)].ravel())),
+                                shape=avg.shape)
+    smooth = sparse.eye_array(h * w) - avg
+    k = 1.0 / params.alpha ** 2
+    gx, gy = ix.ravel(), iy.ravel()
+    cross = sparse.diags_array(k * gx * gy)
+    a = sparse.block_array([[smooth + sparse.diags_array(k * gx * gx), cross],
+                            [cross, smooth + sparse.diags_array(k * gy * gy)]], format="csc")
+    uv = spsolve(a, -k * np.concatenate([gx * it.ravel(), gy * it.ravel()]))
+    return uv[:h * w].reshape(h, w), uv[h * w:].reshape(h, w)
+
+
+def textured_pair(size=32):
+    """A smooth random texture in [0, 1] and its copy shifted right by 1 px."""
+    a = gaussian_filter(np.random.default_rng(0).random((size, size)), 1.5)
+    a = (a - a.min()) / (a.max() - a.min())
+    return a, np.roll(a, 1, axis=1)
+
+
+@pytest.mark.parametrize("alpha", [1e4, 1e5, 1e6])
+def test_large_alpha_matches_a_direct_solve(alpha):
+    # float32 rounds away 2-14% of the data term at alpha 1e4 and all of it at
+    # 1e6; solved in float32 these pairs gave |w| of 5.3 and 4e8 px, not 1.19
+    a, b = textured_pair()
+    params = FlowParams(alpha=alpha)
+    ref_u, ref_v = direct_oracle(a, b, params)
+    assert rel_l2(compute_flow(a, b, params), ref_u, ref_v) < 1e-4
+
+
+def test_direct_oracle_agrees_with_the_converged_flow_at_the_default_alpha():
+    # the converged float32 solve is checked against Jacobi sweeps above
+    a, b = textured_pair()
+    ref_u, ref_v = direct_oracle(a, b, FlowParams())
+    assert rel_l2(compute_flow(a, b, FlowParams(iterations=300)), ref_u, ref_v) < 1e-9
+
+
+@pytest.mark.parametrize("size,base_radius,t_count", [(128, 24.0, 32), (256, 48.0, 8)])
+def test_default_parameter_pairs_stay_in_float32(monkeypatch, size, base_radius, t_count):
+    chosen = []
+    working_dtype = flow._working_dtype
+    monkeypatch.setattr(flow, "_working_dtype",
+                        lambda *a: chosen.append(working_dtype(*a)) or chosen[-1])
+    seq, _ = generate_phantom(PhantomSpec(t_count=t_count, height=size, width=size,
+                                          base_radius=base_radius))
+    flow_sequence(seq)
+    assert chosen == [np.float32] * (t_count - 1)
+
+
+@pytest.mark.parametrize("alpha", [1e8, 1e-100])
+def test_alpha_past_float64_is_a_numeric_error_naming_the_fields(alpha):
+    # at 1e8 float64 too rounds away over 1e-4 of the data term; at 1e-100 the
+    # coefficients overflow float64
+    a, b = textured_pair()
+    with pytest.raises(NumericError, match="flow.alpha and flow.presmooth_sigma"):
+        compute_flow(a, b, FlowParams(alpha=alpha))
+
+
+def test_presmoothing_past_its_bound_is_a_parameter_error():
+    FlowParams(presmooth_sigma=flow.MAX_PRESMOOTH_SIGMA)
+    for sigma in (np.nextafter(flow.MAX_PRESMOOTH_SIGMA, np.inf), 1e6, 1e300):
+        with pytest.raises(ParameterError, match="presmooth_sigma must be"):
+            FlowParams(presmooth_sigma=sigma)
+
+
+def test_iterations_past_int64_is_a_parameter_error():
+    FlowParams(iterations=2 ** 63 - 1)
+    with pytest.raises(ParameterError, match="iterations must be >= 1 and fit int64"):
+        FlowParams(iterations=2 ** 63)
+

@@ -53,7 +53,8 @@ def arrays(shape):
 
 
 rbf_configs = st.builds(RbfConfig, m_centers=small, sigma=st.none() | positive,
-                        learn_rate=positive, epochs=small, ridge=st.floats(0, 1))
+                        learn_rate=positive, epochs=small, ridge=st.floats(0, 1),
+                        fit=st.sampled_from(["lms", "ls"]))
 
 configs = st.builds(
     PipelineConfig, seed=seeds,
@@ -152,6 +153,7 @@ def wrong_values(tp):
     return {
         int: ["x", 1.5, True, None, [1]],
         float: ["x", True, None, [1.0]],
+        str: [1, 1.5, True, None, ["lms"]],
         np.ndarray: ["x", 1.0, {}, None, ["x"], [1.0, True], [[1.0], [1.0, 2.0]]],
         float | None: ["x", True, [1.0]],
         tuple[float, float] | None: ["x", [1.0], [1.0, "x"], {}],

@@ -428,3 +428,19 @@ def test_read_csv_rejects_naming_the_line(tmp_path, text, needle):
     (tmp_path / "x.csv").write_text(text)
     with pytest.raises(FormatError, match=needle):
         read_csv(tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("name", ["t_count", "height", "width", "cycles"])
+def test_phantom_sizes_past_int64_are_rejected(name):
+    # 10**30 escaped from numpy as "Maximum allowed dimension exceeded"
+    for value in (2 ** 63, 10 ** 30):
+        with pytest.raises(FormatError, match=f"{name} must be >= .* and fit int64"):
+            PhantomSpec(**{name: value})
+
+
+@pytest.mark.parametrize("radius", [0.999, 1e-300])
+def test_phantom_radius_below_one_pixel_is_rejected(radius):
+    # 1e-300 overflowed the ellipse test with a RuntimeWarning
+    with pytest.raises(FormatError, match="base_radius must be >= 1 px"):
+        PhantomSpec(base_radius=radius)
+    PhantomSpec(base_radius=1.0)
