@@ -7,11 +7,12 @@ S in (0,1), and applied as X * (1 + alpha (2S - 1)); the result is
 blended 50/50 with a 3x3x3 zero-padded convolution over (T, H, W).
 
 The forward pass allocates one clip-sized array, its result. The
-modulated clip is written there and convolved in place: `conv3d_same`
-keeps a rolling accumulator of three output frames and writes frame s-1
-once input frame s has been read, the last time that input frame is
-needed. The blend then runs frame by frame, recomputing each frame of
-the modulated clip, and `save_feature_clip` converts one frame at a time.
+modulated clip is written there and convolved in place, C x C channels:
+`conv3d_same` keeps a rolling accumulator of three output frames and
+writes frame s-1 once input frame s has been read, the last time that
+input frame is needed. The blend then runs frame by frame, recomputing
+each frame of the modulated clip, and `save_feature_clip` converts one
+frame at a time.
 
 Weight matrices apply on the right (row vectors: y = x @ W + b).
 MLPs are two layers with ReLU after the first, linear output.
@@ -19,13 +20,14 @@ MLPs are two layers with ReLU after the first, linear output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import INT64_MAX, ModelError, NumericError, ParameterError
-from .seqio import read_binary, write_binary
+from .errors import INT64_MAX, ModelError, NumericError, ParameterError, check_shapes
+from .seqio import decode_f32, read_binary, write_binary
 
 _F32_MAX = float(np.finfo(np.float32).max)  # an FTC1 file holds float32
 
@@ -81,34 +83,44 @@ def phase_track(t_count: int, ed_index: int, es_index: int) -> PhaseTrack:
     return PhaseTrack(phi=np.mod((t - ed_index) / cycle, 1.0))
 
 
+def _weight_shapes(c: int, d_p: int, d_e: int, k2: int) -> dict[str, tuple[int, ...]]:
+    """Every `CpdaWeights` array's shape, in field order, for C channels, MLP
+    widths d_p and d_e, and P_EDG width k2; d = C + d_p + d_e is the token width."""
+    d = c + d_p + d_e
+    return dict(phase_w1=(2, d_p), phase_b1=(d_p,), phase_w2=(d_p, d_p), phase_b2=(d_p,),
+                edg_w1=(k2, d_e), edg_b1=(d_e,), edg_w2=(d_e, d_e), edg_b2=(d_e,),
+                wq=(d, d), wk=(d, d), wv=(d, d), wo=(d, d), gate_w=(d, c), gate_b=(c,),
+                conv_kernel=(c, c, 3, 3, 3), conv_bias=(c,))
+
+
 @dataclass(frozen=True)
 class CpdaWeights:
     """Deterministic parameter set for the attention module.
 
     The sizes come from the arrays: C, d_p and d_e are the lengths of
     `conv_bias`, `phase_b1` and `edg_b1`, and k2 the rows of `edg_w1`;
-    each must be >= 1, and every array must have the shape they give it.
-    `d = C + d_p + d_e` is the fused token width; `heads` must divide it.
+    each must be >= 1, and every array must have the shape
+    `_weight_shapes` gives it. `heads` must divide the token width d.
     Attention projections are bias-free d x d matrices.
     """
 
-    phase_w1: np.ndarray  # 2 x d_p
+    phase_w1: np.ndarray
     phase_b1: np.ndarray
-    phase_w2: np.ndarray  # d_p x d_p
+    phase_w2: np.ndarray
     phase_b2: np.ndarray
-    edg_w1: np.ndarray  # k2 x d_e
+    edg_w1: np.ndarray
     edg_b1: np.ndarray
-    edg_w2: np.ndarray  # d_e x d_e
+    edg_w2: np.ndarray
     edg_b2: np.ndarray
-    wq: np.ndarray  # d x d
+    wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
     wo: np.ndarray
     heads: int
-    gate_w: np.ndarray  # d x C
-    gate_b: np.ndarray  # C
-    conv_kernel: np.ndarray  # C x C x 3 x 3 x 3 (C_out x C_in)
-    conv_bias: np.ndarray  # C
+    gate_w: np.ndarray
+    gate_b: np.ndarray
+    conv_kernel: np.ndarray
+    conv_bias: np.ndarray
     alpha: float
 
     def __post_init__(self):
@@ -116,18 +128,12 @@ class CpdaWeights:
         k2 = (np.shape(self.edg_w1) or (0,))[0]
         if min(c, d_p, d_e, k2) < 1:
             raise ModelError(f"C, d_p, d_e and k2 must be >= 1, got {c}, {d_p}, {d_e}, {k2}")
-        d = c + d_p + d_e
-        shapes = dict(phase_w1=(2, d_p), phase_b1=(d_p,), phase_w2=(d_p, d_p), phase_b2=(d_p,),
-                      edg_w1=(k2, d_e), edg_b1=(d_e,), edg_w2=(d_e, d_e), edg_b2=(d_e,),
-                      wq=(d, d), wk=(d, d), wv=(d, d), wo=(d, d), gate_w=(d, c), gate_b=(c,),
-                      conv_kernel=(c, c, 3, 3, 3), conv_bias=(c,))
-        for name, shape in shapes.items():
-            value = getattr(self, name)
-            if np.shape(value) != shape:
-                raise ModelError(f"weight '{name}' must have shape {shape} (C={c}, d_p={d_p}, "
-                                 f"d_e={d_e}, k2={k2}), got {np.shape(value)}")
-            if not np.isfinite(value).all():
+        shapes = _weight_shapes(c, d_p, d_e, k2)
+        check_shapes(self, "weight", f"C={c}, d_p={d_p}, d_e={d_e}, k2={k2}", shapes)
+        for name in shapes:
+            if not np.isfinite(getattr(self, name)).all():
                 raise NumericError(f"non-finite values in weight '{name}'")
+        d = c + d_p + d_e
         if self.heads < 1 or d % self.heads != 0:
             raise ModelError(f"heads={self.heads} must divide token width d={d}")
         if not (0.0 <= self.alpha <= 1.0):
@@ -180,56 +186,41 @@ def mha_forward(tokens: np.ndarray, weights: CpdaWeights) -> np.ndarray:
     return out @ weights.wo
 
 
-def conv3d_same(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """3x3x3 zero-padded convolution over (T, H, W) for channels-last tensors.
+def conv3d_same(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> None:
+    """3x3x3 zero-padded convolution over (T, H, W) of the channels-last clip
+    `x`, in place, with a C x C x 3 x 3 x 3 (C_out x C_in) kernel.
 
     One matmul per input frame s: its nine (dh, dw) windows side by side,
-    an (H*W) x 9C_in matrix, times the kernel as 9C_in x 3C_out. Column
-    block dt of the product goes to output frame s + 1 - dt, where that
-    exists. A rolling accumulator holds output frames s-1, s and s+1, and
-    frame s-1 is complete, and written to `out`, once input frame s has
-    been read. Each output frame u is summed as bias + prod(u-1)[dt=0] +
-    prod(u)[dt=1] + prod(u+1)[dt=2], in that order.
-
-    Frame s-1 of `x` is never read again at that point, so `out` may be
-    `x` itself (C_in == C_out), which convolves in place; any other
-    overlap of `out` with `x` raises ModelError. With `out` None a new
-    array is returned.
+    an (H*W) x 9C matrix, times the kernel as 9C x 3C. Column block dt of
+    the product goes to output frame s + 1 - dt, where that exists. A
+    rolling accumulator holds output frames s-1, s and s+1, and frame s-1
+    is complete once input frame s has been read; it is written over frame
+    s-1 of `x`, which is never read again. Each output frame u is summed as
+    bias + prod(u-1)[dt=0] + prod(u)[dt=1] + prod(u+1)[dt=2], in that order.
     """
-    t, h, w, c_in = x.shape
-    c_out = kernel.shape[0]
-    if kernel.shape != (c_out, c_in, 3, 3, 3):
-        raise ModelError(
-            f"conv kernel must be C_out x {c_in} x 3 x 3 x 3, got {kernel.shape}"
-        )
-    if out is None:
-        out = np.empty((t, h, w, c_out))
-    elif out.shape != (t, h, w, c_out):
-        raise ModelError(f"conv output must be {(t, h, w, c_out)}, got {out.shape}")
-    elif out is not x and np.shares_memory(out, x):
-        raise ModelError("conv output overlaps its input without being the input")
+    t, h, w, c = x.shape
+    if kernel.shape != (c, c, 3, 3, 3):
+        raise ModelError(f"conv kernel must be {c} x {c} x 3 x 3 x 3, got {kernel.shape}")
     # rows ordered (dh, dw, c_in) like the windows, columns (dt, c_out)
-    k = kernel.transpose(3, 4, 1, 2, 0).reshape(9 * c_in, 3 * c_out)
-    acc = np.empty((3, h, w, c_out))  # output frame u accumulates in acc[u % 3]
+    k = kernel.transpose(3, 4, 1, 2, 0).reshape(9 * c, 3 * c)
+    acc = np.empty((3, h, w, c))  # output frame u accumulates in acc[u % 3]
     acc[0] = bias
-    pad = np.zeros((h + 2, w + 2, c_in))
-    windows = np.empty((h, w, 3, 3, c_in))
+    pad = np.zeros((h + 2, w + 2, c))
+    windows = np.empty((h, w, 3, 3, c))
     for s in range(t):
         pad[1:-1, 1:-1] = x[s]
         for dh in range(3):
             for dw in range(3):
                 windows[:, :, dh, dw] = pad[dh:dh + h, dw:dw + w]
-        prod = (windows.reshape(h * w, 9 * c_in) @ k).reshape(h, w, 3, c_out)
+        prod = (windows.reshape(h * w, 9 * c) @ k).reshape(h, w, 3, c)
         if s > 0:
             acc[(s - 1) % 3] += prod[:, :, 2]
-            out[s - 1] = acc[(s - 1) % 3]
+            x[s - 1] = acc[(s - 1) % 3]
         acc[s % 3] += prod[:, :, 1]
         if s + 1 < t:
             np.add(bias, prod[:, :, 0], out=acc[(s + 1) % 3])
         else:
-            out[s] = acc[s % 3]
-    return out
+            x[s] = acc[s % 3]
 
 
 def cpda_forward(clip: FeatureClip, phase: PhaseTrack, pedg: np.ndarray,
@@ -274,7 +265,7 @@ def _forward(clip: FeatureClip, phase: PhaseTrack, pedg: np.ndarray,
     # x_mod = X * factor is the one new clip-sized array: it is convolved in
     # place, then blended frame by frame with x_mod recomputed per frame
     out = clip.data * factor[:, None, None, :]
-    conv3d_same(out, weights.conv_kernel, weights.conv_bias, out=out)
+    conv3d_same(out, weights.conv_kernel, weights.conv_bias)
     for u in range(clip.t_count):
         out[u] = 0.5 * (clip.data[u] * factor[u]) + 0.5 * out[u]
     return out
@@ -290,30 +281,22 @@ def identity_conv_kernel(channels: int) -> np.ndarray:
 
 def seed_cpda_weights(channels: int, d_p: int = 8, d_e: int = 8, k2: int = 8,
                       heads: int = 2, alpha: float = 0.5, seed: int = 0) -> CpdaWeights:
-    """Reproducible random weight set for a given shape; scaled ~1/sqrt(fan_in).
-    A size below 1 is a ParameterError, raised before any draw."""
+    """Reproducible random weight set for a given shape, drawn from one generator
+    in `_weight_shapes` order: vectors zero, every other array N(0, 1/sqrt(fan_in)),
+    fan_in being a matrix's row count or the kernel's C * 27. A size below 1 is
+    a ParameterError, raised before any draw."""
     if not all(1 <= n <= INT64_MAX for n in (channels, d_p, d_e, k2)):
         raise ParameterError(f"channels, d_p, d_e and k2 must be >= 1 and fit int64, "
                              f"got {channels}, {d_p}, {d_e}, {k2}")
-    d = channels + d_p + d_e
     rng = np.random.default_rng(seed)
-
-    def mat(rows, cols):
-        return rng.normal(0.0, 1.0 / np.sqrt(rows), size=(rows, cols))
-
-    return CpdaWeights(
-        phase_w1=mat(2, d_p), phase_b1=np.zeros(d_p),
-        phase_w2=mat(d_p, d_p), phase_b2=np.zeros(d_p),
-        edg_w1=mat(k2, d_e), edg_b1=np.zeros(d_e),
-        edg_w2=mat(d_e, d_e), edg_b2=np.zeros(d_e),
-        wq=mat(d, d), wk=mat(d, d), wv=mat(d, d), wo=mat(d, d),
-        heads=heads,
-        gate_w=mat(d, channels), gate_b=np.zeros(channels),
-        conv_kernel=rng.normal(0.0, 1.0 / np.sqrt(27 * channels),
-                               size=(channels, channels, 3, 3, 3)),
-        conv_bias=np.zeros(channels),
-        alpha=alpha,
-    )
+    arrays = {}
+    for name, shape in _weight_shapes(channels, d_p, d_e, k2).items():
+        if len(shape) == 1:
+            arrays[name] = np.zeros(shape)
+        else:
+            fan_in = shape[0] if len(shape) == 2 else math.prod(shape[1:])
+            arrays[name] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
+    return CpdaWeights(**arrays, heads=heads, alpha=alpha)
 
 
 def save_feature_clip(clip: FeatureClip, path: Path | str) -> None:
@@ -331,7 +314,4 @@ def _to_f32(frame: np.ndarray) -> np.ndarray:
 
 def load_feature_clip(path: Path | str) -> FeatureClip:
     (t, h, w, c), payload = read_binary(path, b"FTC1", 4, 4, 4)
-    # a signalling NaN warns as it is cast; FeatureClip then rejects every NaN
-    with np.errstate(invalid="ignore"):
-        data = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(t, h, w, c)
-    return FeatureClip(data=data)
+    return FeatureClip(data=decode_f32(payload).reshape(t, h, w, c))

@@ -23,6 +23,7 @@ from .errors import (
     ModelError,
     NumericError,
     ParameterError,
+    check_shapes,
 )
 from .flow import FlowField
 from .seqio import FrameSequence
@@ -136,6 +137,10 @@ class ScalerModel:
     mean: np.ndarray
     scale: np.ndarray  # per-dimension stddev, floored at 1e-8
 
+    def __post_init__(self):
+        d = np.size(self.mean)
+        check_shapes(self, "scaler", f"D={d} from 'mean'", dict(mean=(d,), scale=(d,)))
+
 
 def fit_scaler(x: np.ndarray) -> ScalerModel:
     """Column-wise mean/population-stddev; stddev floored at 1e-8."""
@@ -160,6 +165,13 @@ class PcaModel:
     explained_variance: np.ndarray  # length k, nonincreasing
     input_mean: np.ndarray  # length D
     k: int
+
+    def __post_init__(self):
+        k, d = (np.shape(self.components) or (0,))[0], np.size(self.input_mean)
+        check_shapes(self, "PCA", f"k={k} from 'components', D={d} from 'input_mean'",
+                     dict(components=(k, d), explained_variance=(k,), input_mean=(d,)))
+        if self.k != k:
+            raise ModelError(f"PCA 'k' is {self.k}, but 'components' has {k} rows")
 
 
 def fit_pca(x: np.ndarray, k: int) -> PcaModel:

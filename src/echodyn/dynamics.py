@@ -32,8 +32,15 @@ from .errors import (
     InsufficientDataError,
     ModelError,
     ParameterError,
+    check_shapes,
 )
 from .seqio import quantize_frame, read_csv, write_csv, write_pgm
+
+
+def _sigma_fits(sigma: float) -> bool:
+    """Whether `sigma` is > 0 with sigma * sigma a normal, finite float:
+    `rbf_response` divides by the square."""
+    return sigma > 0 and sys.float_info.min <= sigma * sigma < math.inf
 
 
 @dataclass(frozen=True)
@@ -52,9 +59,7 @@ class RbfConfig:
             raise ParameterError(f"learn_rate must be > 0 and finite, got {self.learn_rate}")
         if not 1 <= self.epochs <= INT64_MAX:
             raise ParameterError(f"epochs must be >= 1 and fit int64, got {self.epochs}")
-        # rbf_response divides by sigma * sigma, so the square must be a normal float too
-        if self.sigma is not None and not (
-                self.sigma > 0 and sys.float_info.min <= self.sigma * self.sigma < math.inf):
+        if self.sigma is not None and not _sigma_fits(self.sigma):
             raise ParameterError("sigma must be > 0 with sigma * sigma a normal, finite "
                                  f"float when given, got {self.sigma}")
         if not (self.ridge >= 0 and math.isfinite(self.ridge)):
@@ -71,6 +76,17 @@ class DynamicsModel:
     config: RbfConfig
     residual_history: np.ndarray  # mean squared residual per training epoch
     kmeans_seed: int  # seed of the k-means++ initialization that placed the centers
+
+    def __post_init__(self):
+        if np.ndim(self.centers) != 2 or min(np.shape(self.centers)) < 1:
+            raise ModelError("dynamics model 'centers' must be M x k with M, k >= 1, "
+                             f"got shape {np.shape(self.centers)}")
+        m, k = np.shape(self.centers)
+        check_shapes(self, "dynamics model", f"M={m}, k={k} from 'centers'",
+                     dict(weights=(m, k), residual_history=(np.size(self.residual_history),)))
+        if not _sigma_fits(self.sigma):
+            raise ModelError("dynamics model 'sigma' must be > 0 with sigma * sigma a normal, "
+                             f"finite float, got {self.sigma}")
 
 
 def kmeans(z: np.ndarray, m: int, seed: int) -> np.ndarray:
@@ -119,8 +135,11 @@ def kmeans(z: np.ndarray, m: int, seed: int) -> np.ndarray:
 
 
 def rbf_response(z: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian kernel responses exp(-||z - c_i||^2 / (2 sigma^2)), each in (0,1]."""
+    """Gaussian kernel responses exp(-||z - c_i||^2 / (2 sigma^2)), each in (0,1];
+    a state whose width is not the centers' is a ModelError."""
     z = np.asarray(z, dtype=np.float64)
+    if z.shape[-1] != centers.shape[1]:
+        raise ModelError(f"model expects state dimension {centers.shape[1]}, got {z.shape[-1]}")
     d2 = ((z[..., None, :] - centers) ** 2).sum(axis=-1)
     return np.exp(-d2 / (2.0 * sigma ** 2))
 
@@ -189,16 +208,6 @@ def train_dynamics(z: np.ndarray, config: RbfConfig = RbfConfig(), seed: int = 0
     w, history = fit_rbf_weights(phi, targets, config)
     return DynamicsModel(centers=centers, weights=w, sigma=sigma, config=config,
                          residual_history=history, kmeans_seed=seed)
-
-
-def predict_delta(model: DynamicsModel, z: np.ndarray) -> np.ndarray:
-    """Predicted one-step change W^T Phi(z); accepts a vector or a batch."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[-1] != model.centers.shape[1]:
-        raise ModelError(
-            f"model expects state dimension {model.centers.shape[1]}, got {z.shape[-1]}"
-        )
-    return rbf_response(z, model.centers, model.sigma) @ model.weights
 
 
 def _transition_residuals(model: DynamicsModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,7 @@
-"""Exception types shared across the pipeline, and the bound on sizes."""
+"""Exception types shared across the pipeline, the bound on sizes, and the
+shape check every stored model runs on its arrays."""
+
+import numpy as np
 
 # the largest size or count a parameter may take: numpy indexes with int64
 # (a seed may be larger, as `pipeline.stage_seed` keeps its low 64 bits)
@@ -43,3 +46,13 @@ class DivergenceError(EchodynError):
 
 class UndefinedDistanceError(EchodynError):
     """Boundary distance requested against an empty mask."""
+
+
+def check_shapes(model, kind: str, sizes: str, shapes: dict) -> None:
+    """Raise ModelError naming the first field of `model` whose array does not
+    have its shape in `shapes` (field name -> shape); `sizes` says which sizes
+    those shapes were built from."""
+    for name, shape in shapes.items():
+        if np.shape(getattr(model, name)) != shape:
+            raise ModelError(f"{kind} '{name}' must have shape {shape} ({sizes}), "
+                             f"got {np.shape(getattr(model, name))}")

@@ -53,7 +53,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import INT64_MAX, DimensionError, NumericError, ParameterError
-from .seqio import FrameSequence, read_binary, write_binary
+from .seqio import FrameSequence, decode_f32, read_binary, write_binary
 
 CELL = 8  # side in pixels of the aggregation cells of the coarse correction
 # The float32 residual recurrence of `_solve` drifts from the true residual
@@ -439,5 +439,5 @@ def save_flow(flow: FlowField, path: Path | str) -> None:
 
 def load_flow(path: Path | str) -> FlowField:
     (h, w), payload = read_binary(path, b"FLW1", 2, 2, 8)  # two f32 planes
-    uv = np.frombuffer(payload, dtype="<f4").reshape(2, h, w).astype(np.float64)
+    uv = decode_f32(payload).reshape(2, h, w)
     return FlowField(u=uv[0], v=uv[1])

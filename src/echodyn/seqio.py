@@ -19,7 +19,8 @@ Every JSON file (config, models, weights, ``meta.json``, and the
 dataclass's type hints: the dataclass is the schema. `write_binary` writes
 every ``.eds``, FLW1 and FTC1 file, drawing its payload a frame or plane at
 a time, and `read_binary` hands the payload back as a view of the file's
-bytes, not a copy. `write_csv` writes every CSV file and `read_csv` reads
+bytes, not a copy, which `decode_f32` turns into float64 for the float32
+formats. `write_csv` writes every CSV file and `read_csv` reads
 every all-numeric one back: no other module opens a file. Every
 writer goes through `atomic_write`, so a failed write leaves the target as
 it was, and a written file gets the mode a plain `open()` gives under the
@@ -51,6 +52,7 @@ from .errors import (
     FormatError,
     GeometryError,
     InsufficientDataError,
+    ParameterError,
 )
 
 LABEL_BACKGROUND = 0
@@ -157,19 +159,20 @@ class PhantomSpec:
 
     def __post_init__(self):
         if not 2 <= self.t_count <= INT64_MAX:
-            raise FormatError(f"t_count must be >= 2 and fit int64, got {self.t_count}")
+            raise ParameterError(f"t_count must be >= 2 and fit int64, got {self.t_count}")
         for name in ("height", "width", "cycles"):
             if not 1 <= getattr(self, name) <= INT64_MAX:
-                raise FormatError(f"{name} must be >= 1 and fit int64, got {getattr(self, name)}")
+                raise ParameterError(
+                    f"{name} must be >= 1 and fit int64, got {getattr(self, name)}")
         if not (0.0 <= self.contraction_fraction < 0.9):
-            raise FormatError(
+            raise ParameterError(
                 f"contraction_fraction must be in [0, 0.9), got {self.contraction_fraction}"
             )
         # below 1 px the ventricle is a pixel at most; near 0 its ellipse test overflows
         if not 1.0 <= self.base_radius < math.inf:
-            raise FormatError(f"base_radius must be >= 1 px and finite, got {self.base_radius}")
+            raise ParameterError(f"base_radius must be >= 1 px and finite, got {self.base_radius}")
         if not (self.speckle_sigma >= 0 and math.isfinite(self.speckle_sigma)):
-            raise FormatError(
+            raise ParameterError(
                 f"speckle_sigma must be >= 0 and finite, got {self.speckle_sigma}")
 
 
@@ -231,6 +234,14 @@ def read_binary(path: Path | str, magic: bytes, n_fields: int, n_dims: int,
     if len(raw) - end != math.prod(dims) * item_bytes:
         raise FormatError(f"{path}: payload size mismatch")
     return fields, memoryview(raw)[end:]
+
+
+def decode_f32(payload) -> np.ndarray:
+    """A `read_binary` payload of little-endian float32 values as a flat float64
+    array. A signalling NaN stays a NaN without the RuntimeWarning its cast
+    raises; the array's own type then rejects every NaN."""
+    with np.errstate(invalid="ignore"):
+        return np.frombuffer(payload, dtype="<f4").astype(np.float64)
 
 
 def write_binary(path: Path | str, magic: bytes, fields, payloads) -> None:

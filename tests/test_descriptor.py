@@ -22,6 +22,7 @@ from echodyn.errors import (
     DimensionError,
     FormatError,
     InsufficientDataError,
+    ModelError,
     NumericError,
     ParameterError,
 )
@@ -368,6 +369,29 @@ def test_feature_model_json_names_bad_keys(tmp_path, phantom_descriptors):
     (tmp_path / "m.json").write_text(json.dumps(payload))
     expected = "missing key 'scaler.scale', unexpected key 'scaler.std', missing key 'pca.k'"
     with pytest.raises(FormatError, match=expected):
+        read_json(tmp_path / "m.json", FeatureModels)
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (dict(scaler=dict(mean=[0.0, 0.0, 0.0], scale=[1.0, 1.0])),
+     r"scaler 'scale' must have shape \(3,\) \(D=3 from 'mean'\), got \(2,\)"),
+    (dict(pca=dict(components=[[1.0, 0.0, 0.0]], explained_variance=[1.0, 1.0],
+                   input_mean=[0.0, 0.0, 0.0], k=5)),
+     r"PCA 'explained_variance' must have shape \(1,\)"),
+    (dict(pca=dict(components=[[1.0, 0.0, 0.0]], explained_variance=[1.0],
+                   input_mean=[0.0, 0.0, 0.0], k=5)),
+     "PCA 'k' is 5, but 'components' has 1 rows"),
+    (dict(pca=dict(components=[[1.0, 0.0]], explained_variance=[1.0],
+                   input_mean=[0.0, 0.0, 0.0], k=1)),
+     r"PCA 'components' must have shape \(1, 3\)"),
+], ids=["scaler-scale-short", "pca-variances", "pca-k", "pca-components-narrow"])
+def test_feature_model_json_rejects_misshapen_arrays(tmp_path, edit, needle):
+    # each escaped from apply_scaler or project as a numpy ValueError
+    payload = dict(scaler=dict(mean=[0.0, 0.0, 0.0], scale=[1.0, 1.0, 1.0]),
+                   pca=dict(components=[[1.0, 0.0, 0.0]], explained_variance=[1.0],
+                            input_mean=[0.0, 0.0, 0.0], k=1))
+    (tmp_path / "m.json").write_text(json.dumps({**payload, **edit}))
+    with pytest.raises(ModelError, match=needle):
         read_json(tmp_path / "m.json", FeatureModels)
 
 

@@ -16,7 +16,6 @@ from echodyn.dynamics import (
     fit_rbf_weights,
     kmeans,
     pedg_sequence,
-    predict_delta,
     rbf_response,
     save_edg_outputs,
     train_dynamics,
@@ -120,7 +119,8 @@ def test_train_single_sample_converges():
     z = np.array([[0.0], [1.0]])  # one transition, target 1.0
     model = train_dynamics(z, RbfConfig(m_centers=1, epochs=200), seed=0)
     assert model.residual_history[-1] < 1e-6
-    assert predict_delta(model, z[0])[0] == pytest.approx(1.0, abs=1e-3)
+    predicted = rbf_response(z[0], model.centers, model.sigma) @ model.weights
+    assert predicted[0] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_train_noisy_circle_oracle_bound():
@@ -177,7 +177,8 @@ def test_predict_zero_weights():
     model = DynamicsModel(centers=np.zeros((3, 2)), weights=np.zeros((3, 2)),
                           sigma=1.0, config=RbfConfig(m_centers=3),
                           residual_history=np.zeros(1), kmeans_seed=0)
-    assert np.allclose(predict_delta(model, np.array([5.0, -2.0])), 0.0)
+    assert np.allclose(rbf_response(np.array([5.0, -2.0]), model.centers, model.sigma)
+                       @ model.weights, 0.0)
 
 
 def test_predict_at_center_single():
@@ -185,7 +186,8 @@ def test_predict_at_center_single():
     model = DynamicsModel(centers=np.array([[1.0, 1.0]]), weights=w, sigma=2.0,
                           config=RbfConfig(m_centers=1),
                           residual_history=np.zeros(1), kmeans_seed=0)
-    assert np.allclose(predict_delta(model, np.array([1.0, 1.0])), w[0])
+    assert np.allclose(rbf_response(np.array([1.0, 1.0]), model.centers, model.sigma)
+                       @ model.weights, w[0])
 
 
 def test_predict_hand_case_two_centers():
@@ -198,7 +200,8 @@ def test_predict_hand_case_two_centers():
     z = np.array([0.5])
     phi1 = np.exp(-0.25 / (2 * sigma ** 2))
     phi2 = np.exp(-2.25 / (2 * sigma ** 2))
-    assert predict_delta(model, z)[0] == pytest.approx(1.0 * phi1 - 2.0 * phi2, rel=1e-12)
+    predicted = rbf_response(z, model.centers, model.sigma) @ model.weights
+    assert predicted[0] == pytest.approx(1.0 * phi1 - 2.0 * phi2, rel=1e-12)
 
 
 def test_predict_dimension_error():
@@ -206,7 +209,24 @@ def test_predict_dimension_error():
                           sigma=1.0, config=RbfConfig(m_centers=2),
                           residual_history=np.zeros(1), kmeans_seed=0)
     with pytest.raises(ModelError):
-        predict_delta(model, np.zeros(4))
+        rbf_response(np.zeros(4), model.centers, model.sigma)
+
+
+def test_energy_and_edg_reject_a_state_of_the_wrong_width():
+    # both escaped as numpy's "operands could not be broadcast together"
+    grid = SectorGrid(r_bins=2, theta_bins=2)
+    d = grid.descriptor_length
+    pca = PcaModel(components=np.eye(3, d), explained_variance=np.ones(3),
+                   input_mean=np.zeros(d), k=3)
+    scaler = ScalerModel(mean=np.zeros(d), scale=np.ones(d))
+    model = DynamicsModel(centers=np.zeros((2, 3)), weights=np.zeros((2, 3)),
+                          sigma=1.0, config=RbfConfig(m_centers=2),
+                          residual_history=np.zeros(1), kmeans_seed=0)
+    z = np.zeros((4, 2))
+    with pytest.raises(ModelError, match="model expects state dimension 3, got 2"):
+        energy_sequence(model, z)
+    with pytest.raises(ModelError, match="model expects state dimension 3, got 2"):
+        edg_sequence(model, z, pca, scaler, grid)
 
 
 # ----------------------------------------------------------------- energy
@@ -293,7 +313,9 @@ def test_edg_matches_per_frame_oracle(phantom_model, phantom_descriptors, phanto
     maps = edg_sequence(phantom_model, z, pca, scaler, phantom_grid)
     assert maps.shape == (z.shape[0] - 1, phantom_grid.r_bins, phantom_grid.theta_bins)
     for t, m in enumerate(maps):
-        residual = predict_delta(phantom_model, z[t]) - (z[t + 1] - z[t])
+        predicted = rbf_response(z[t], phantom_model.centers, phantom_model.sigma) @ \
+            phantom_model.weights
+        residual = predicted - (z[t + 1] - z[t])
         raw = (residual @ pca.components) * scaler.scale
         phi = rbf_response(z[t], phantom_model.centers, phantom_model.sigma)
         expected = np.linalg.norm(raw.reshape(phantom_grid.sector_count, -1), axis=1) * phi.mean()
@@ -412,6 +434,25 @@ def test_dynamics_model_json_rejects_old_and_malformed_files(tmp_path, phantom_m
         read_json(tmp_path / "m.json", DynamicsModel)
     (tmp_path / "m.json").write_text("[]")
     with pytest.raises(FormatError, match="must be a JSON object"):
+        read_json(tmp_path / "m.json", DynamicsModel)
+
+
+@pytest.mark.parametrize("field,value,needle", [
+    ("weights", [[0.0, 0.0], [0.0, 0.0]], r"'weights' must have shape \(4, 2\)"),
+    ("centers", [0.0, 1.0], "'centers' must be M x k"),
+    ("residual_history", [[0.0]], "'residual_history' must have shape"),
+    ("sigma", 1e-300, "'sigma' must be > 0 with sigma \\* sigma a normal"),
+], ids=["weights-rows", "centers-1d", "history-2d", "sigma-square-subnormal"])
+def test_dynamics_model_json_rejects_misshapen_arrays(tmp_path, field, value, needle):
+    # 4 centers and 2 weight rows escaped from energy_sequence as a numpy ValueError
+    model = DynamicsModel(centers=np.zeros((4, 2)), weights=np.zeros((4, 2)), sigma=1.0,
+                          config=RbfConfig(m_centers=4), residual_history=np.zeros(3),
+                          kmeans_seed=0)
+    write_json(tmp_path / "m.json", model)
+    payload = json.loads((tmp_path / "m.json").read_text())
+    payload[field] = value
+    (tmp_path / "m.json").write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match=f"dynamics model {needle}"):
         read_json(tmp_path / "m.json", DynamicsModel)
 
 

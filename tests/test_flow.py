@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,17 @@ def test_non_finite_flow_is_a_numeric_error(tmp_path):
                                      + planes.tobytes())
     with pytest.raises(NumericError, match="must be finite"):
         load_flow(tmp_path / "f.bin")
+
+
+def test_loading_flow_with_a_signalling_nan_is_a_numeric_error_without_a_warning(tmp_path):
+    # the float32 cast printed "invalid value encountered in cast" first
+    save_flow(FlowField(u=np.zeros((1, 2)), v=np.zeros((1, 2))), tmp_path / "f.bin")
+    raw = (tmp_path / "f.bin").read_bytes()
+    (tmp_path / "f.bin").write_bytes(raw[:12] + bytes.fromhex("0100807f") + raw[16:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="must be finite"):
+            load_flow(tmp_path / "f.bin")
 
 
 def test_load_flow_truncated_header(tmp_path):

@@ -19,6 +19,7 @@ from echodyn.errors import (
     FormatError,
     GeometryError,
     InsufficientDataError,
+    ParameterError,
 )
 from echodyn.seqio import (
     FrameSequence,
@@ -340,9 +341,9 @@ def test_phantom_geometry_error():
 
 
 def test_phantom_spec_validation():
-    with pytest.raises(FormatError):
+    with pytest.raises(ParameterError):
         PhantomSpec(contraction_fraction=0.95)
-    with pytest.raises(FormatError):
+    with pytest.raises(ParameterError):
         PhantomSpec(t_count=1)
 
 
@@ -351,7 +352,7 @@ def test_phantom_spec_validation():
     ("base_radius", 0.0), ("speckle_sigma", float("nan")), ("speckle_sigma", float("inf")),
     ("speckle_sigma", -0.1)])
 def test_phantom_spec_rejects_non_finite_and_out_of_range(name, value):
-    with pytest.raises(FormatError, match=f"{name} must be .* and finite, got {value}"):
+    with pytest.raises(ParameterError, match=f"{name} must be .* and finite, got {value}"):
         PhantomSpec(**{name: value})
 
 
@@ -362,7 +363,7 @@ def test_phantom_bad_parameter_exits_1_and_writes_nothing(tmp_path, capsys, flag
     out = tmp_path / "p"
     assert main(["phantom", "--t", "4", "--size", "64", flag, value, "-o", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"error [FormatError]: {field} must be" in err
+    assert f"error [ParameterError]: {field} must be" in err
     assert not out.exists()
 
 
@@ -434,13 +435,13 @@ def test_read_csv_rejects_naming_the_line(tmp_path, text, needle):
 def test_phantom_sizes_past_int64_are_rejected(name):
     # 10**30 escaped from numpy as "Maximum allowed dimension exceeded"
     for value in (2 ** 63, 10 ** 30):
-        with pytest.raises(FormatError, match=f"{name} must be >= .* and fit int64"):
+        with pytest.raises(ParameterError, match=f"{name} must be >= .* and fit int64"):
             PhantomSpec(**{name: value})
 
 
 @pytest.mark.parametrize("radius", [0.999, 1e-300])
 def test_phantom_radius_below_one_pixel_is_rejected(radius):
     # 1e-300 overflowed the ellipse test with a RuntimeWarning
-    with pytest.raises(FormatError, match="base_radius must be >= 1 px"):
+    with pytest.raises(ParameterError, match="base_radius must be >= 1 px"):
         PhantomSpec(base_radius=radius)
     PhantomSpec(base_radius=1.0)
