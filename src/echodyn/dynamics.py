@@ -240,6 +240,12 @@ def edg_sequence(model: DynamicsModel, z: np.ndarray, pca: PcaModel,
             f"descriptor length {pca.components.shape[1]} does not match grid "
             f"({grid.descriptor_length})"
         )
+    if model.centers.shape[1] != pca.k:
+        raise ModelError(f"dynamics model 'centers' are {model.centers.shape[1]} wide, "
+                         f"but the PCA has k={pca.k}")
+    if scaler.mean.size != pca.input_mean.size:
+        raise ModelError(f"scaler 'mean' has D={scaler.mean.size}, but the PCA "
+                         f"'input_mean' has D={pca.input_mean.size}")
     phi, residual = _transition_residuals(model, z)
     raw = (residual @ pca.components) * scaler.scale
     per_sector = np.linalg.norm(raw.reshape(raw.shape[0], grid.sector_count, -1), axis=2)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
@@ -83,3 +84,25 @@ def test_tracer_sees_every_pair_and_frame():
     pairs = seq.t_count - 1
     assert calls_under("flow.flow_sequence", "flow.compute_flow") == pairs
     assert calls_under("descriptor.descriptor_sequence", "descriptor.extract_descriptor") == pairs
+
+
+def test_tracer_counts_every_pair_solved_on_two_threads(monkeypatch):
+    # the tracer keeps one span stack for all threads, so a pair's span may
+    # get the other thread's pair as its parent; the count still holds
+    from echodyn import flow, seqio
+
+    seq, _ = seqio.generate_phantom(
+        seqio.PhantomSpec(t_count=6, height=160, width=160, base_radius=30.0))
+    assert seq.shape[0] * seq.shape[1] > flow.THREADED_PIXELS
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install({layer: importlib.import_module(f"echodyn.{layer}")
+                    for layer in tracing.TRACED})
+    try:
+        flow.flow_sequence(seq)
+    finally:
+        tracer.uninstall()
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("flow.compute_flow") == seq.t_count - 1
+    assert names.count("flow.flow_sequence") == 1

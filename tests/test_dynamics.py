@@ -229,6 +229,28 @@ def test_energy_and_edg_reject_a_state_of_the_wrong_width():
         edg_sequence(model, z, pca, scaler, grid)
 
 
+def test_edg_rejects_a_model_or_scaler_that_does_not_fit_the_pca():
+    # both escaped as numpy ValueErrors, from the matmul with the components
+    # and from broadcasting against the scale
+    grid = SectorGrid(r_bins=2, theta_bins=2)
+    d = grid.descriptor_length
+    pca = PcaModel(components=np.eye(3, d), explained_variance=np.ones(3),
+                   input_mean=np.zeros(d), k=3)
+    scaler = ScalerModel(mean=np.zeros(d), scale=np.ones(d))
+    narrow = DynamicsModel(centers=np.zeros((2, 2)), weights=np.zeros((2, 2)),
+                           sigma=1.0, config=RbfConfig(m_centers=2),
+                           residual_history=np.zeros(1), kmeans_seed=0)
+    with pytest.raises(ModelError, match="'centers' are 2 wide, but the PCA has k=3"):
+        edg_sequence(narrow, np.zeros((4, 2)), pca, scaler, grid)
+    model = DynamicsModel(centers=np.zeros((2, 3)), weights=np.zeros((2, 3)),
+                          sigma=1.0, config=RbfConfig(m_centers=2),
+                          residual_history=np.zeros(1), kmeans_seed=0)
+    short = ScalerModel(mean=np.zeros(5), scale=np.ones(5))
+    with pytest.raises(ModelError, match="scaler 'mean' has D=5, but the PCA 'input_mean' "
+                                         f"has D={d}"):
+        edg_sequence(model, np.zeros((4, 3)), pca, short, grid)
+
+
 # ----------------------------------------------------------------- energy
 
 def _toy_model(centers, weights, sigma=1.0):

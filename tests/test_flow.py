@@ -3,6 +3,8 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -532,3 +534,137 @@ def test_iterations_past_int64_is_a_parameter_error():
     with pytest.raises(ParameterError, match="iterations must be >= 1 and fit int64"):
         FlowParams(iterations=2 ** 63)
 
+
+
+# ------------------------------------------------- pairs on two threads
+
+def allow_cpus(monkeypatch, cpus):
+    """Let `flow_sequence` see `cpus` as the CPUs the process may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+def same_bytes(fields, refs):
+    return len(fields) == len(refs) and all(
+        np.array_equal(f.u, r.u) and np.array_equal(f.v, r.v)
+        and f.u.dtype == r.u.dtype == np.float64 for f, r in zip(fields, refs))
+
+
+@pytest.mark.parametrize("height,width,base_radius", [(192, 192, 36.0), (160, 224, 30.0)])
+def test_threaded_pairs_are_the_per_pair_and_one_cpu_flows(monkeypatch, height, width,
+                                                            base_radius):
+    seq, _ = generate_phantom(PhantomSpec(t_count=6, height=height, width=width,
+                                          base_radius=base_radius))
+    assert height * width > flow.THREADED_PIXELS
+    solvers = set()
+    solve = flow.compute_flow
+    monkeypatch.setattr(flow, "compute_flow",
+                        lambda *a, **k: solvers.add(threading.get_ident()) or solve(*a, **k))
+    allow_cpus(monkeypatch, {0, 1})
+    before = threading.active_count()
+    threaded = flow_sequence(seq)
+    assert threading.active_count() == before
+    assert len(solvers) == 2 and threading.get_ident() in solvers
+    solvers.clear()
+    allow_cpus(monkeypatch, {0})
+    serial = flow_sequence(seq)
+    assert solvers == {threading.get_ident()}
+    per_pair = [solve(seq.frames[t], seq.frames[t + 1]) for t in range(seq.t_count - 1)]
+    assert same_bytes(threaded, per_pair) and same_bytes(serial, per_pair)
+
+
+def test_small_frames_stay_on_the_calling_thread(monkeypatch):
+    seq, _ = generate_phantom(PhantomSpec(t_count=5, height=128, width=128, base_radius=24.0))
+    solvers = set()
+    solve = flow.compute_flow
+    monkeypatch.setattr(flow, "compute_flow",
+                        lambda *a, **k: solvers.add(threading.get_ident()) or solve(*a, **k))
+    allow_cpus(monkeypatch, {0, 1})
+    flow_sequence(seq)
+    assert solvers == {threading.get_ident()}
+
+
+def steps_then_texture(t_count, textured_from, size=160):
+    """Constant frames 0.1, 0.2, ..., then smooth random texture from frame
+    `textured_from` on."""
+    frames = np.empty((t_count, size, size))
+    for t in range(t_count):
+        frames[t] = (t + 1) / 10.0
+    rng = np.random.default_rng(5)
+    for t in range(textured_from, t_count):
+        texture = gaussian_filter(rng.random((size, size)), 2.0)
+        frames[t] = 0.2 + 0.6 * (texture - texture.min()) / np.ptp(texture)
+    return FrameSequence(frames=frames, ed_index=0, es_index=1)
+
+
+def raised(seq, params=FlowParams()):
+    with pytest.raises(NumericError) as info:
+        flow_sequence(seq, params)
+    return str(info.value)
+
+
+def test_an_error_in_the_second_half_is_raised_as_the_serial_loop_raises_it(monkeypatch):
+    # 5 pairs: the calling thread solves pairs 0-2 and the worker 3-4; at
+    # alpha 1e8 constant pairs solve (to zero flow) and textured pairs fail
+    seq = steps_then_texture(6, textured_from=4)
+    params = FlowParams(alpha=1e8)
+    allow_cpus(monkeypatch, {0})
+    serial = raised(seq, params)
+    assert "flow.alpha and flow.presmooth_sigma" in serial
+    allow_cpus(monkeypatch, {0, 1})
+    before = threading.active_count()
+    assert raised(seq, params) == serial
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing,first", [({3}, 3), ({4}, 4), ({3, 4}, 3), ({1, 4}, 1),
+                                           ({0, 3}, 0)])
+def test_the_first_failing_pair_wins_on_both_paths(monkeypatch, failing, first):
+    # frame t is the constant (t + 1) / 10, which names the pair it starts
+    seq = steps_then_texture(6, textured_from=6)
+    solve = flow.compute_flow
+
+    def failing_solve(prev, next, params, **kw):
+        t = round(prev[0, 0] * 10.0) - 1
+        if t in failing:
+            raise NumericError(f"pair {t}")
+        return solve(prev, next, params, **kw)
+
+    monkeypatch.setattr(flow, "compute_flow", failing_solve)
+    for cpus in ({0}, {0, 1}):
+        allow_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        assert raised(seq) == f"pair {first}"
+        assert threading.active_count() == before
+
+
+def traced_peak_mib(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_flow_memory_at_256_squared(monkeypatch):
+    # the result block (17 pairs, 17 MiB) and two solves' working sets; a list
+    # of per-pair results took 27.5 MiB serially, and 44 MiB on two threads
+    # with every frame presmoothed up front. A lone solve took 10.5 MiB while
+    # it held float64 gradients through its loop and stacked copies in setup.
+    seq, _ = generate_phantom(PhantomSpec(t_count=18, height=256, width=256,
+                                          base_radius=48.0))
+    compute_flow(seq.frames[0], seq.frames[1])  # the coarse space is cached per size
+    allow_cpus(monkeypatch, {0, 1})
+    assert traced_peak_mib(lambda: flow_sequence(seq)) < 34.0
+    assert traced_peak_mib(lambda: compute_flow(seq.frames[4], seq.frames[5])) < 9.5
+
+
+def test_out_must_be_a_c_order_float64_block_of_the_frame():
+    a, b = smooth_texture_pair(20, 30, seed=2)
+    good = np.zeros((2, 20, 30))
+    f = compute_flow(a, b, out=good)
+    assert np.shares_memory(f.u, good) and same_bytes([f], [compute_flow(a, b)])
+    for bad in (np.zeros((2, 30, 20)), np.zeros((2, 20, 30), np.float32),
+                np.zeros((2, 20, 30), order="F")):
+        with pytest.raises(DimensionError, match="out must be"):
+            compute_flow(a, b, out=bad)
