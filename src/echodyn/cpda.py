@@ -14,6 +14,29 @@ input frame is needed. The blend then runs frame by frame, recomputing
 each frame of the modulated clip, and `save_feature_clip` converts one
 frame at a time.
 
+`conv3d_same` takes each frame's (H*W x 9C) @ (9C x 3C) product in blocks
+of (10^6 - 1) // (27 C^2) rows (144 at C = 16), each under BLAS_SERIAL_MNK
+multiply-adds: OpenBLAS keeps such a product on the calling thread, while a
+whole 64 x 64 frame's product woke its worker thread, which was busy through
+the pass and then spun ~120 ms of the second core. It splits its output
+frames into two halves, one per thread (`halves.in_halves`), when a frame
+holds more than THREADED_CONV_VALUES values H*W*C and a block has at least
+MIN_BLOCK_ROWS rows; the output is the same bits either way. Measured
+in-process, median of 7 calls, serial against two threads (2-vCPU x86 VM):
+
+    C = 16, T = 64   16^2   4.6 vs  5.0 ms    20^2   7.5 vs  6.0 ms
+                     24^2  10.8 vs  7.6 ms    32^2  22.7 vs 13.2 ms
+                     48^2  53.2 vs 30.3 ms    64^2 106.4 vs 57.6 ms
+    C = 8,  T = 64   24^2   4.8 vs  5.3 ms    32^2   8.6 vs  6.0 ms
+    C = 4,  T = 64   24^2   3.6 vs  4.1 ms    32^2   5.7 vs  4.9 ms
+
+At 6144 values or fewer the two threads lose, or gain little, to contention
+for the GIL. Where C is 44 or more a block has under 20
+rows, and blocked products on two threads lose to one threaded OpenBLAS
+product per frame (32^2 x 16 frames: C = 40, 23 rows, 16.3 vs 18.4 ms;
+C = 48, 16 rows, 23.4 vs 22.8; C = 64, 9 rows, 38.7 vs 35.4), so the
+convolution then takes one product per frame on the calling thread.
+
 Weight matrices apply on the right (row vectors: y = x @ W + b).
 MLPs are two layers with ReLU after the first, linear output.
 """
@@ -27,9 +50,19 @@ from pathlib import Path
 import numpy as np
 
 from .errors import INT64_MAX, ModelError, NumericError, ParameterError, check_shapes
+from .halves import in_halves, split_point
 from .seqio import decode_f32, read_binary, write_binary
 
 _F32_MAX = float(np.finfo(np.float32).max)  # an FTC1 file holds float32
+# OpenBLAS (0.3.31, 2-core x86) hands a dgemm with m*n*k of 1,000,512 or more
+# to its worker thread, which then spins for ~128 ms of the second core after
+# the call; 998,784 stays on the calling thread
+BLAS_SERIAL_MNK = 10 ** 6
+# `conv3d_same` takes row blocks, and two threads, only when a block has at
+# least this many rows (C <= 43)
+MIN_BLOCK_ROWS = 20
+# `conv3d_same` runs two threads on frames of more than this many values H*W*C
+THREADED_CONV_VALUES = 6 * 1024
 
 
 @dataclass(frozen=True)
@@ -190,37 +223,65 @@ def conv3d_same(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> None:
     """3x3x3 zero-padded convolution over (T, H, W) of the channels-last clip
     `x`, in place, with a C x C x 3 x 3 x 3 (C_out x C_in) kernel.
 
-    One matmul per input frame s: its nine (dh, dw) windows side by side,
-    an (H*W) x 9C matrix, times the kernel as 9C x 3C. Column block dt of
-    the product goes to output frame s + 1 - dt, where that exists. A
-    rolling accumulator holds output frames s-1, s and s+1, and frame s-1
-    is complete once input frame s has been read; it is written over frame
-    s-1 of `x`, which is never read again. Each output frame u is summed as
-    bias + prod(u-1)[dt=0] + prod(u)[dt=1] + prod(u+1)[dt=2], in that order.
+    One product per input frame s: its nine (dh, dw) windows side by side,
+    an (H*W) x 9C matrix, times the kernel as 9C x 3C, taken in blocks of
+    `_block_rows(C)` rows. Column block dt of the product goes to output
+    frame s + 1 - dt, where that exists. A rolling accumulator holds output
+    frames s-1, s and s+1, and frame s-1 is complete once input frame s has
+    been read; it is written over frame s-1 of `x`, which is never read
+    again. Each output frame u is summed as bias + prod(u-1)[dt=0] +
+    prod(u)[dt=1] + prod(u+1)[dt=2], in that order.
+
+    The output frames go in two halves (`halves.in_halves`) when a frame has
+    more than THREADED_CONV_VALUES values and C takes row blocks; each half
+    keeps its own accumulator and buffers. Input frames split-1 and split
+    are copied before the halves start: each half reads the other half's
+    frame next to the split, which that half overwrites.
     """
     t, h, w, c = x.shape
     if kernel.shape != (c, c, 3, 3, 3):
         raise ModelError(f"conv kernel must be {c} x {c} x 3 x 3 x 3, got {kernel.shape}")
     # rows ordered (dh, dw, c_in) like the windows, columns (dt, c_out)
     k = kernel.transpose(3, 4, 1, 2, 0).reshape(9 * c, 3 * c)
-    acc = np.empty((3, h, w, c))  # output frame u accumulates in acc[u % 3]
-    acc[0] = bias
-    pad = np.zeros((h + 2, w + 2, c))
-    windows = np.empty((h, w, 3, 3, c))
-    for s in range(t):
-        pad[1:-1, 1:-1] = x[s]
-        for dh in range(3):
-            for dw in range(3):
-                windows[:, :, dh, dw] = pad[dh:dh + h, dw:dw + w]
-        prod = (windows.reshape(h * w, 9 * c) @ k).reshape(h, w, 3, c)
-        if s > 0:
-            acc[(s - 1) % 3] += prod[:, :, 2]
-            x[s - 1] = acc[(s - 1) % 3]
-        acc[s % 3] += prod[:, :, 1]
-        if s + 1 < t:
-            np.add(bias, prod[:, :, 0], out=acc[(s + 1) % 3])
-        else:
-            x[s] = acc[s % 3]
+    rows = _block_rows(c)
+    split = split_point(t, rows is not None and h * w * c > THREADED_CONV_VALUES)
+    rows = rows or max(h * w, 1)
+    edge = {s: x[s].copy() for s in (split - 1, split)} if split < t else {}
+
+    def convolve(first: int, stop: int) -> None:
+        """Output frames first..stop-1, from input frames first-1..stop."""
+        acc = np.empty((3, h, w, c))  # output frame u accumulates in acc[u % 3]
+        acc[first % 3] = bias
+        pad = np.zeros((h + 2, w + 2, c))
+        windows = np.empty((h, w, 3, 3, c))
+        prod = np.empty((h, w, 3, c))
+        for s in range(max(first - 1, 0), min(stop + 1, t)):
+            pad[1:-1, 1:-1] = edge.get(s, x[s])
+            for dh in range(3):
+                for dw in range(3):
+                    windows[:, :, dh, dw] = pad[dh:dh + h, dw:dw + w]
+            lhs, out = windows.reshape(h * w, 9 * c), prod.reshape(h * w, 3 * c)
+            for r in range(0, h * w, rows):
+                np.matmul(lhs[r:r + rows], k, out=out[r:r + rows])
+            if first < s <= stop:  # input s is the last that output s-1 reads
+                acc[(s - 1) % 3] += prod[:, :, 2]
+                x[s - 1] = acc[(s - 1) % 3]
+            if first <= s < stop:
+                acc[s % 3] += prod[:, :, 1]
+                if s == t - 1:
+                    x[s] = acc[s % 3]
+            if first <= s + 1 < stop:
+                np.add(bias, prod[:, :, 0], out=acc[(s + 1) % 3])
+
+    in_halves(convolve, split, t)
+
+
+def _block_rows(c: int) -> int | None:
+    """Rows per block of `conv3d_same`'s product at C channels: the most
+    whose (rows x 9C) @ (9C x 3C) product OpenBLAS keeps on the calling
+    thread, or None when that is under MIN_BLOCK_ROWS."""
+    rows = (BLAS_SERIAL_MNK - 1) // (27 * c * c)
+    return rows if rows >= MIN_BLOCK_ROWS else None
 
 
 def cpda_forward(clip: FeatureClip, phase: PhaseTrack, pedg: np.ndarray,

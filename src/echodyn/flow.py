@@ -61,9 +61,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -71,6 +69,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import INT64_MAX, DimensionError, NumericError, ParameterError
+from .halves import in_halves, split_point
 from .seqio import FrameSequence, decode_f32, read_binary, write_binary
 
 CELL = 8  # side in pixels of the aggregation cells of the coarse correction
@@ -466,13 +465,6 @@ def _solve(gradients, alpha2: float, iterations: int, uv: np.ndarray) -> None:
             rz = rz_next
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def flow_sequence(seq: FrameSequence, params: FlowParams = FlowParams()) -> list[FlowField]:
     """Flow fields for each consecutive frame pair; element t maps frame t -> t+1.
 
@@ -480,11 +472,11 @@ def flow_sequence(seq: FrameSequence, params: FlowParams = FlowParams()) -> list
     (T-1, 2, H, W) float64 result block, allocated up front, and the fields
     are views of their slots. A frame larger than THREADED_PIXELS, in a
     process that may run on two CPUs or more, has its pairs split into two
-    contiguous halves: the calling thread solves the first while one worker
-    thread solves the second, and the worker is joined before this returns
-    or raises. Each pair is solved alone, so the flows are the same bits
-    either way. An error in either half is raised as the serial loop would
-    raise it, the first half's if both fail.
+    contiguous halves (`halves.in_halves`): the calling thread solves the
+    first while one worker thread solves the second, and the worker is
+    joined before this returns or raises. Each pair is solved alone, so the
+    flows are the same bits either way. An error in either half is raised
+    as the serial loop would raise it, the first half's if both fail.
 
     Each frame is presmoothed once, when its half reaches it (the frame on
     the boundary of the halves once in each); `compute_flow` gets the two
@@ -501,15 +493,7 @@ def flow_sequence(seq: FrameSequence, params: FlowParams = FlowParams()) -> list
             prev, nxt = nxt, _presmooth(seq.frames[t + 1], params.presmooth_sigma)
             fields[t] = compute_flow(prev, nxt, smoothed_params, out=flows[t])
 
-    threaded = math.prod(seq.shape) > THREADED_PIXELS and _usable_cpus() >= 2
-    split = (count + 1) // 2 if threaded else count
-    if split == count:
-        solve(0, count)
-        return fields
-    with ThreadPoolExecutor(max_workers=1) as pool:  # joins the worker on exit
-        second = pool.submit(solve, split, count)
-        solve(0, split)
-    second.result()  # the second half's error, once the first half has none
+    in_halves(solve, split_point(count, math.prod(seq.shape) > THREADED_PIXELS), count)
     return fields
 
 

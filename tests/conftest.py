@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from echodyn import halves
 from echodyn.descriptor import SectorGrid
 from echodyn.pipeline import PipelineConfig, run_edg
 from echodyn.seqio import PhantomSpec, generate_phantom
@@ -52,3 +56,19 @@ def make_frames(t, h, w, fn):
     """Stack fn(xs, ys, t) over t frames; helper for synthetic sequences."""
     ys, xs = np.mgrid[0:h, 0:w].astype(float)
     return np.stack([np.clip(fn(xs, ys, i), 0.0, 1.0) for i in range(t)])
+
+
+def allow_cpus(monkeypatch, cpus):
+    """Let `halves.split_point` see `cpus` as the CPUs the process may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+def record_halves(monkeypatch, module):
+    """The set of threads that run `module`'s `in_halves` work, filled as it runs."""
+    seen = set()
+
+    def spy(work, split, count):
+        halves.in_halves(lambda *a: seen.add(threading.get_ident()) or work(*a), split, count)
+
+    monkeypatch.setattr(module, "in_halves", spy)
+    return seen

@@ -4,13 +4,19 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from echodyn import cpda
 from echodyn.cpda import (
     CpdaWeights,
     FeatureClip,
@@ -27,6 +33,8 @@ from echodyn.cpda import (
 )
 from echodyn.errors import FormatError, ModelError, NumericError, ParameterError
 from echodyn.seqio import read_json, write_json
+
+from conftest import allow_cpus, record_halves
 
 
 # ------------------------------------------------------------------ oracle
@@ -254,6 +262,136 @@ def test_conv3d_same_matches_direct_tap_sum(t):
     want = direct_conv3d(x, kernel, bias)
     assert conv3d_same(x, kernel, bias) is None
     np.testing.assert_allclose(x, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def conv_on(monkeypatch, cpus, x, kernel, bias):
+    """conv3d_same on a copy of x with `cpus` allowed; the result and the
+    threads that ran it. The worker is gone once it returns."""
+    threads = record_halves(monkeypatch, cpda)
+    allow_cpus(monkeypatch, cpus)
+    out = x.copy()
+    before = threading.active_count()
+    conv3d_same(out, kernel, bias)
+    assert threading.active_count() == before
+    return out, threads
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 5, 64])
+def test_conv3d_same_on_two_threads_is_the_one_cpu_result(monkeypatch, t):
+    # each half reads the input frame next to the split that the other half
+    # overwrites; T = 1 cannot split, T = 2 splits into one frame each
+    rng = np.random.default_rng(80 + t)
+    x = rng.normal(size=(t, 24, 20, 16))
+    assert 24 * 20 * 16 > cpda.THREADED_CONV_VALUES and cpda._block_rows(16) is not None
+    kernel = rng.normal(size=(16, 16, 3, 3, 3))
+    bias = rng.normal(size=16)
+    want = direct_conv3d(x, kernel, bias)
+    one, one_threads = conv_on(monkeypatch, {0}, x, kernel, bias)
+    two, two_threads = conv_on(monkeypatch, {0, 1}, x, kernel, bias)
+    me = threading.get_ident()
+    assert one_threads == {me}
+    assert me in two_threads and len(two_threads) == (2 if t > 1 else 1)
+    assert np.array_equal(one, two)
+    np.testing.assert_allclose(two, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_conv3d_same_halves_under_rapid_thread_switching(monkeypatch):
+    # the halves share `x`, each writing only its own output frames; switching
+    # threads every microsecond interleaves them finely around the split
+    rng = np.random.default_rng(70)
+    x = rng.normal(size=(4, 24, 20, 16))
+    kernel = rng.normal(size=(16, 16, 3, 3, 3))
+    bias = rng.normal(size=16)
+    serial, _ = conv_on(monkeypatch, {0}, x, kernel, bias)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            threaded, threads = conv_on(monkeypatch, {0, 1}, x, kernel, bias)
+            assert len(threads) == 2 and np.array_equal(threaded, serial)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("shape", [(4, 16, 16, 16), (4, 12, 12, 44)],
+                         ids=["frame-below-the-gate", "blocks-under-20-rows"])
+def test_conv3d_same_stays_on_the_calling_thread(monkeypatch, shape):
+    t, h, w, c = shape
+    assert h * w * c <= cpda.THREADED_CONV_VALUES or cpda._block_rows(c) is None
+    assert cpda._block_rows(43) == cpda.MIN_BLOCK_ROWS
+    rng = np.random.default_rng(90)
+    x = rng.normal(size=shape)
+    kernel = rng.normal(size=(c, c, 3, 3, 3))
+    bias = rng.normal(size=c)
+    want = direct_conv3d(x, kernel, bias)
+    got, threads = conv_on(monkeypatch, {0, 1}, x, kernel, bias)
+    assert threads == {threading.get_ident()}
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_an_overflow_in_second_half_frames_is_the_same_error_on_two_threads(monkeypatch):
+    # numpy's errstate is a context variable: a worker thread outside the
+    # caller's context would warn and carry on with inf where the serial loop
+    # raises. Output frames 0-2 read input frames 0-3, which are zero, so
+    # only the worker's half (output frames 3-5) overflows.
+    c = 16
+    wts = dataclasses.replace(seed_cpda_weights(channels=c, seed=4),
+                              conv_kernel=np.full((c, c, 3, 3, 3), 1e300))
+    data = np.zeros((6, 24, 20, c))
+    data[4:] = 1e10
+    clip = FeatureClip(data=data)
+    messages = []
+    for cpus in ({0}, {0, 1}):
+        threads = record_halves(monkeypatch, cpda)
+        allow_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        with pytest.raises(NumericError, match="leaves the float64 range") as info:
+            cpda_forward(clip, phase_track(6, 0, 3), np.zeros((6, wts.k2)), wts)
+        assert threading.active_count() == before and len(threads) == len(cpus)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+_BLAS_WORKER_CPU = """
+import os, threading, time
+import numpy as np
+from echodyn.cpda import FeatureClip, cpda_forward, phase_track, seed_cpda_weights
+rng = np.random.default_rng(0)
+clip = FeatureClip(data=rng.normal(size=(64, 64, 64, 16)))
+weights = seed_cpda_weights(16, seed=1)
+args = (clip, phase_track(64, 0, 32), rng.normal(size=(64, weights.k2)), weights)
+cpda_forward(*args)
+time.sleep(0.3)
+# the threads that exist between calls: the caller's and the BLAS workers
+blas = set(os.listdir("/proc/self/task")) - {str(threading.get_native_id())}
+
+def cpu_ticks():
+    total = 0
+    for tid in blas:
+        with open(f"/proc/self/task/{tid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        total += int(fields[11]) + int(fields[12])  # utime, stime
+    return total
+
+before = cpu_ticks()
+cpda_forward(*args)
+time.sleep(0.3)
+print((cpu_ticks() - before) * 1e3 / os.sysconf("SC_CLK_TCK"))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs per-thread /proc stats")
+def test_cpda_forward_leaves_no_blas_worker_spinning():
+    # CPU time of the threads other than the caller that live between calls,
+    # over one 64^2 x 64 x 16 forward pass and the 0.3 s after it; the halves'
+    # worker thread starts and ends within the call, so it is not counted.
+    # One 4096-row product per frame woke an OpenBLAS worker, which was busy
+    # through the pass and then spun for ~120 ms.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _BLAS_WORKER_CPU], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert float(proc.stdout.strip()) < 30.0
 
 
 def test_conv3d_same_rejects_mismatched_kernel():

@@ -17,7 +17,7 @@ from echodyn.errors import DimensionError, FormatError, NumericError, ParameterE
 from echodyn.flow import FlowField, FlowParams, compute_flow, flow_sequence, load_flow, save_flow
 from echodyn.seqio import FrameSequence, PhantomSpec, generate_phantom
 
-from conftest import make_frames
+from conftest import allow_cpus, make_frames
 
 # weighted 8-neighbour average of the classical Horn-Schunck Jacobi step
 _AVG_KERNEL = np.array(
@@ -537,11 +537,6 @@ def test_iterations_past_int64_is_a_parameter_error():
 
 
 # ------------------------------------------------- pairs on two threads
-
-def allow_cpus(monkeypatch, cpus):
-    """Let `flow_sequence` see `cpus` as the CPUs the process may run on."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
-
 
 def same_bytes(fields, refs):
     return len(fields) == len(refs) and all(

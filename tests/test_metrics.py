@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
 from scipy.ndimage import binary_dilation, binary_erosion
 
+from echodyn import metrics
 from echodyn.errors import DimensionError, InsufficientDataError, UndefinedDistanceError
 from echodyn.metrics import (
     boundary_pixels,
@@ -15,7 +17,9 @@ from echodyn.metrics import (
     save_report_csv,
     tcd,
 )
-from echodyn.seqio import MaskSequence, write_json
+from echodyn.seqio import MaskSequence, PhantomSpec, generate_phantom, write_json
+
+from conftest import allow_cpus, record_halves
 
 
 def brute_force_hd95(a, b):
@@ -245,6 +249,63 @@ def test_evaluate_dimension_error(phantom):
     b = MaskSequence(masks=masks.masks[:5])
     with pytest.raises(DimensionError):
         evaluate(a, b)
+
+
+def evaluate_on(monkeypatch, cpus, pred, gt):
+    """evaluate with `cpus` allowed; the report and the threads that scored frames."""
+    threads = record_halves(monkeypatch, metrics)
+    allow_cpus(monkeypatch, cpus)
+    before = threading.active_count()
+    report = evaluate(pred, gt)
+    assert threading.active_count() == before
+    return report, threads
+
+
+@pytest.fixture(scope="module")
+def large_masks():
+    """160^2 x 7 GT masks, above the threading gate, and a prediction shifted by
+    1 px; the LA is absent on both sides in frames 5 and 6, in the second half."""
+    gt = generate_phantom(PhantomSpec(t_count=7, height=160, width=160, base_radius=30.0,
+                                      speckle_sigma=0.0))[1].masks
+    assert gt[0].size > metrics.THREADED_PIXELS
+    pred = np.roll(gt, 1, axis=2)
+    for m in (gt, pred):
+        m[5:][m[5:] == 3] = 0
+    return MaskSequence(masks=pred), MaskSequence(masks=gt)
+
+
+def test_evaluate_on_two_threads_is_the_one_cpu_report(monkeypatch, large_masks):
+    one, one_threads = evaluate_on(monkeypatch, {0}, *large_masks)
+    two, two_threads = evaluate_on(monkeypatch, {0, 1}, *large_masks)
+    assert one == two
+    assert one_threads == {threading.get_ident()}
+    assert len(two_threads) == 2 and threading.get_ident() in two_threads
+    la = two.per_label["LA"]
+    assert la.dice_per_frame[5:] == [1.0, 1.0] and la.hd95_missing_frames == [5, 6]
+    assert None not in two.per_label["LV"].hd95_per_frame
+
+
+def test_evaluate_joins_its_worker_when_the_second_half_fails(monkeypatch, large_masks):
+    hd95_on_crop = metrics._hd95_on_crop
+    caller = threading.get_ident()
+
+    def fails_off_the_caller(a, b):
+        if threading.get_ident() != caller:
+            raise UndefinedDistanceError("second half")
+        return hd95_on_crop(a, b)
+
+    monkeypatch.setattr(metrics, "_hd95_on_crop", fails_off_the_caller)
+    before = threading.active_count()
+    with pytest.raises(UndefinedDistanceError, match="second half"):
+        evaluate_on(monkeypatch, {0, 1}, *large_masks)
+    assert threading.active_count() == before
+
+
+def test_small_frames_are_scored_on_the_calling_thread(monkeypatch, phantom):
+    _, masks = phantom  # 128 x 128: at the gate
+    sub = MaskSequence(masks=masks.masks[:6])
+    _, threads = evaluate_on(monkeypatch, {0, 1}, sub, sub)
+    assert threads == {threading.get_ident()}
 
 
 def test_report_outputs(tmp_path, phantom):
