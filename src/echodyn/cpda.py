@@ -6,13 +6,12 @@ self-attention over time, squashed into a channel modulation factor
 S in (0,1), and applied as X * (1 + alpha (2S - 1)); the result is
 blended 50/50 with a 3x3x3 zero-padded convolution over (T, H, W).
 
-The forward pass allocates one clip-sized array, its result. The
-modulated clip is written there and convolved in place, C x C channels:
-`conv3d_same` keeps a rolling accumulator of three output frames and
-writes frame s-1 once input frame s has been read, the last time that
-input frame is needed. The blend then runs frame by frame, recomputing
-each frame of the modulated clip, and `save_feature_clip` converts one
-frame at a time.
+The forward pass allocates one clip-sized array, its result.
+`conv3d_same` reads the clip, modulates each input frame as it copies it
+into a zero-padded frame, and sums each output frame in its own slot of
+the result, C x C channels. The blend then runs frame by frame into that
+result, recomputing each frame of the modulated clip, and
+`save_feature_clip` converts one frame at a time.
 
 `conv3d_same` takes each frame's (H*W x 9C) @ (9C x 3C) product in blocks
 of (10^6 - 1) // (27 C^2) rows (144 at C = 16), each under BLAS_SERIAL_MNK
@@ -21,7 +20,7 @@ whole 64 x 64 frame's product woke its worker thread, which was busy through
 the pass and then spun ~120 ms of the second core. It splits its output
 frames into two halves, one per thread (`halves.in_halves`), when a frame
 holds more than THREADED_CONV_VALUES values H*W*C and a block has at least
-MIN_BLOCK_ROWS rows; the output is the same bits either way. Measured
+MIN_BLOCK_ROWS rows; the output is the same bits split or not. Measured
 in-process, median of 7 calls, serial against two threads (2-vCPU x86 VM):
 
     C = 16, T = 64   16^2   4.6 vs  5.0 ms    20^2   7.5 vs  6.0 ms
@@ -35,7 +34,9 @@ for the GIL. Where C is 44 or more a block has under 20
 rows, and blocked products on two threads lose to one threaded OpenBLAS
 product per frame (32^2 x 16 frames: C = 40, 23 rows, 16.3 vs 18.4 ms;
 C = 48, 16 rows, 23.4 vs 22.8; C = 64, 9 rows, 38.7 vs 35.4), so the
-convolution then takes one product per frame on the calling thread.
+convolution then takes one product per frame on the calling thread. Its
+bits follow OpenBLAS's thread count: a 5 x 12 x 12 x C clip, one CPU against
+two, differed at C = 44 and 48 and matched at C = 40, 43 and 64 (0.3.31).
 
 Weight matrices apply on the right (row vectors: y = x @ W + b).
 MLPs are two layers with ReLU after the first, linear output.
@@ -50,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import INT64_MAX, ModelError, NumericError, ParameterError, check_shapes
-from .halves import in_halves, split_point
+from .halves import in_halves
 from .seqio import decode_f32, read_binary, write_binary
 
 _F32_MAX = float(np.finfo(np.float32).max)  # an FTC1 file holds float32
@@ -73,8 +74,8 @@ class FeatureClip:
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=np.float64)
-        if d.ndim != 4:
-            raise ModelError(f"feature clip must be T x H x W x C, got shape {d.shape}")
+        if d.ndim != 4 or 0 in d.shape:
+            raise ModelError(f"feature clip must be T x H x W x C, each >= 1, got {d.shape}")
         if not np.isfinite(d).all():
             raise NumericError("feature clip contains non-finite values")
         object.__setattr__(self, "data", d)
@@ -219,61 +220,61 @@ def mha_forward(tokens: np.ndarray, weights: CpdaWeights) -> np.ndarray:
     return out @ weights.wo
 
 
-def conv3d_same(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> None:
+def conv3d_same(x: np.ndarray, factor: np.ndarray, kernel: np.ndarray,
+                bias: np.ndarray) -> np.ndarray:
     """3x3x3 zero-padded convolution over (T, H, W) of the channels-last clip
-    `x`, in place, with a C x C x 3 x 3 x 3 (C_out x C_in) kernel.
+    x * factor (factor T x C, one row per frame), with a C x C x 3 x 3 x 3
+    (C_out x C_in) kernel, into a new array; `x` is only read.
 
-    One product per input frame s: its nine (dh, dw) windows side by side,
-    an (H*W) x 9C matrix, times the kernel as 9C x 3C, taken in blocks of
+    One product per input frame s: x[s] * factor[s] is written into a
+    zero-padded frame, and its nine (dh, dw) windows side by side, an
+    (H*W) x 9C matrix, times the kernel as 9C x 3C, taken in blocks of
     `_block_rows(C)` rows. Column block dt of the product goes to output
-    frame s + 1 - dt, where that exists. A rolling accumulator holds output
-    frames s-1, s and s+1, and frame s-1 is complete once input frame s has
-    been read; it is written over frame s-1 of `x`, which is never read
-    again. Each output frame u is summed as bias + prod(u-1)[dt=0] +
-    prod(u)[dt=1] + prod(u+1)[dt=2], in that order.
+    frame s + 1 - dt, where that exists, in that frame's slot of the result:
+    each output frame u is summed as bias + prod(u-1)[dt=0] + prod(u)[dt=1] +
+    prod(u+1)[dt=2], in that order.
 
     The output frames go in two halves (`halves.in_halves`) when a frame has
     more than THREADED_CONV_VALUES values and C takes row blocks; each half
-    keeps its own accumulator and buffers. Input frames split-1 and split
-    are copied before the halves start: each half reads the other half's
-    frame next to the split, which that half overwrites.
+    keeps its own buffers and reads the input frames next to its own.
     """
     t, h, w, c = x.shape
+    if 0 in x.shape or factor.shape != (t, c):
+        raise ModelError(f"conv3d_same needs a T x H x W x C clip with T, H, W, C >= 1 and "
+                         f"a T x C factor, got {x.shape} and {factor.shape}")
     if kernel.shape != (c, c, 3, 3, 3):
         raise ModelError(f"conv kernel must be {c} x {c} x 3 x 3 x 3, got {kernel.shape}")
     # rows ordered (dh, dw, c_in) like the windows, columns (dt, c_out)
     k = kernel.transpose(3, 4, 1, 2, 0).reshape(9 * c, 3 * c)
     rows = _block_rows(c)
-    split = split_point(t, rows is not None and h * w * c > THREADED_CONV_VALUES)
-    rows = rows or max(h * w, 1)
-    edge = {s: x[s].copy() for s in (split - 1, split)} if split < t else {}
+    threaded = rows is not None and h * w * c > THREADED_CONV_VALUES
+    rows = rows or h * w
+    out = np.empty((t, h, w, c))
 
     def convolve(first: int, stop: int) -> None:
         """Output frames first..stop-1, from input frames first-1..stop."""
-        acc = np.empty((3, h, w, c))  # output frame u accumulates in acc[u % 3]
-        acc[first % 3] = bias
         pad = np.zeros((h + 2, w + 2, c))
         windows = np.empty((h, w, 3, 3, c))
         prod = np.empty((h, w, 3, c))
+        if first == 0:
+            out[0] = bias  # output frame 0 has no dt = 0 term
         for s in range(max(first - 1, 0), min(stop + 1, t)):
-            pad[1:-1, 1:-1] = edge.get(s, x[s])
+            np.multiply(x[s], factor[s], out=pad[1:-1, 1:-1])
             for dh in range(3):
                 for dw in range(3):
                     windows[:, :, dh, dw] = pad[dh:dh + h, dw:dw + w]
-            lhs, out = windows.reshape(h * w, 9 * c), prod.reshape(h * w, 3 * c)
+            lhs, flat = windows.reshape(h * w, 9 * c), prod.reshape(h * w, 3 * c)
             for r in range(0, h * w, rows):
-                np.matmul(lhs[r:r + rows], k, out=out[r:r + rows])
-            if first < s <= stop:  # input s is the last that output s-1 reads
-                acc[(s - 1) % 3] += prod[:, :, 2]
-                x[s - 1] = acc[(s - 1) % 3]
+                np.matmul(lhs[r:r + rows], k, out=flat[r:r + rows])
+            if first < s <= stop:
+                out[s - 1] += prod[:, :, 2]
             if first <= s < stop:
-                acc[s % 3] += prod[:, :, 1]
-                if s == t - 1:
-                    x[s] = acc[s % 3]
+                out[s] += prod[:, :, 1]
             if first <= s + 1 < stop:
-                np.add(bias, prod[:, :, 0], out=acc[(s + 1) % 3])
+                np.add(bias, prod[:, :, 0], out=out[s + 1])
 
-    in_halves(convolve, split, t)
+    in_halves(convolve, t, threaded)
+    return out
 
 
 def _block_rows(c: int) -> int | None:
@@ -323,10 +324,8 @@ def _forward(clip: FeatureClip, phase: PhaseTrack, pedg: np.ndarray,
     with np.errstate(over="ignore"):  # exp overflows to inf only where s is 0
         s = 1.0 / (1.0 + np.exp(-(f_attn @ weights.gate_w + weights.gate_b)))  # T x C
     factor = 1.0 + weights.alpha * (2.0 * s - 1.0)
-    # x_mod = X * factor is the one new clip-sized array: it is convolved in
-    # place, then blended frame by frame with x_mod recomputed per frame
-    out = clip.data * factor[:, None, None, :]
-    conv3d_same(out, weights.conv_kernel, weights.conv_bias)
+    # the one new clip-sized array; the blend recomputes x_mod = X * factor into it
+    out = conv3d_same(clip.data, factor, weights.conv_kernel, weights.conv_bias)
     for u in range(clip.t_count):
         out[u] = 0.5 * (clip.data[u] * factor[u]) + 0.5 * out[u]
     return out

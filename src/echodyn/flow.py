@@ -69,7 +69,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import INT64_MAX, DimensionError, NumericError, ParameterError
-from .halves import in_halves, split_point
+from .halves import in_halves
 from .seqio import FrameSequence, decode_f32, read_binary, write_binary
 
 CELL = 8  # side in pixels of the aggregation cells of the coarse correction
@@ -493,7 +493,7 @@ def flow_sequence(seq: FrameSequence, params: FlowParams = FlowParams()) -> list
             prev, nxt = nxt, _presmooth(seq.frames[t + 1], params.presmooth_sigma)
             fields[t] = compute_flow(prev, nxt, smoothed_params, out=flows[t])
 
-    in_halves(solve, split_point(count, math.prod(seq.shape) > THREADED_PIXELS), count)
+    in_halves(solve, count, math.prod(seq.shape) > THREADED_PIXELS)
     return fields
 
 

@@ -1,12 +1,13 @@
 """A range of independent work items in two contiguous halves, on two threads.
 
 `flow.flow_sequence` (frame pairs), `cpda.conv3d_same` (output frames) and
-`metrics.evaluate` (mask frames) each hand their items to `in_halves`. The
-calling thread works through the first half while one worker thread works
-through the second; each caller gates the split on its input's sizes, and
-`split_point` adds the one condition they share, that the process may run
-on two CPUs or more. Each item is computed the same way on either thread,
-so the results are the same bits on one CPU or two.
+`metrics.evaluate` (mask frames) each hand their items to `in_halves`,
+with a gate on their input's sizes. The calling thread works through the
+first half while one worker thread works through the second. All three
+follow one rule: each half writes only its own items' slots of a result
+allocated before the split, and reads only inputs that nobody writes. Each
+item is computed the same way on either thread, so the results do not
+depend on the split.
 """
 
 from __future__ import annotations
@@ -24,15 +25,11 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def split_point(count: int, threaded: bool) -> int:
-    """Where `in_halves` splits range(count): (count + 1) // 2 when `threaded`
-    and the process may run on two CPUs or more, else count (no split)."""
-    return (count + 1) // 2 if threaded and usable_cpus() >= 2 else count
-
-
-def in_halves(work: Callable[[int, int], None], split: int, count: int) -> None:
-    """work(0, split) on the calling thread and, when split < count,
-    work(split, count) on one worker thread, started first.
+def in_halves(work: Callable[[int, int], None], count: int, threaded: bool) -> None:
+    """work(first, stop) over range(count): whole on the calling thread or,
+    when `threaded`, count >= 2 and the process may run on two CPUs or more,
+    split at (count + 1) // 2, work(split, count) on one worker thread,
+    started first, and work(0, split) on the calling thread.
 
     The worker runs in a copy of the caller's context, so it sees the
     caller's context variables; numpy's `np.errstate` is one, and a plain
@@ -40,7 +37,8 @@ def in_halves(work: Callable[[int, int], None], split: int, count: int) -> None:
     The worker is joined before this returns or raises. An error in either
     half is raised, the first half's if both fail.
     """
-    if split >= count:
+    split = (count + 1) // 2
+    if not (threaded and split < count and usable_cpus() >= 2):
         work(0, count)
         return
     with ThreadPoolExecutor(max_workers=1) as pool:  # joins the worker on exit

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.ndimage import binary_erosion, distance_transform_edt, find_objects
 
 from .errors import DimensionError, InsufficientDataError, UndefinedDistanceError
-from .halves import in_halves, split_point
+from .halves import in_halves
 from .seqio import MaskSequence, write_csv
 
 LABEL_NAMES = {1: "LV", 2: "LVM", 3: "LA"}
@@ -121,6 +121,8 @@ def evaluate(pred: MaskSequence, gt: MaskSequence) -> MetricsReport:
         )
     labels = len(LABEL_NAMES)
     t_count = gt.t_count
+    if t_count < 2:  # TCD needs two frames
+        raise InsufficientDataError(f"need at least 2 frames to evaluate, got {t_count}")
     dices: list[list[float]] = [[0.0] * t_count for _ in range(labels)]
     hd95s: list[list[float | None]] = [[None] * t_count for _ in range(labels)]
 
@@ -136,8 +138,7 @@ def evaluate(pred: MaskSequence, gt: MaskSequence) -> MetricsReport:
                 if g.any() and p.any():
                     hd95s[i][t] = _hd95_on_crop(p, g)
 
-    frame_pixels = gt.masks.shape[1] * gt.masks.shape[2]
-    in_halves(score, split_point(t_count, frame_pixels > THREADED_PIXELS), t_count)
+    in_halves(score, t_count, gt.masks.shape[1] * gt.masks.shape[2] > THREADED_PIXELS)
     per_label: dict[str, LabelMetrics] = {}
     for name, dice_t, hd95_t in zip(LABEL_NAMES.values(), dices, hd95s):
         defined = [h for h in hd95_t if h is not None]

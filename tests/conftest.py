@@ -59,7 +59,7 @@ def make_frames(t, h, w, fn):
 
 
 def allow_cpus(monkeypatch, cpus):
-    """Let `halves.split_point` see `cpus` as the CPUs the process may run on."""
+    """Let `halves.in_halves` see `cpus` as the CPUs the process may run on."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
 
 
@@ -67,8 +67,8 @@ def record_halves(monkeypatch, module):
     """The set of threads that run `module`'s `in_halves` work, filled as it runs."""
     seen = set()
 
-    def spy(work, split, count):
-        halves.in_halves(lambda *a: seen.add(threading.get_ident()) or work(*a), split, count)
+    def spy(work, count, threaded):
+        halves.in_halves(lambda *a: seen.add(threading.get_ident()) or work(*a), count, threaded)
 
     monkeypatch.setattr(module, "in_halves", spy)
     return seen

@@ -132,6 +132,51 @@ def test_cpda_demo_seeded_weights_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def _two_usable_cpus():
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    return cpus[:2]
+
+
+# the CLI with the process pinned to the CPUs in argv[1], before numpy (and
+# OpenBLAS, which sizes its thread pool from the affinity it starts with) loads;
+# a preexec_fn would run Python between fork and exec in a threaded process
+_PINNED_CLI = """
+import os, sys
+os.sched_setaffinity(0, [int(c) for c in sys.argv[1].split(",")])
+from echodyn.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(len(_two_usable_cpus()) < 2, reason="needs two usable CPUs")
+def test_cpda_demo_and_edg_write_the_same_bytes_on_one_cpu_and_two(tmp_path):
+    # in-process tests can only fake the affinity `halves` reads; OpenBLAS's
+    # own thread count changes only in a process started on other CPUs
+    cpus = _two_usable_cpus()
+    save_feature_clip(FeatureClip(data=np.random.default_rng(8).normal(size=(16, 32, 32, 16))),
+                      tmp_path / "clip.ftc")
+    assert main(["phantom", "--t", "18", "--size", "160", "--seed", "5",
+                 "-o", str(tmp_path / "seq")]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(allowed):
+        out = tmp_path / f"cpus{len(allowed)}"
+        out.mkdir()
+        printed = []
+        for argv in (["cpda-demo", str(tmp_path / "clip.ftc"), "--seed-weights", "--ed", "0",
+                      "--es", "8", "-o", str(out / "enhanced.ftc")],
+                     ["edg", str(tmp_path / "seq" / "frames"), "-o", str(out / "edg")]):
+            proc = subprocess.run([sys.executable, "-c", _PINNED_CLI,
+                                   ",".join(map(str, allowed)), *argv], env=env,
+                                  check=True, capture_output=True, timeout=300)
+            printed.append(proc.stdout)
+        return printed, dir_bytes(out), dir_bytes(out / "edg")
+
+    one, two = run(cpus[:1]), run(cpus)
+    assert one[1] and len(one[2]) > 3
+    assert one == two
+
+
 def test_eval_perfect(tmp_path, capsys, phantom):
     _, masks = phantom
     sub = MaskSequence(masks=masks.masks[:6])

@@ -251,43 +251,49 @@ def direct_conv3d(x, kernel, bias):
     return out
 
 
-# T=1 and T=2 drop dt slices off both ends of the clip; the convolution runs
-# in place, so output frame s-1 is written once input frame s has been read
+def modulation(rng, x):
+    """A T x C factor for `conv3d_same`, and the oracle's input x * factor."""
+    factor = rng.uniform(0.5, 1.5, size=(x.shape[0], x.shape[3]))
+    return factor, x * factor[:, None, None, :]
+
+
+# T=1 and T=2 drop dt slices off both ends of the clip
 @pytest.mark.parametrize("t", [1, 2, 3, 5])
 def test_conv3d_same_matches_direct_tap_sum(t):
     rng = np.random.default_rng(60 + t)
     x = rng.normal(size=(t, 5, 3, 3))  # H != W
     kernel = rng.normal(size=(3, 3, 3, 3, 3))
     bias = rng.normal(size=3)
-    want = direct_conv3d(x, kernel, bias)
-    assert conv3d_same(x, kernel, bias) is None
-    np.testing.assert_allclose(x, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    factor, x_mod = modulation(rng, x)
+    want = direct_conv3d(x_mod, kernel, bias)
+    got = conv3d_same(x, factor, kernel, bias)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
-def conv_on(monkeypatch, cpus, x, kernel, bias):
-    """conv3d_same on a copy of x with `cpus` allowed; the result and the
-    threads that ran it. The worker is gone once it returns."""
+def conv_on(monkeypatch, cpus, x, factor, kernel, bias):
+    """conv3d_same of x with `cpus` allowed; the result and the threads that
+    ran it. The worker is gone once it returns."""
     threads = record_halves(monkeypatch, cpda)
     allow_cpus(monkeypatch, cpus)
-    out = x.copy()
     before = threading.active_count()
-    conv3d_same(out, kernel, bias)
+    out = conv3d_same(x, factor, kernel, bias)
     assert threading.active_count() == before
     return out, threads
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 5, 64])
 def test_conv3d_same_on_two_threads_is_the_one_cpu_result(monkeypatch, t):
-    # each half reads the input frame next to the split that the other half
-    # overwrites; T = 1 cannot split, T = 2 splits into one frame each
+    # each half reads the input frame next to the split, which the other half
+    # also reads; T = 1 cannot split, T = 2 splits into one frame each
     rng = np.random.default_rng(80 + t)
     x = rng.normal(size=(t, 24, 20, 16))
     assert 24 * 20 * 16 > cpda.THREADED_CONV_VALUES and cpda._block_rows(16) is not None
     kernel = rng.normal(size=(16, 16, 3, 3, 3))
     bias = rng.normal(size=16)
-    want = direct_conv3d(x, kernel, bias)
-    one, one_threads = conv_on(monkeypatch, {0}, x, kernel, bias)
-    two, two_threads = conv_on(monkeypatch, {0, 1}, x, kernel, bias)
+    factor, x_mod = modulation(rng, x)
+    want = direct_conv3d(x_mod, kernel, bias)
+    one, one_threads = conv_on(monkeypatch, {0}, x, factor, kernel, bias)
+    two, two_threads = conv_on(monkeypatch, {0, 1}, x, factor, kernel, bias)
     me = threading.get_ident()
     assert one_threads == {me}
     assert me in two_threads and len(two_threads) == (2 if t > 1 else 1)
@@ -296,18 +302,19 @@ def test_conv3d_same_on_two_threads_is_the_one_cpu_result(monkeypatch, t):
 
 
 def test_conv3d_same_halves_under_rapid_thread_switching(monkeypatch):
-    # the halves share `x`, each writing only its own output frames; switching
-    # threads every microsecond interleaves them finely around the split
+    # the halves share the result, each writing only its own output frames;
+    # switching threads every microsecond interleaves them finely around the split
     rng = np.random.default_rng(70)
     x = rng.normal(size=(4, 24, 20, 16))
     kernel = rng.normal(size=(16, 16, 3, 3, 3))
     bias = rng.normal(size=16)
-    serial, _ = conv_on(monkeypatch, {0}, x, kernel, bias)
+    factor, _ = modulation(rng, x)
+    serial, _ = conv_on(monkeypatch, {0}, x, factor, kernel, bias)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            threaded, threads = conv_on(monkeypatch, {0, 1}, x, kernel, bias)
+            threaded, threads = conv_on(monkeypatch, {0, 1}, x, factor, kernel, bias)
             assert len(threads) == 2 and np.array_equal(threaded, serial)
     finally:
         sys.setswitchinterval(interval)
@@ -323,8 +330,9 @@ def test_conv3d_same_stays_on_the_calling_thread(monkeypatch, shape):
     x = rng.normal(size=shape)
     kernel = rng.normal(size=(c, c, 3, 3, 3))
     bias = rng.normal(size=c)
-    want = direct_conv3d(x, kernel, bias)
-    got, threads = conv_on(monkeypatch, {0, 1}, x, kernel, bias)
+    factor, x_mod = modulation(rng, x)
+    want = direct_conv3d(x_mod, kernel, bias)
+    got, threads = conv_on(monkeypatch, {0, 1}, x, factor, kernel, bias)
     assert threads == {threading.get_ident()}
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
@@ -396,9 +404,45 @@ def test_cpda_forward_leaves_no_blas_worker_spinning():
 
 def test_conv3d_same_rejects_mismatched_kernel():
     with pytest.raises(ModelError, match="conv kernel must be 2 x 2 x 3 x 3 x 3"):
-        conv3d_same(np.zeros((2, 4, 4, 2)), np.zeros((3, 3, 3, 3, 3)), np.zeros(3))
+        conv3d_same(np.zeros((2, 4, 4, 2)), np.ones((2, 2)), np.zeros((3, 3, 3, 3, 3)),
+                    np.zeros(3))
     with pytest.raises(ModelError, match="conv kernel must be 2 x 2 x 3 x 3 x 3"):
-        conv3d_same(np.zeros((2, 4, 4, 2)), np.zeros((3, 2, 3, 3, 3)), np.zeros(3))
+        conv3d_same(np.zeros((2, 4, 4, 2)), np.ones((2, 2)), np.zeros((3, 2, 3, 3, 3)),
+                    np.zeros(3))
+
+
+@pytest.mark.parametrize("x_shape,factor_shape", [((2, 4, 4, 2), (2, 3)),
+                                                  ((2, 4, 4, 2), (3, 2)),
+                                                  ((2, 4, 4, 2), (2,)),
+                                                  ((2, 4, 0, 2), (2, 2)),
+                                                  ((0, 4, 4, 2), (0, 2))])
+def test_conv3d_same_rejects_a_bad_factor_or_an_empty_clip(x_shape, factor_shape):
+    with pytest.raises(ModelError, match="T x C factor"):
+        conv3d_same(np.zeros(x_shape), np.ones(factor_shape), np.zeros((2, 2, 3, 3, 3)),
+                    np.zeros(2))
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_conv3d_same_only_reads_its_input(monkeypatch, cpus):
+    rng = np.random.default_rng(71)
+    x = rng.normal(size=(5, 24, 20, 16))
+    kernel = rng.normal(size=(16, 16, 3, 3, 3))
+    bias = rng.normal(size=16)
+    factor, x_mod = modulation(rng, x)
+    want = direct_conv3d(x_mod, kernel, bias)
+    x.flags.writeable = False
+    got, threads = conv_on(monkeypatch, cpus, x, factor, kernel, bias)
+    assert len(threads) == len(cpus)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_cpda_forward_leaves_the_clip_as_it_was():
+    rng = np.random.default_rng(72)
+    clip = FeatureClip(data=rng.normal(size=(6, 24, 20, 16)))
+    before = clip.data.tobytes()
+    wts = seed_cpda_weights(channels=16, seed=5)
+    cpda_forward(clip, phase_track(6, 0, 3), rng.normal(size=(6, wts.k2)), wts)
+    assert clip.data.tobytes() == before
 
 
 # ------------------------------------------------------------ cpda_forward
@@ -507,6 +551,12 @@ def test_cpda_shape_errors():
         cpda_forward(clip, phase_track(4, 0, 2), np.zeros((4, 2)), wts)
     with pytest.raises(ModelError):
         cpda_forward(clip, phase, np.zeros((3, 5)), wts)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 5, 4), (3, 0, 5, 4), (3, 5, 0, 4), (3, 5, 4, 0)])
+def test_feature_clip_rejects_a_zero_size(shape):
+    with pytest.raises(ModelError, match="T x H x W x C, each >= 1"):
+        FeatureClip(np.zeros(shape))
 
 
 # --------------------------------------------------------------------- io

@@ -251,6 +251,16 @@ def test_evaluate_dimension_error(phantom):
         evaluate(a, b)
 
 
+@pytest.mark.parametrize("t", [0, 1])
+def test_evaluate_needs_two_frames_before_scoring_any(monkeypatch, t):
+    # with no frame, the per-label means warned of an empty slice before TCD raised
+    masks = MaskSequence(masks=np.ones((t, 8, 8), dtype=np.uint8))
+    threads = record_halves(monkeypatch, metrics)
+    with pytest.raises(InsufficientDataError, match=f"at least 2 frames to evaluate, got {t}"):
+        evaluate(masks, masks)
+    assert not threads
+
+
 def evaluate_on(monkeypatch, cpus, pred, gt):
     """evaluate with `cpus` allowed; the report and the threads that scored frames."""
     threads = record_halves(monkeypatch, metrics)
