@@ -23,7 +23,6 @@ def main():
     parser.add_argument("-o", "--out", default="demo_output/01_phantom_and_flow")
     args = parser.parse_args()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     spec = PhantomSpec(t_count=32, height=128, width=128,
                        contraction_fraction=0.3, speckle_sigma=0.02, seed=7)

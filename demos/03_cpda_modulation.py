@@ -44,7 +44,6 @@ def main():
     parser.add_argument("-o", "--out", default="demo_output/03_cpda_modulation")
     args = parser.parse_args()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     seq, _ = generate_phantom(PhantomSpec(seed=7))
     clip = pooled_clip(seq)

@@ -41,7 +41,6 @@ def main():
     parser.add_argument("-o", "--out", default="demo_output/04_segmentation_metrics")
     args = parser.parse_args()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     _, gt_masks = generate_phantom(PhantomSpec(seed=7))
     gt = MaskSequence(masks=gt_masks.masks)

@@ -81,7 +81,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
     seq = seqio.load_sequence(args.in_dir)
     fields = flow.flow_sequence(seq, cfg.flow)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for t, f in enumerate(fields):
         flow.save_flow(f, out / f"flow_{t:04d}.bin")
     print(f"wrote {len(fields)} flow fields to {out}")

@@ -6,12 +6,13 @@ self-attention over time, squashed into a channel modulation factor
 S in (0,1), and applied as X * (1 + alpha (2S - 1)); the result is
 blended 50/50 with a 3x3x3 zero-padded convolution over (T, H, W).
 
-The forward pass allocates one clip-sized array, its result.
-`conv3d_same` reads the clip, modulates each input frame as it copies it
-into a zero-padded frame, and sums each output frame in its own slot of
-the result, C x C channels. The blend then runs frame by frame into that
-result, recomputing each frame of the modulated clip, and
-`save_feature_clip` converts one frame at a time.
+The forward pass allocates one clip-sized array, its float64 result; a
+clip read from FTC1 stays the file's float32 view (pooling sums in float64,
+and each product with the float64 factor widens it exactly). `conv3d_same`
+modulates each input frame into a float64 zero-padded frame and sums each
+output frame in its own slot of the result, C x C channels. The blend then
+runs frame by frame into that result, recomputing each frame of the
+modulated clip, and `save_feature_clip` rounds one frame at a time.
 
 `conv3d_same` takes each frame's (H*W x 9C) @ (9C x 3C) product in blocks
 of (10^6 - 1) // (27 C^2) rows (144 at C = 16), each under BLAS_SERIAL_MNK
@@ -52,9 +53,8 @@ import numpy as np
 
 from .errors import INT64_MAX, ModelError, NumericError, ParameterError, check_shapes
 from .halves import in_halves
-from .seqio import decode_f32, read_binary, write_binary
+from .seqio import encode_f32, read_binary, write_binary
 
-_F32_MAX = float(np.finfo(np.float32).max)  # an FTC1 file holds float32
 # OpenBLAS (0.3.31, 2-core x86) hands a dgemm with m*n*k of 1,000,512 or more
 # to its worker thread, which then spins for ~128 ms of the second core after
 # the call; 998,784 stays on the calling thread
@@ -68,12 +68,13 @@ THREADED_CONV_VALUES = 6 * 1024
 
 @dataclass(frozen=True)
 class FeatureClip:
-    """T x H x W x C spatial feature tensor for one skip level."""
+    """T x H x W x C finite features for one skip level, float32 or float64."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
+        d = np.asarray(self.data)
+        d = d if d.dtype in (np.float32, np.float64) else d.astype(np.float64)
         if d.ndim != 4 or 0 in d.shape:
             raise ModelError(f"feature clip must be T x H x W x C, each >= 1, got {d.shape}")
         if not np.isfinite(d).all():
@@ -187,8 +188,8 @@ class CpdaWeights:
 
 
 def pool_spatial(clip: FeatureClip) -> np.ndarray:
-    """Adaptive average pooling to a single value per frame per channel."""
-    return clip.data.mean(axis=(1, 2))
+    """Adaptive average pooling to one float64 value per frame per channel."""
+    return clip.data.mean(axis=(1, 2), dtype=np.float64)
 
 
 def _mlp(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
@@ -363,15 +364,11 @@ def save_feature_clip(clip: FeatureClip, path: Path | str) -> None:
     """Binary clip: magic FTC1, u32 T,H,W,C, then row-major little-endian f32,
     converted and written one frame at a time. A value past the float32 range
     is a NumericError, and leaves no file."""
-    write_binary(path, b"FTC1", clip.data.shape, map(_to_f32, clip.data))
-
-
-def _to_f32(frame: np.ndarray) -> np.ndarray:
-    if not (-_F32_MAX <= frame.min() and frame.max() <= _F32_MAX):
-        raise NumericError("feature clip values exceed the float32 range of an FTC1 file")
-    return frame.astype("<f4")
+    write_binary(path, b"FTC1", clip.data.shape,
+                 (encode_f32(frame, "feature clip") for frame in clip.data))
 
 
 def load_feature_clip(path: Path | str) -> FeatureClip:
+    """An FTC1 clip as a read-only float32 view of the file's bytes."""
     (t, h, w, c), payload = read_binary(path, b"FTC1", 4, 4, 4)
-    return FeatureClip(data=decode_f32(payload).reshape(t, h, w, c))
+    return FeatureClip(data=np.frombuffer(payload, "<f4").reshape(t, h, w, c))

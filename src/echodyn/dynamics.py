@@ -287,7 +287,6 @@ def save_edg_outputs(maps: np.ndarray, grid: SectorGrid, h: int, w: int,
     """Per-frame PGM heatmaps (min-max normalized over the sequence) + edg.csv
     from the (N-1) x R x TH maps; file and row t are map t."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lo, hi = float(maps.min()), float(maps.max())
     sector_ids, inside = sector_index_map(grid, h, w)
     ids = sector_ids[inside]

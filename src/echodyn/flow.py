@@ -70,7 +70,7 @@ from scipy.ndimage import gaussian_filter
 
 from .errors import INT64_MAX, DimensionError, NumericError, ParameterError
 from .halves import in_halves
-from .seqio import FrameSequence, decode_f32, read_binary, write_binary
+from .seqio import FrameSequence, encode_f32, read_binary, write_binary
 
 CELL = 8  # side in pixels of the aggregation cells of the coarse correction
 # The float32 residual recurrence of `_solve` drifts from the true residual
@@ -498,12 +498,14 @@ def flow_sequence(seq: FrameSequence, params: FlowParams = FlowParams()) -> list
 
 
 def save_flow(flow: FlowField, path: Path | str) -> None:
-    """Binary dump: magic FLW1, u32 H,W, then f32 u values then v values."""
+    """Binary dump: magic FLW1, u32 H,W, then f32 u values then v values. A
+    value past the float32 range is a NumericError, and leaves no file."""
     write_binary(path, b"FLW1", flow.u.shape,
-                 (plane.astype("<f4") for plane in (flow.u, flow.v)))
+                 (encode_f32(plane, "flow") for plane in (flow.u, flow.v)))
 
 
 def load_flow(path: Path | str) -> FlowField:
+    """A FLW1 flow whose u and v are read-only float32 views of the file's bytes."""
     (h, w), payload = read_binary(path, b"FLW1", 2, 2, 8)  # two f32 planes
-    uv = decode_f32(payload).reshape(2, h, w)
+    uv = np.frombuffer(payload, "<f4").reshape(2, h, w)
     return FlowField(u=uv[0], v=uv[1])

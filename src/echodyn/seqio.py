@@ -19,12 +19,13 @@ Every JSON file (config, models, weights, ``meta.json``, and the
 dataclass's type hints: the dataclass is the schema. `write_binary` writes
 every ``.eds``, FLW1 and FTC1 file, drawing its payload a frame or plane at
 a time, and `read_binary` hands the payload back as a view of the file's
-bytes, not a copy, which `decode_f32` turns into float64 for the float32
-formats. `write_csv` writes every CSV file and `read_csv` reads
-every all-numeric one back: no other module opens a file. Every
-writer goes through `atomic_write`, so a failed write leaves the target as
-it was, and a written file gets the mode a plain `open()` gives under the
-current umask.
+bytes, not a copy: FTC1 and FLW1 arrays load as read-only float32 views,
+and `encode_f32` range-checks every array they store. `write_csv` writes
+every CSV file and `read_csv` reads every all-numeric one back: no other
+module opens a file. Every writer goes through `atomic_write`, which makes
+a missing parent directory; a failed write leaves the target as it was and
+no other file, and a written file gets the mode a plain `open()` gives
+under the current umask.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .errors import (
     FormatError,
     GeometryError,
     InsufficientDataError,
+    NumericError,
     ParameterError,
 )
 
@@ -64,6 +66,7 @@ LABEL_LA = 3
 _LV_ASPECT = 0.8
 # antiphase atrial pulse as a fraction of the LV contraction fraction
 _LA_PULSE = 0.5
+_F32_MAX = float(np.finfo(np.float32).max)  # FTC1 and FLW1 files hold float32
 # spatial correlation (px) of the speckle texture / decorrelation noise
 _TEXTURE_CORR_PX = 1.5
 _DECORR_CORR_PX = 1.0
@@ -134,7 +137,7 @@ class MaskSequence:
         if m.ndim != 3 or 0 in m.shape[1:]:
             raise DimensionError(f"masks must be T x H x W with H, W >= 1, got shape {m.shape}")
         with np.errstate(invalid="ignore"):  # NaN casts to some byte; the check below fails it
-            labels = m.astype(np.uint8)
+            labels = m.astype(np.uint8, copy=False)
         if not (np.array_equal(labels, m) and labels.max(initial=0) <= 3):
             raise FormatError("mask labels must be in {0,1,2,3}")
         object.__setattr__(self, "masks", labels)
@@ -236,12 +239,12 @@ def read_binary(path: Path | str, magic: bytes, n_fields: int, n_dims: int,
     return fields, memoryview(raw)[end:]
 
 
-def decode_f32(payload) -> np.ndarray:
-    """A `read_binary` payload of little-endian float32 values as a flat float64
-    array. A signalling NaN stays a NaN without the RuntimeWarning its cast
-    raises; the array's own type then rejects every NaN."""
-    with np.errstate(invalid="ignore"):
-        return np.frombuffer(payload, dtype="<f4").astype(np.float64)
+def encode_f32(array: np.ndarray, what: str) -> np.ndarray:
+    """`array` as little-endian float32, as an FTC1 or FLW1 file stores it; a
+    value past the float32 range is a NumericError naming `what`."""
+    if not (-_F32_MAX <= array.min(initial=0.0) and array.max(initial=0.0) <= _F32_MAX):
+        raise NumericError(f"{what} values exceed the float32 range of the file")
+    return array.astype("<f4")
 
 
 def write_binary(path: Path | str, magic: bytes, fields, payloads) -> None:
@@ -294,12 +297,14 @@ def read_csv(path: Path | str) -> tuple[list[str], np.ndarray]:
 def atomic_write(path: Path | str, mode: str = "w", **open_kwargs):
     """Open a file object for writing `path`; it is renamed into place on success.
 
-    The temporary file is unique to the call and sits beside `path`, created
-    with the mode a plain `open()` gives under the current umask; if the
-    body raises it is removed, so `path` keeps its old bytes (or stays
-    absent) and nothing else is left behind.
+    A missing parent directory is created first. The temporary file is
+    unique to the call and sits beside `path`, created with the mode a plain
+    `open()` gives under the current umask; if the body raises it is
+    removed, so `path` keeps its old bytes (or stays absent) and no file is
+    left behind, though a directory created for it stays.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -441,7 +446,6 @@ def save_sequence(seq: FrameSequence, path: Path | str) -> None:
     if path.suffix == ".eds":
         _save_eds(seq, path)
         return
-    path.mkdir(parents=True, exist_ok=True)
     (path / "meta.json").unlink(missing_ok=True)
     t, (h, w) = seq.t_count, seq.shape
     for i in range(t):
@@ -498,10 +502,8 @@ def _load_eds(path: Path) -> FrameSequence:
 
 
 def save_masks(masks: MaskSequence, path: Path | str) -> None:
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     for i in range(masks.t_count):
-        write_pgm(path / f"mask_{i:04d}.pgm", masks.masks[i])
+        write_pgm(Path(path) / f"mask_{i:04d}.pgm", masks.masks[i])
 
 
 def load_masks(path: Path | str) -> MaskSequence:

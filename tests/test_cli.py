@@ -549,6 +549,34 @@ def test_atomic_write_leaves_nothing_behind_on_failure(tmp_path):
     assert target.stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
+def test_atomic_write_makes_a_missing_parent_and_leaves_no_file_on_failure(tmp_path):
+    target = tmp_path / "a" / "b" / "out.bin"
+    with pytest.raises(RuntimeError):
+        with atomic_write(target, "wb") as fh:
+            fh.write(b"partial")
+            raise RuntimeError("disk full")
+    assert list(target.parent.iterdir()) == []
+    with atomic_write(target, "wb") as fh:
+        fh.write(b"new")
+    assert list(target.parent.iterdir()) == [target] and target.read_bytes() == b"new"
+
+
+@pytest.mark.parametrize("argv,written", [
+    (["seed-weights", "--channels", "4", "-o", "{out}/w.json"], ["w.json"]),
+    (["cpda-demo", "{tmp}/in.ftc", "--seed-weights", "--ed", "0", "--es", "1",
+      "-o", "{out}/enhanced.ftc"], ["enhanced.ftc"]),
+    (["eval", "{tmp}/m", "{tmp}/m", "--report", "{out}/report.json"],
+     ["report.csv", "report.json"]),
+], ids=["seed-weights", "cpda-demo", "eval"])
+def test_a_file_output_goes_into_a_missing_nested_directory(tmp_path, capsys, argv, written):
+    # each exited 1 with a FileNotFoundError naming its temporary file
+    save_feature_clip(FeatureClip(data=np.ones((2, 3, 3, 2))), tmp_path / "in.ftc")
+    save_masks(MaskSequence(masks=np.zeros((2, 4, 4), dtype=np.uint8)), tmp_path / "m")
+    out = tmp_path / "missing" / "nested"
+    assert main([a.format(tmp=tmp_path, out=out) for a in argv]) == 0, capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == written
+
+
 def test_atomic_write_follows_the_umask_at_write_time(tmp_path):
     old = os.umask(0o077)
     try:

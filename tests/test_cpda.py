@@ -636,6 +636,31 @@ def test_feature_clip_roundtrip(tmp_path):
     assert (tmp_path / "c.ftc").read_bytes()[:4] == b"FTC1"
 
 
+def test_a_loaded_clip_is_a_read_only_float32_view(tmp_path):
+    data = np.random.default_rng(26).normal(size=(2, 3, 4, 5)).astype(np.float32)
+    save_feature_clip(FeatureClip(data=data), tmp_path / "c.ftc")
+    back = load_feature_clip(tmp_path / "c.ftc")
+    assert back.data.dtype == np.float32 and not back.data.flags.writeable
+    assert np.array_equal(back.data, data)
+
+
+@pytest.mark.parametrize("shape", [(64, 64, 64, 16), (6, 24, 24, 48)],
+                         ids=["64x64x64x16", "C48-one-product-per-frame"])
+def test_cpda_forward_on_a_loaded_clip_is_the_float64_result(tmp_path, shape):
+    # float32 -> float64 is exact, so the clip as read gives the widened clip's bits
+    rng = np.random.default_rng(27)
+    save_feature_clip(FeatureClip(data=rng.normal(size=shape).astype(np.float32)),
+                      tmp_path / "c.ftc")
+    clip = load_feature_clip(tmp_path / "c.ftc")
+    assert clip.data.dtype == np.float32
+    t, c = shape[0], shape[3]
+    wts = seed_cpda_weights(channels=c, seed=8)
+    phase, pedg = phase_track(t, 0, t // 2), rng.normal(size=(t, wts.k2))
+    want = cpda_forward(FeatureClip(data=clip.data.astype(np.float64)), phase, pedg, wts)
+    got = cpda_forward(clip, phase, pedg, wts)
+    assert got.data.dtype == np.float64 and got.data.tobytes() == want.data.tobytes()
+
+
 def test_weights_invariants():
     with pytest.raises(ModelError):
         seed_cpda_weights(channels=2, d_p=2, d_e=1, heads=2, seed=0)  # 5 % 2 != 0

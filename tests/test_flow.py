@@ -180,6 +180,29 @@ def test_flow_dump_roundtrip(tmp_path):
     assert raw[:4] == b"FLW1"
 
 
+def test_a_loaded_flow_is_a_read_only_float32_view(tmp_path):
+    rng = np.random.default_rng(4)
+    u, v = rng.normal(size=(2, 6, 5)).astype(np.float32)
+    save_flow(FlowField(u=u, v=v), tmp_path / "f.bin")
+    back = load_flow(tmp_path / "f.bin")
+    for got, want in ((back.u, u), (back.v, v)):
+        assert got.dtype == np.float32 and not got.flags.writeable
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("plane", ["u", "v"])
+def test_saving_flow_past_float32_is_a_numeric_error_leaving_no_file(tmp_path, plane):
+    # the cast warned "overflow encountered in cast", then wrote an inf that
+    # load_flow rejected
+    planes = {"u": np.zeros((3, 4)), "v": np.zeros((3, 4))}
+    planes[plane][1, 2] = -1e39
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="float32 range"):
+            save_flow(FlowField(**planes), tmp_path / "f.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_finite_flow_is_a_numeric_error(tmp_path):
     with pytest.raises(NumericError, match="must be finite"):
         FlowField(u=np.zeros((3, 4)), v=np.full((3, 4), np.nan))

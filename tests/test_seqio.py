@@ -200,6 +200,11 @@ def test_mask_labels_validated():
     assert accepted.dtype == np.uint8 and np.array_equal(accepted, labels)
 
 
+def test_mask_sequence_keeps_a_uint8_array_without_a_copy():
+    labels = np.tile(np.arange(4, dtype=np.uint8), (2, 4, 1))
+    assert np.shares_memory(MaskSequence(masks=labels).masks, labels)
+
+
 @pytest.mark.parametrize("shape", [(2, 0, 4), (2, 4, 0)])
 def test_mask_sequence_rejects_zero_height_or_width(shape):
     with pytest.raises(DimensionError, match="H, W >= 1"):
