@@ -6,13 +6,14 @@ self-attention over time, squashed into a channel modulation factor
 S in (0,1), and applied as X * (1 + alpha (2S - 1)); the result is
 blended 50/50 with a 3x3x3 zero-padded convolution over (T, H, W).
 
-The forward pass allocates one clip-sized array, its float64 result; a
-clip read from FTC1 stays the file's float32 view (pooling sums in float64,
-and each product with the float64 factor widens it exactly). `conv3d_same`
-modulates each input frame into a float64 zero-padded frame and sums each
-output frame in its own slot of the result, C x C channels. The blend then
-runs frame by frame into that result, recomputing each frame of the
-modulated clip, and `save_feature_clip` rounds one frame at a time.
+Both halves of the blend are linear in X' = X * factor, so the blend is one
+convolution of X': kernel (K + I) / 2, I the centre-tap identity, and bias
+b / 2. The forward pass allocates one clip-sized array, that convolution's
+float64 result; a clip read from FTC1 stays the file's float32 view (pooling
+sums in float64, and each product with the float64 factor widens it
+exactly). `conv3d_same` modulates each input frame into a float64
+zero-padded frame and sums each output frame in its own slot of the result,
+C x C channels, and `save_feature_clip` rounds one frame at a time.
 
 `conv3d_same` takes each frame's (H*W x 9C) @ (9C x 3C) product in blocks
 of (10^6 - 1) // (27 C^2) rows (144 at C = 16), each under BLAS_SERIAL_MNK
@@ -325,18 +326,15 @@ def _forward(clip: FeatureClip, phase: PhaseTrack, pedg: np.ndarray,
     with np.errstate(over="ignore"):  # exp overflows to inf only where s is 0
         s = 1.0 / (1.0 + np.exp(-(f_attn @ weights.gate_w + weights.gate_b)))  # T x C
     factor = 1.0 + weights.alpha * (2.0 * s - 1.0)
-    # the one new clip-sized array; the blend recomputes x_mod = X * factor into it
-    out = conv3d_same(clip.data, factor, weights.conv_kernel, weights.conv_bias)
-    for u in range(clip.t_count):
-        out[u] = 0.5 * (clip.data[u] * factor[u]) + 0.5 * out[u]
-    return out
+    # 0.5 X' + 0.5 conv(X') is one convolution: kernel 0.5 (K + identity), bias 0.5 b
+    kernel = 0.5 * (weights.conv_kernel + identity_conv_kernel(clip.channels))
+    return conv3d_same(clip.data, factor, kernel, 0.5 * weights.conv_bias)
 
 
 def identity_conv_kernel(channels: int) -> np.ndarray:
     """Center-tap identity: Conv3D(X) == X."""
     k = np.zeros((channels, channels, 3, 3, 3))
-    for c in range(channels):
-        k[c, c, 1, 1, 1] = 1.0
+    k[:, :, 1, 1, 1] = np.eye(channels)
     return k
 
 

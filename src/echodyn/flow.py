@@ -123,8 +123,8 @@ class FlowField:
     v: np.ndarray
 
     def __post_init__(self):
-        if self.u.shape != self.v.shape or self.u.ndim != 2:
-            raise DimensionError("u and v must be matching 2-D arrays")
+        if self.u.shape != self.v.shape or self.u.ndim != 2 or 0 in self.u.shape:
+            raise DimensionError("u and v must be matching 2-D arrays, each side >= 1")
         if not (np.isfinite(self.u).all() and np.isfinite(self.v).all()):
             raise NumericError("flow components must be finite")
 

@@ -82,14 +82,16 @@ class EdgResult:
     pedg: np.ndarray  # (T-2) x k2, one P_EDG row per state transition
 
 
-def _check_sizes(cfg: PipelineConfig, t_count: int) -> None:
+def _check_sizes(cfg: PipelineConfig, t_count: int, h: int, w: int) -> None:
     """Raise the error a later stage would raise when `cfg` cannot fit T frames.
 
-    T frames give T-1 descriptor rows, whose PCA needs pca_k <= rows - 1 and
-    <= the descriptor length; T-1 states, from which k-means draws m_centers
-    centers; and T-2 energy rows of m_centers columns, whose PCA needs
-    k2 <= rows - 1 and <= m_centers.
+    An H x W frame takes at most H*W sectors. T frames give T-1 descriptor
+    rows, whose PCA needs pca_k <= rows - 1 and <= the descriptor length; T-1
+    states, from which k-means draws m_centers centers; and T-2 energy rows of
+    m_centers columns, whose PCA needs k2 <= rows - 1 and <= m_centers.
     """
+    if cfg.grid.sector_count > h * w:
+        raise ParameterError(f"r_bins x theta_bins = {cfg.grid.sector_count} > {h}x{w} pixels")
     if not 1 <= cfg.pca_k <= cfg.grid.descriptor_length:
         raise ParameterError(f"pca_k={cfg.pca_k} out of range "
                              f"1..{cfg.grid.descriptor_length} (the descriptor length)")
@@ -109,7 +111,7 @@ def run_edg(seq: seqio.FrameSequence, cfg: PipelineConfig = PipelineConfig()) ->
     cfg.rbf.fit selects the RBF weight fit ("lms" or closed-form "ls").
     A config that cannot fit `seq` is rejected before any stage runs.
     """
-    _check_sizes(cfg, seq.t_count)
+    _check_sizes(cfg, seq.t_count, *seq.shape)
     flows = flow.flow_sequence(seq, cfg.flow)
     z, scaler, pca = descriptor.descriptor_sequence(seq, flows, cfg.grid, cfg.pca_k)
     model = dynamics.train_dynamics(z, cfg.rbf, seed=stage_seed(cfg.seed, STAGE_KMEANS))

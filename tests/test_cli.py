@@ -155,8 +155,9 @@ def test_cpda_demo_and_edg_write_the_same_bytes_on_one_cpu_and_two(tmp_path):
     cpus = _two_usable_cpus()
     save_feature_clip(FeatureClip(data=np.random.default_rng(8).normal(size=(16, 32, 32, 16))),
                       tmp_path / "clip.ftc")
-    assert main(["phantom", "--t", "18", "--size", "160", "--seed", "5",
-                 "-o", str(tmp_path / "seq")]) == 0
+    for seed in (5, 6):
+        assert main(["phantom", "--t", "18", "--size", "160", "--seed", str(seed),
+                     "-o", str(tmp_path / f"seq{seed}")]) == 0
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
     def run(allowed):
@@ -165,15 +166,18 @@ def test_cpda_demo_and_edg_write_the_same_bytes_on_one_cpu_and_two(tmp_path):
         printed = []
         for argv in (["cpda-demo", str(tmp_path / "clip.ftc"), "--seed-weights", "--ed", "0",
                       "--es", "8", "-o", str(out / "enhanced.ftc")],
-                     ["edg", str(tmp_path / "seq" / "frames"), "-o", str(out / "edg")]):
+                     ["edg", str(tmp_path / "seq5" / "frames"), "-o", str(out / "edg")],
+                     ["eval", str(tmp_path / "seq6" / "masks"), str(tmp_path / "seq5" / "masks"),
+                      "--report", str(out / "eval" / "report.json")]):
             proc = subprocess.run([sys.executable, "-c", _PINNED_CLI,
                                    ",".join(map(str, allowed)), *argv], env=env,
                                   check=True, capture_output=True, timeout=300)
             printed.append(proc.stdout)
-        return printed, dir_bytes(out), dir_bytes(out / "edg")
+        return printed, dir_bytes(out), dir_bytes(out / "edg"), dir_bytes(out / "eval")
 
     one, two = run(cpus[:1]), run(cpus)
     assert one[1] and len(one[2]) > 3
+    assert set(one[3]) == {"report.json", "report.csv"} and b"dice=" in one[0][2]
     assert one == two
 
 

@@ -498,6 +498,34 @@ def test_cpda_forward_matches_loop_oracle():
     assert np.abs(got.data - expected).max() < 1e-5
 
 
+def gate_factor(clip, phase, pedg, wts):
+    """The T x C modulation factor, by the gate arithmetic of `cpda._forward`."""
+    angles = 2.0 * np.pi * phase.phi
+    f_phase = cpda._mlp(np.stack([np.sin(angles), np.cos(angles)], axis=1),
+                        wts.phase_w1, wts.phase_b1, wts.phase_w2, wts.phase_b2)
+    f_edg = cpda._mlp(pedg, wts.edg_w1, wts.edg_b1, wts.edg_w2, wts.edg_b2)
+    tokens = np.concatenate([pool_spatial(clip), f_phase, f_edg], axis=1)
+    s = 1.0 / (1.0 + np.exp(-(mha_forward(tokens, wts) @ wts.gate_w + wts.gate_b)))
+    return 1.0 + wts.alpha * (2.0 * s - 1.0)
+
+
+@pytest.mark.parametrize("shape", [(16, 32, 32, 16), (6, 24, 24, 48)],
+                         ids=["row-blocks", "C48-one-product-per-frame"])
+def test_cpda_forward_is_the_50_50_blend_of_the_modulated_clip_and_its_convolution(shape):
+    # the blend is folded into the convolution's kernel and bias
+    rng = np.random.default_rng(29)
+    t, c = shape[0], shape[3]
+    clip = FeatureClip(data=rng.normal(size=shape))
+    wts = seed_cpda_weights(channels=c, seed=10)
+    object.__setattr__(wts, "conv_bias", rng.normal(size=c))  # seeded biases are zero
+    phase, pedg = phase_track(t, 0, t // 2), rng.normal(size=(t, wts.k2))
+    factor = gate_factor(clip, phase, pedg, wts)
+    x_mod = clip.data * factor[:, None, None, :]
+    want = 0.5 * x_mod + 0.5 * conv3d_same(clip.data, factor, wts.conv_kernel, wts.conv_bias)
+    got = cpda_forward(clip, phase, pedg, wts).data
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 def test_cpda_finite_difference_sensitivity():
     """Central-difference sensitivity agrees between the module and the oracle."""
     clip, phase, pedg, wts = tiny_instance(seed=321)

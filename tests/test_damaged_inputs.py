@@ -112,6 +112,13 @@ def test_numeric_flag_at_the_edge_of_its_type(inputs, name, flag, value):
     run(inputs, with_flag(COMMANDS[name], flag, value))
 
 
+@pytest.mark.parametrize("flag", ["--r-bins", "--theta-bins"])
+def test_edg_with_more_sectors_than_pixels_exits_1(inputs, capsys, flag):
+    # 2**62 fits int64; flow ran on every pair before an OverflowError escaped
+    assert run(inputs, with_flag(COMMANDS["edg"], flag, str(2 ** 62))) == 1
+    assert "r_bins x theta_bins" in capsys.readouterr().err
+
+
 def test_the_sweep_covers_every_subcommand_and_size_flag():
     swept = {(p.values[0], p.values[1]) for p in numeric_flags()}
     assert {name for name, _ in swept} == set(COMMANDS) - {"edg-eds", "eval"}

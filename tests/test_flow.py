@@ -225,6 +225,14 @@ def test_loading_flow_with_a_signalling_nan_is_a_numeric_error_without_a_warning
             load_flow(tmp_path / "f.bin")
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_a_zero_size_flow_is_a_dimension_error_leaving_no_file(tmp_path, shape):
+    # save_flow wrote it, and load_flow then rejected the zero in its header
+    with pytest.raises(DimensionError, match="each side >= 1"):
+        save_flow(FlowField(u=np.zeros(shape), v=np.zeros(shape)), tmp_path / "f.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_flow_truncated_header(tmp_path):
     (tmp_path / "f.bin").write_bytes(b"FLW1\x06\x00")
     with pytest.raises(FormatError, match="truncated header"):

@@ -57,7 +57,13 @@ def test_shortest_sequence_runs_and_one_frame_less_fails_before_flow(
     (small_config(3, 8, 20), "k2=20"),
     (small_config(3, 8, 0), "k2=0"),
     (PipelineConfig(grid=SectorGrid(r_bins=1, theta_bins=1), pca_k=7), "pca_k=7"),
-], ids=["k2-above-m", "k2-zero", "pca_k-above-descriptor"])
+    # more sectors than the 48 x 48 frame has pixels; r_bins = 2**62 ran flow
+    # on every pair, then escaped as an OverflowError
+    (PipelineConfig(grid=SectorGrid(r_bins=49, theta_bins=48)), "r_bins x theta_bins"),
+    (PipelineConfig(grid=SectorGrid(r_bins=2 ** 62)), "r_bins x theta_bins"),
+    (PipelineConfig(grid=SectorGrid(theta_bins=2 ** 62)), "r_bins x theta_bins"),
+], ids=["k2-above-m", "k2-zero", "pca_k-above-descriptor", "sectors-above-pixels",
+        "r_bins-2**62", "theta_bins-2**62"])
 def test_config_out_of_range_fails_before_flow(flow_calls, cfg, needle):
     with pytest.raises(ParameterError, match=needle):
         run_edg(phantom_frames(40), cfg)
