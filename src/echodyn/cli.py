@@ -15,8 +15,10 @@ Settings resolve as defaults < ``--config`` file < explicit flags; per-stage
 seeds derive from ``--seed`` (see `pipeline.stage_seed`). ``eval`` reads no
 config, ``flow``, which draws no random numbers, takes no ``--seed``, and
 ``cpda-demo --weights`` takes neither ``--seed`` nor ``--config``.
-Exit codes: 0 success, 1 runtime failure, 2 usage error. Every output file
-is written to a temp file and renamed into place (`seqio.atomic_write`).
+Exit codes: 0 success, 1 runtime failure (a pipeline error, an OS error or
+running out of memory, each reported on one line), 2 usage error. Every
+output file is written to a temp file and renamed into place
+(`seqio.atomic_write`).
 """
 
 from __future__ import annotations
@@ -242,6 +244,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (EchodynError, OSError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy raises a private subclass; name the public one
+        print(f"error [MemoryError]: {args.command}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -52,7 +52,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import INT64_MAX, ModelError, NumericError, ParameterError, check_shapes
+from .errors import (
+    INT64_MAX,
+    ModelError,
+    NumericError,
+    ParameterError,
+    check_float64_count,
+    check_shapes,
+)
 from .halves import in_halves
 from .seqio import encode_f32, read_binary, write_binary
 
@@ -342,14 +349,19 @@ def seed_cpda_weights(channels: int, d_p: int = 8, d_e: int = 8, k2: int = 8,
                       heads: int = 2, alpha: float = 0.5, seed: int = 0) -> CpdaWeights:
     """Reproducible random weight set for a given shape, drawn from one generator
     in `_weight_shapes` order: vectors zero, every other array N(0, 1/sqrt(fan_in)),
-    fan_in being a matrix's row count or the kernel's C * 27. A size below 1 is
-    a ParameterError, raised before any draw."""
+    fan_in being a matrix's row count or the kernel's C * 27. A size below 1, or
+    one that takes an array past INT64_MAX bytes, is a ParameterError, raised
+    before any draw."""
     if not all(1 <= n <= INT64_MAX for n in (channels, d_p, d_e, k2)):
         raise ParameterError(f"channels, d_p, d_e and k2 must be >= 1 and fit int64, "
                              f"got {channels}, {d_p}, {d_e}, {k2}")
+    shapes = _weight_shapes(channels, d_p, d_e, k2)
+    for name, shape in shapes.items():
+        check_float64_count(f"'{name}' {shape} for channels={channels}, d_p={d_p}, "
+                            f"d_e={d_e}, k2={k2}", math.prod(shape))
     rng = np.random.default_rng(seed)
     arrays = {}
-    for name, shape in _weight_shapes(channels, d_p, d_e, k2).items():
+    for name, shape in shapes.items():
         if len(shape) == 1:
             arrays[name] = np.zeros(shape)
         else:

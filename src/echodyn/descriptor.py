@@ -4,6 +4,8 @@ Each frame pair is pooled over an R x TH annular-sector grid centered on
 the image center. Every sector contributes 6 features in fixed order:
 [mean v_r, mean v_theta, std v_r, std v_theta, mean gray, std gray],
 where v_r / v_theta are the radial and tangential flow projections.
+The partition is built once per grid and frame size (`_sector_geometry`),
+so each frame pair only gathers its disc pixels and pools them.
 Descriptors are standardized column-wise and reduced by PCA to the
 per-frame low-dimensional state vector z_t.
 """
@@ -67,8 +69,11 @@ class SectorGrid:
 @functools.lru_cache(maxsize=4)
 def _sector_geometry(cx: float, cy: float, r_max: float, r_bins: int, theta_bins: int,
                      h: int, w: int) -> tuple[np.ndarray, ...]:
-    """Read-only (sector id map, inside-disc mask, radial unit vectors ex, ey)
-    of an H x W image, built once per resolved grid and image size.
+    """The sector partition of an H x W image, built once per resolved grid and
+    image size, every array read-only: the sector id map and the inside-disc
+    mask; then, over the disc pixels in row-major order, their sector ids and
+    radial unit vectors ex, ey; last, each sector's pixel count as float64,
+    with 1 for an empty sector, whose sums are 0 and so pool to 0.
 
     Angle 0 points along +x and increases toward +y (downward in images);
     the pole pixel has ex = ey = 0.
@@ -81,10 +86,11 @@ def _sector_geometry(cx: float, cy: float, r_max: float, r_bins: int, theta_bins
     angle = np.arctan2(dy, dx)
     angle[angle < 0] += 2.0 * np.pi
     tbin = np.minimum((angle * theta_bins / (2.0 * np.pi)).astype(np.int64), theta_bins - 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ex = np.where(rho > 0, dx / rho, 0.0)
-        ey = np.where(rho > 0, dy / rho, 0.0)
-    geometry = (ring * theta_bins + tbin, inside, ex, ey)
+    sector_ids = ring * theta_bins + tbin
+    ids, rho = sector_ids[inside], rho[inside]
+    ex, ey = (np.divide(d[inside], rho, out=np.zeros_like(rho), where=rho > 0) for d in (dx, dy))
+    counts = np.maximum(np.bincount(ids, minlength=r_bins * theta_bins), 1).astype(np.float64)
+    geometry = (sector_ids, inside, ids, ex, ey, counts)
     for array in geometry:
         array.flags.writeable = False
     return geometry
@@ -98,8 +104,10 @@ def sector_index_map(grid: SectorGrid, h: int, w: int) -> tuple[np.ndarray, np.n
 def extract_descriptor(frame: np.ndarray, flow: FlowField, grid: SectorGrid) -> np.ndarray:
     """Pool flow/gray statistics per sector into one length R*TH*6 vector.
 
-    Concatenation is ring-major, then angle bin, then feature. Empty
-    sectors contribute all-zero features.
+    Concatenation is ring-major, then angle bin, then feature. Only the disc
+    pixels are read and projected; each field then takes two bincounts over
+    the cached partition (`_sector_geometry`), its sums and its centred sums
+    of squares, so empty sectors contribute all-zero features.
     """
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape != flow.u.shape:
@@ -107,28 +115,18 @@ def extract_descriptor(frame: np.ndarray, flow: FlowField, grid: SectorGrid) -> 
             f"frame shape {frame.shape} does not match flow shape {flow.u.shape}"
         )
     h, w = frame.shape
-    sector_ids, inside, ex, ey = _sector_geometry(*grid.resolve(h, w), grid.r_bins,
-                                                  grid.theta_bins, h, w)
-    v_r = flow.u * ex + flow.v * ey
-    v_t = -flow.u * ey + flow.v * ex
-
-    ids = sector_ids[inside]
-    n_sec = grid.sector_count
-    counts = np.bincount(ids, minlength=n_sec).astype(np.float64)
-    nonempty = counts > 0
-    safe = np.where(nonempty, counts, 1.0)
-
-    feats = np.zeros((n_sec, FEATURES_PER_SECTOR))
-    for mean_col, std_col, field in ((0, 2, v_r), (1, 3, v_t), (4, 5, frame)):
-        vals = field[inside]
-        s1 = np.bincount(ids, weights=vals, minlength=n_sec)
-        mean = np.where(nonempty, s1 / safe, 0.0)
+    _, inside, ids, ex, ey, counts = _sector_geometry(*grid.resolve(h, w), grid.r_bins,
+                                                      grid.theta_bins, h, w)
+    u, v = flow.u[inside], flow.v[inside]
+    feats = np.empty((counts.size, FEATURES_PER_SECTOR))
+    for mean_col, std_col, vals in ((0, 2, u * ex + v * ey), (1, 3, -u * ey + v * ex),
+                                    (4, 5, frame[inside])):
+        mean = np.bincount(ids, weights=vals, minlength=counts.size) / counts
         # two-pass variance: exact zeros on constant sectors
         centered = vals - mean[ids]
-        s2 = np.bincount(ids, weights=centered * centered, minlength=n_sec)
-        var = np.where(nonempty, s2 / safe, 0.0)
         feats[:, mean_col] = mean
-        feats[:, std_col] = np.sqrt(var)
+        feats[:, std_col] = np.sqrt(
+            np.bincount(ids, weights=centered * centered, minlength=counts.size) / counts)
     return feats.reshape(-1)
 
 

@@ -233,7 +233,8 @@ def edg_sequence(model: DynamicsModel, z: np.ndarray, pca: PcaModel,
     The state-space residual is pushed back through the PCA components
     into raw descriptor space (components only, no mean) and
     un-standardized; each sector then gets the L2 norm of its 6 feature
-    residuals, scaled by the mean kernel response at z_t.
+    residuals, scaled by the mean kernel response at z_t. Both factors are
+    >= 0, so every map is too.
     """
     if pca.components.shape[1] != grid.descriptor_length:
         raise ModelError(
@@ -249,7 +250,7 @@ def edg_sequence(model: DynamicsModel, z: np.ndarray, pca: PcaModel,
     phi, residual = _transition_residuals(model, z)
     raw = (residual @ pca.components) * scaler.scale
     per_sector = np.linalg.norm(raw.reshape(raw.shape[0], grid.sector_count, -1), axis=2)
-    sectors = np.maximum(per_sector * phi.mean(axis=1, keepdims=True), 0.0)
+    sectors = per_sector * phi.mean(axis=1, keepdims=True)
     return sectors.reshape(-1, grid.r_bins, grid.theta_bins)
 
 

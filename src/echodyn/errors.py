@@ -1,4 +1,4 @@
-"""Exception types shared across the pipeline, the bound on sizes, and the
+"""Exception types shared across the pipeline, the bounds on sizes, and the
 shape check every stored model runs on its arrays."""
 
 import numpy as np
@@ -56,3 +56,11 @@ def check_shapes(model, kind: str, sizes: str, shapes: dict) -> None:
         if np.shape(getattr(model, name)) != shape:
             raise ModelError(f"{kind} '{name}' must have shape {shape} ({sizes}), "
                              f"got {np.shape(getattr(model, name))}")
+
+
+def check_float64_count(setting: str, count: int) -> None:
+    """Raise ParameterError naming `setting` when an array of `count` float64
+    values would take more than INT64_MAX bytes, which no numpy array can."""
+    if 8 * count > INT64_MAX:
+        raise ParameterError(f"{setting} = {count} float64 values, "
+                             f"more than {INT64_MAX} bytes")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import descriptor, dynamics, flow, seqio
-from .errors import InsufficientDataError, ParameterError
+from .errors import InsufficientDataError, ParameterError, check_float64_count
 
 STAGE_PHANTOM = "phantom"
 STAGE_KMEANS = "kmeans"
@@ -88,8 +88,10 @@ def _check_sizes(cfg: PipelineConfig, t_count: int, h: int, w: int) -> None:
     An H x W frame takes at most H*W sectors. T frames give T-1 descriptor
     rows, whose PCA needs pca_k <= rows - 1 and <= the descriptor length; T-1
     states, from which k-means draws m_centers centers; and T-2 energy rows of
-    m_centers columns, whose PCA needs k2 <= rows - 1 and <= m_centers.
+    m_centers columns, whose PCA needs k2 <= rows - 1 and <= m_centers. The
+    training history holds one float64 per epoch.
     """
+    check_float64_count("epochs (the training history)", cfg.rbf.epochs)
     if cfg.grid.sector_count > h * w:
         raise ParameterError(f"r_bins x theta_bins = {cfg.grid.sector_count} > {h}x{w} pixels")
     if not 1 <= cfg.pca_k <= cfg.grid.descriptor_length:

@@ -55,6 +55,7 @@ from .errors import (
     InsufficientDataError,
     NumericError,
     ParameterError,
+    check_float64_count,
 )
 
 LABEL_BACKGROUND = 0
@@ -167,6 +168,8 @@ class PhantomSpec:
             if not 1 <= getattr(self, name) <= INT64_MAX:
                 raise ParameterError(
                     f"{name} must be >= 1 and fit int64, got {getattr(self, name)}")
+        check_float64_count("t_count x cycles x height x width (the frames)",
+                            self.t_count * self.cycles * self.height * self.width)
         if not (0.0 <= self.contraction_fraction < 0.9):
             raise ParameterError(
                 f"contraction_fraction must be in [0, 0.9), got {self.contraction_fraction}"

@@ -287,6 +287,29 @@ def test_exit_codes(tmp_path):
                  "-o", str(tmp_path / "g")]) == 1
 
 
+class _ArrayMemoryError(MemoryError):
+    """Stands in for numpy's private MemoryError subclass."""
+
+
+@pytest.mark.parametrize("argv,module,stage", [
+    (["phantom", "--t", "4", "--size", "48", "--base-radius", "8", "-o", "OUT"],
+     cli.seqio, "generate_phantom"),
+    (["seed-weights", "--channels", "2", "-o", "OUT/w.json"], cli.cpda, "seed_cpda_weights"),
+], ids=["phantom", "seed-weights"])
+def test_a_memory_error_is_one_error_line_and_exit_1_leaving_no_output(
+        tmp_path, capsys, monkeypatch, argv, module, stage):
+    # the stage fails as an allocation would; no test asks for a huge array, which
+    # with memory overcommitted may be granted, then killed when its pages are touched
+    def out_of_memory(*args, **kwargs):
+        raise _ArrayMemoryError("Unable to allocate 131. TiB for an array")
+
+    monkeypatch.setattr(module, stage, out_of_memory)
+    assert main([str(tmp_path / a) if a.startswith("OUT") else a for a in argv]) == 1
+    assert capsys.readouterr().err == (
+        f"error [MemoryError]: {argv[0]}: Unable to allocate 131. TiB for an array\n")
+    assert not (tmp_path / "OUT").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "p", "g", "--report", "r.json", "--seed", "1"],
     ["eval", "p", "g", "--report", "r.json", "--config", "c.json"],

@@ -119,6 +119,22 @@ def test_edg_with_more_sectors_than_pixels_exits_1(inputs, capsys, flag):
     assert "r_bins x theta_bins" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,flag", [
+    ("phantom", "--size"), ("seed-weights", "--channels"), ("edg", "--epochs")])
+def test_a_size_past_int64_bytes_is_a_parameter_error_before_any_stage(
+        inputs, tmp_path, capsys, monkeypatch, name, flag):
+    # 2**62 fits int64, but a float64 array it sizes does not fit int64 bytes:
+    # numpy raised "array is too big", edg only after every flow pair had run
+    monkeypatch.setattr(cli.flow, "flow_sequence", lambda *a: pytest.fail("flow ran"))
+    argv = [str(tmp_path / a) if a.split("/")[0] == "OUT" else
+            str(inputs / a) if (inputs / a).exists() else a
+            for a in with_flag(COMMANDS[name], flag, str(2 ** 62))]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ParameterError]: ") and err.count("\n") == 1
+    assert not (tmp_path / "OUT").exists()
+
+
 def test_the_sweep_covers_every_subcommand_and_size_flag():
     swept = {(p.values[0], p.values[1]) for p in numeric_flags()}
     assert {name for name, _ in swept} == set(COMMANDS) - {"edg-eds", "eval"}

@@ -175,6 +175,37 @@ def test_extract_pure_rotation_flow():
         assert abs(feats[s, 0]) < 1e-6
 
 
+@pytest.mark.parametrize("grid,h,w", [
+    (SectorGrid(r_bins=4, theta_bins=12), 24, 31),
+    (SectorGrid(r_bins=3, theta_bins=5, center=[10.0, 7.5], r_max=9.0), 20, 16),
+    (SectorGrid(r_bins=2, theta_bins=7, center=(0.0, 0.0)), 12, 12),
+    (SectorGrid(r_bins=64, theta_bins=12), 128, 128),
+], ids=["image-center", "list-center", "corner-center", "64-rings-with-empty-sectors"])
+def test_extract_descriptor_matches_brute_force_pooling(grid, h, w):
+    rng = np.random.default_rng(h * w)
+    u, v, gray = rng.normal(size=(3, h, w))
+    cx, cy, _ = grid.resolve(h, w)
+    samples = {}  # sector id -> [(v_r, v_t, gray)] of its disc pixels
+    for y in range(h):
+        for x in range(w):
+            sector = sector_of(float(x), float(y), grid, h, w)
+            if sector is None:
+                continue
+            rho = np.hypot(x - cx, y - cy)
+            ex, ey = ((x - cx) / rho, (y - cy) / rho) if rho > 0 else (0.0, 0.0)
+            samples.setdefault(sector[0] * grid.theta_bins + sector[1], []).append(
+                (u[y, x] * ex + v[y, x] * ey, -u[y, x] * ey + v[y, x] * ex, gray[y, x]))
+    if grid.r_bins == 64:
+        assert len(samples) < grid.sector_count  # the inner rings leave sectors empty
+    expected = np.zeros((grid.sector_count, 6))
+    for s, rows in samples.items():
+        cols = np.array(rows).T
+        expected[s] = [cols[0].mean(), cols[1].mean(), cols[0].std(), cols[1].std(),
+                       cols[2].mean(), cols[2].std()]
+    got = extract_descriptor(gray, FlowField(u=u, v=v), grid).reshape(-1, 6)
+    np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
 def test_extract_dimension_error():
     with pytest.raises(DimensionError):
         extract_descriptor(np.zeros((8, 8)),

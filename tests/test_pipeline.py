@@ -62,8 +62,11 @@ def test_shortest_sequence_runs_and_one_frame_less_fails_before_flow(
     (PipelineConfig(grid=SectorGrid(r_bins=49, theta_bins=48)), "r_bins x theta_bins"),
     (PipelineConfig(grid=SectorGrid(r_bins=2 ** 62)), "r_bins x theta_bins"),
     (PipelineConfig(grid=SectorGrid(theta_bins=2 ** 62)), "r_bins x theta_bins"),
+    # a float64 history of 2**62 epochs passes int64 bytes; numpy raised
+    # "array is too big" in fit_rbf_weights, after flow
+    (PipelineConfig(rbf=RbfConfig(epochs=2 ** 62)), "epochs"),
 ], ids=["k2-above-m", "k2-zero", "pca_k-above-descriptor", "sectors-above-pixels",
-        "r_bins-2**62", "theta_bins-2**62"])
+        "r_bins-2**62", "theta_bins-2**62", "epochs-2**62"])
 def test_config_out_of_range_fails_before_flow(flow_calls, cfg, needle):
     with pytest.raises(ParameterError, match=needle):
         run_edg(phantom_frames(40), cfg)
