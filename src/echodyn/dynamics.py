@@ -34,7 +34,7 @@ from .errors import (
     ParameterError,
     check_shapes,
 )
-from .seqio import quantize_frame, read_csv, write_csv, write_pgm
+from .seqio import quantize_frame, read_csv, write_csv, write_pgm_series
 
 
 def _sigma_fits(sigma: float) -> bool:
@@ -286,16 +286,20 @@ def align_pedg(p: np.ndarray, t_count: int) -> np.ndarray:
 def save_edg_outputs(maps: np.ndarray, grid: SectorGrid, h: int, w: int,
                      out_dir: Path | str) -> None:
     """Per-frame PGM heatmaps (min-max normalized over the sequence) + edg.csv
-    from the (N-1) x R x TH maps; file and row t are map t."""
+    from the (N-1) x R x TH maps; file and row t are map t. Heatmaps of an
+    older, longer run in `out_dir` are removed (`seqio.write_pgm_series`)."""
     out_dir = Path(out_dir)
     lo, hi = float(maps.min()), float(maps.max())
     sector_ids, inside = sector_index_map(grid, h, w)
     ids = sector_ids[inside]
-    for t, sectors in enumerate(maps):
+
+    def heatmap(sectors: np.ndarray) -> np.ndarray:
         img = np.zeros((h, w))  # outside the disc, and every map of a constant sequence
         if hi > lo:
             img[inside] = (sectors.reshape(-1)[ids] - lo) / (hi - lo)
-        write_pgm(out_dir / f"edg_{t:04d}.pgm", quantize_frame(img))
+        return quantize_frame(img)
+
+    write_pgm_series(out_dir, "edg", map(heatmap, maps))
     write_csv(out_dir / "edg.csv", ["t", "r", "theta", "energy"],
               ([t, r, th, sectors[r, th]] for t, sectors in enumerate(maps)
                for r in range(grid.r_bins) for th in range(grid.theta_bins)))

@@ -5,14 +5,16 @@ boundary-to-boundary Euclidean distances, with boundaries taken as
 8-connected border pixels. TCD summarizes frame-to-frame stability as
 the mean absolute change of the per-frame Dice series; lower is better.
 
-`evaluate` scores the frames of a sequence whose frames have more than
-THREADED_PIXELS pixels in two halves, one per thread (`halves.in_halves`);
-the report is the same either way. Measured in-process, ms per frame,
-serial against two threads, on 64-frame phantom masks whose heart scales
-with the frame (2-vCPU x86 VM): 64^2 0.35 vs 0.50, 96^2 0.50 vs 0.55,
-112^2 0.58 vs 0.59, 128^2 0.68 vs 0.64, 160^2 0.88 vs 0.70, 192^2 1.17 vs
-0.81, 256^2 1.82 vs 1.11. Up to 128^2 the two threads lose, or gain little,
-to contention for the GIL.
+`evaluate` labels each frame pair with one `find_objects` call over the two
+frames stacked, and scores each label on both frames cropped to its box.
+It scores a sequence whose frames have more than THREADED_PIXELS pixels in
+two halves, one per thread (`halves.in_halves`); the report is the same
+either way. Measured in-process, ms per frame, serial against two
+threads, on 64-frame phantom masks whose heart scales with the frame
+(2-vCPU x86 VM): 64^2 0.35 vs 0.50, 96^2 0.50 vs 0.55, 112^2 0.58 vs 0.59,
+128^2 0.68 vs 0.64, 160^2 0.88 vs 0.70, 192^2 1.17 vs 0.81, 256^2 1.82 vs
+1.11. Up to 128^2 the two threads lose, or gain little, to contention for
+the GIL.
 """
 
 from __future__ import annotations
@@ -109,9 +111,10 @@ def evaluate(pred: MaskSequence, gt: MaskSequence) -> MetricsReport:
 
     HD95 is skipped (recorded as missing) on frames where either side's
     label mask is empty; mean_hd95 averages the defined frames only.
-    Each frame is labelled once per side (`find_objects`), and each label
-    is scored on the union of its two bounding boxes, which holds every
-    pixel of both masks; a label absent on both sides gets an empty box.
+    Each frame pair is stacked and labelled by one `find_objects` call: a
+    label's (y, x) box in the stack is the union of its boxes on the two
+    sides, which holds every pixel of both masks, and one comparison crops
+    both; a label absent on both sides gets an empty crop.
     Frames of more than THREADED_PIXELS pixels are scored in two halves
     (`halves.in_halves`), each writing its frames' scores into their slots.
     """
@@ -128,12 +131,10 @@ def evaluate(pred: MaskSequence, gt: MaskSequence) -> MetricsReport:
 
     def score(first: int, stop: int) -> None:
         for t in range(first, stop):
-            p_frame, g_frame = pred.masks[t], gt.masks[t]
-            boxes = zip(find_objects(p_frame, labels), find_objects(g_frame, labels))
-            for i, pair in enumerate(boxes):  # label value i + 1
-                box = _union_box(*pair)
-                p = p_frame[box] == i + 1
-                g = g_frame[box] == i + 1
+            pair = np.stack([pred.masks[t], gt.masks[t]])
+            for i, box in enumerate(find_objects(pair, labels)):  # label value i + 1
+                window = box[1:] if box else (slice(0), slice(0))
+                p, g = pair[(slice(None), *window)] == i + 1
                 dices[i][t] = dice(p, g)
                 if g.any() and p.any():
                     hd95s[i][t] = _hd95_on_crop(p, g)
@@ -152,16 +153,6 @@ def evaluate(pred: MaskSequence, gt: MaskSequence) -> MetricsReport:
         )
     average_tcd = float(np.mean([m.tcd for m in per_label.values()]))
     return MetricsReport(per_label=per_label, average_tcd=average_tcd)
-
-
-def _union_box(a: tuple | None, b: tuple | None) -> tuple[slice, ...]:
-    """The smallest box holding boxes `a` and `b` (None for no box); an empty
-    box when both are None."""
-    boxes = [box for box in (a, b) if box is not None]
-    if not boxes:
-        return (slice(0, 0), slice(0, 0))
-    return tuple(slice(min(s.start for s in axis), max(s.stop for s in axis))
-                 for axis in zip(*boxes))
 
 
 def save_report_csv(report: MetricsReport, path: Path | str) -> None:

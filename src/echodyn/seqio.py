@@ -9,7 +9,10 @@ On-disk formats are deliberately simple and bit-exact:
   One reader takes both: files numbered from 0000 with no gap, all H x W
   with H, W >= 1. For frames, T, H and W come from meta.json, and frames
   numbered T or above are ignored; for masks, T is the number of files
-  named ``mask_%04d.pgm`` and H x W the first mask's shape;
+  named ``mask_%04d.pgm`` and H x W the first mask's shape. One writer,
+  `write_pgm_series`, writes both (and `edg`'s ``edg_%04d.pgm`` heatmaps);
+  a series written over a longer one removes the older files numbered
+  past its own, so none of them is read back;
 * ``.eds`` container: magic ``EDS1``, little-endian u32 T,H,W,ed,es,
   then T*H*W raw gray bytes.
 
@@ -450,11 +453,9 @@ def save_sequence(seq: FrameSequence, path: Path | str) -> None:
         _save_eds(seq, path)
         return
     (path / "meta.json").unlink(missing_ok=True)
-    t, (h, w) = seq.t_count, seq.shape
-    for i in range(t):
-        write_pgm(path / f"frame_{i:04d}.pgm", quantize_frame(seq.frames[i]))
-    write_json(path / "meta.json",
-               SequenceMeta(t, h, w, seq.ed_index, seq.es_index, dict(seq.meta)))
+    write_pgm_series(path, "frame", map(quantize_frame, seq.frames))
+    write_json(path / "meta.json", SequenceMeta(seq.t_count, *seq.shape, seq.ed_index,
+                                                seq.es_index, dict(seq.meta)))
 
 
 def load_sequence(path: Path | str) -> FrameSequence:
@@ -471,6 +472,30 @@ def load_sequence(path: Path | str) -> FrameSequence:
     frames = _read_pgm_series(path, "frame", meta.t, (meta.h, meta.w))
     return FrameSequence(frames=frames / 255.0, ed_index=meta.ed, es_index=meta.es,
                          meta=meta.meta)
+
+
+def write_pgm_series(path: Path | str, stem: str, images) -> None:
+    """Write the images drawn from `images` into directory `path` as
+    ``{stem}_0000.pgm``, ``{stem}_0001.pgm``, ..., then remove the files of
+    that series numbered past the last one written, so an older, longer
+    series there leaves no file behind. No other file is touched."""
+    path = Path(path)
+    count = 0
+    for image in images:
+        write_pgm(path / f"{stem}_{count:04d}.pgm", image)
+        count += 1
+    for number, file in _pgm_series_files(path, stem):
+        if number >= count:
+            file.unlink()
+
+
+def _pgm_series_files(path: Path, stem: str):
+    """(i, file) for each file of directory `path` named exactly as
+    ``f"{stem}_{i:04d}.pgm"`` names it for some i >= 0."""
+    for file in path.glob(f"{stem}_*.pgm"):
+        match = re.fullmatch(rf"{stem}_([0-9]{{4}}|[1-9][0-9]{{4,}})\.pgm", file.name)
+        if match:
+            yield int(match[1]), file
 
 
 def _read_pgm_series(path: Path, stem: str, count: int, shape: tuple | None) -> np.ndarray:
@@ -505,8 +530,8 @@ def _load_eds(path: Path) -> FrameSequence:
 
 
 def save_masks(masks: MaskSequence, path: Path | str) -> None:
-    for i in range(masks.t_count):
-        write_pgm(Path(path) / f"mask_{i:04d}.pgm", masks.masks[i])
+    """Write ``mask_%04d.pgm`` files, replacing any longer series there."""
+    write_pgm_series(path, "mask", masks.masks)
 
 
 def load_masks(path: Path | str) -> MaskSequence:
@@ -516,9 +541,7 @@ def load_masks(path: Path | str) -> MaskSequence:
     ``mask_0001_old.pgm``, are ignored.
     """
     path = Path(path)
-    # exactly the names f"mask_{i:04d}.pgm" gives for i >= 0
-    count = sum(bool(re.fullmatch(r"mask_([0-9]{4}|[1-9][0-9]{4,})\.pgm", p.name))
-                for p in path.glob("mask_*.pgm"))
+    count = sum(1 for _ in _pgm_series_files(path, "mask"))
     if not count:
         raise FormatError(f"{path}: no mask_%04d.pgm files found")
     return MaskSequence(masks=_read_pgm_series(path, "mask", count, None))

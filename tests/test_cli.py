@@ -82,6 +82,35 @@ def test_edg_pipeline_outputs_and_determinism(tmp_path, capsys):
     assert sorted(p.name for p in run1.glob("edg_*.pgm"))  # heatmaps exist
 
 
+def test_phantom_over_a_longer_run_replaces_its_frames_and_masks(tmp_path):
+    # the longer run's frame_0004/5.pgm and mask_0004/5.pgm once stayed, and
+    # eval scored 6 frames
+    args = ["phantom", "--size", "64", "--base-radius", "12"]
+    assert main(args + ["--t", "6", "-o", str(tmp_path / "over")]) == 0
+    for out in ("over", "fresh"):
+        assert main(args + ["--t", "4", "--seed", "3", "-o", str(tmp_path / out)]) == 0
+    for sub in ("frames", "masks"):
+        assert dir_bytes(tmp_path / "over" / sub) == dir_bytes(tmp_path / "fresh" / sub)
+    masks = str(tmp_path / "over" / "masks")
+    assert main(["eval", masks, masks, "--report", str(tmp_path / "r.json")]) == 0
+    report = read_json(tmp_path / "r.json", metrics.MetricsReport)
+    assert len(report.per_label["LV"].dice_per_frame) == 4
+
+
+def test_edg_over_a_longer_run_replaces_its_heatmaps(tmp_path):
+    # a 16-frame run into a 24-frame run's output once left 22 heatmaps for
+    # 14 transitions
+    for t in (24, 16):
+        assert main(["phantom", "--t", str(t), "--size", "64", "--base-radius", "12",
+                     "-o", str(tmp_path / f"seq{t}")]) == 0
+    args = ["edg", "--m-centers", "8", "--pca-k", "6", "--k2", "4", "--epochs", "20"]
+    assert main(args + [str(tmp_path / "seq24" / "frames"), "-o", str(tmp_path / "over")]) == 0
+    for out in ("over", "fresh"):
+        assert main(args + [str(tmp_path / "seq16" / "frames"), "-o", str(tmp_path / out)]) == 0
+    assert dir_bytes(tmp_path / "over") == dir_bytes(tmp_path / "fresh")
+    assert len(list((tmp_path / "over").glob("edg_*.pgm"))) == 14
+
+
 def test_edg_static_sequence_warns(tmp_path, capsys):
     frames = make_frames(20, 48, 48, lambda xs, ys, t: 0.3 + 0.3 * np.sin(xs / 4))
     seq = FrameSequence(frames=frames, ed_index=0, es_index=10)

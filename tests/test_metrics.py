@@ -311,6 +311,59 @@ def test_evaluate_joins_its_worker_when_the_second_half_fails(monkeypatch, large
     assert threading.active_count() == before
 
 
+def random_label_frame(rng, shape, labels):
+    """An (H, W) label frame holding exactly `labels`, in several random discs
+    each; unless `labels` is empty, a disc is centred on each image edge."""
+    h, w = shape
+    ys, xs = np.ogrid[:h, :w]
+    centres = [(0, rng.integers(w)), (h - 1, rng.integers(w)), (rng.integers(h), 0),
+               (rng.integers(h), w - 1)] + [(rng.integers(h), rng.integers(w)) for _ in labels * 2]
+    frame = np.zeros(shape, dtype=np.uint8)
+    for (cy, cx), label in zip(centres, labels * 4):
+        frame[(ys - cy) ** 2 + (xs - cx) ** 2 <= rng.integers(2, 10) ** 2] = label
+    assert set(np.unique(frame)) - {0} == set(labels)
+    return frame
+
+
+# per frame, the labels present in (pred, gt): each label on both sides, on
+# one side only, and on neither, down to two empty frames
+LABEL_CASES = [([1, 2, 3], [1, 2, 3]), ([1, 2, 3], [1, 2]), ([1, 3], [2, 1, 3]),
+               ([3, 1], [1, 3]), ([2], [3]), ([], [1]), ([], [])]
+
+
+@pytest.mark.parametrize("shape", [(40, 37), (130, 131)])
+def test_evaluate_equals_the_full_frame_oracle(monkeypatch, shape):
+    rng = np.random.default_rng(25)
+    pred, gt = (np.stack([random_label_frame(rng, shape, case[side]) for case in LABEL_CASES])
+                for side in (0, 1))
+    for frame in (*pred, *gt):
+        edges = frame[0], frame[-1], frame[:, 0], frame[:, -1]
+        assert all(edge.any() for edge in edges) or not frame.any()
+    report, threads = evaluate_on(monkeypatch, {0, 1}, MaskSequence(masks=pred),
+                                  MaskSequence(masks=gt))
+    assert len(threads) == (2 if pred[0].size > metrics.THREADED_PIXELS else 1)
+    for label, name in metrics.LABEL_NAMES.items():
+        m = report.per_label[name]
+        for t, (p, g) in enumerate(zip(pred == label, gt == label)):
+            assert m.dice_per_frame[t] == dice(p, g)
+            if p.any() and g.any():
+                assert abs(m.hd95_per_frame[t] - brute_force_hd95(p, g)) < 1e-9
+                assert t not in m.hd95_missing_frames
+            else:
+                assert m.hd95_per_frame[t] is None and t in m.hd95_missing_frames
+
+
+def test_evaluate_labels_each_frame_pair_once(monkeypatch, phantom):
+    calls = []
+    find_objects = metrics.find_objects
+    monkeypatch.setattr(metrics, "find_objects",
+                        lambda *args: calls.append(args) or find_objects(*args))
+    _, masks = phantom  # 128 x 128: at the gate, so every frame on this thread
+    pred = MaskSequence(masks=np.roll(masks.masks[:5], 1, axis=2))
+    evaluate(pred, MaskSequence(masks=masks.masks[:5]))
+    assert len(calls) == 5
+
+
 def test_small_frames_are_scored_on_the_calling_thread(monkeypatch, phantom):
     _, masks = phantom  # 128 x 128: at the gate
     sub = MaskSequence(masks=masks.masks[:6])

@@ -240,6 +240,21 @@ def test_load_masks_ignores_unnumbered_mask_files(tmp_path):
     assert np.array_equal(load_masks(tmp_path / "m").masks, masks.masks)
 
 
+def test_save_masks_over_a_longer_series_replaces_it(tmp_path):
+    # the older series' mask_0004.pgm and mask_0005.pgm once stayed, and
+    # load_masks counted them
+    save_masks(MaskSequence(masks=np.full((6, 4, 4), 3, dtype=np.uint8)), tmp_path / "m")
+    write_pgm(tmp_path / "m" / "mask_10000.pgm", np.zeros((4, 4), dtype=np.uint8))
+    kept = ["frame_0005.pgm", "mask_0005_old.pgm", "mask_00005.pgm", "mask_5.pgm", "notes.txt"]
+    for name in kept:
+        (tmp_path / "m" / name).write_bytes(b"not a series file")
+    masks = MaskSequence(masks=np.tile(np.arange(4, dtype=np.uint8), (4, 4, 1)))
+    save_masks(masks, tmp_path / "m")
+    assert np.array_equal(load_masks(tmp_path / "m").masks, masks.masks)
+    assert sorted(p.name for p in (tmp_path / "m").iterdir()) == sorted(
+        kept + [f"mask_{i:04d}.pgm" for i in range(4)])
+
+
 def test_load_masks_names_a_gap_among_stray_files(tmp_path):
     save_masks(MaskSequence(masks=np.zeros((3, 4, 4), dtype=np.uint8)), tmp_path / "m")
     write_pgm(tmp_path / "m" / "mask_0001_old.pgm", np.zeros((4, 4), dtype=np.uint8))
