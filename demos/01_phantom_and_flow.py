@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from echodyn.flow import FlowParams, flow_sequence, save_flow
-from echodyn.seqio import PhantomSpec, generate_phantom, save_masks, save_sequence
+from echodyn.seqio import PhantomSpec, generate_phantom, save_masks, save_sequence, write_series
 
 
 def main():
@@ -38,8 +38,7 @@ def main():
 
     print("\ncomputing Horn-Schunck flow for each frame pair ...")
     flows = flow_sequence(seq, FlowParams())
-    for t, f in enumerate(flows):
-        save_flow(f, out / f"flow_{t:04d}.bin")
+    write_series(out, "flow", ".bin", lambda file, f: save_flow(f, file), flows)
 
     print("mean |flow| per frame pair (px/frame):")
     mags = [f.magnitude.mean() for f in flows]

@@ -16,9 +16,9 @@ seeds derive from ``--seed`` (see `pipeline.stage_seed`). ``eval`` reads no
 config, ``flow``, which draws no random numbers, takes no ``--seed``, and
 ``cpda-demo --weights`` takes neither ``--seed`` nor ``--config``.
 Exit codes: 0 success, 1 runtime failure (a pipeline error, an OS error or
-running out of memory, each reported on one line), 2 usage error. Every
-output file is written to a temp file and renamed into place
-(`seqio.atomic_write`).
+running out of memory, each reported on one line), 2 usage error. A
+subcommand's output files land as one unit (`seqio.output_set`): a failure
+leaves every one as it was.
 """
 
 from __future__ import annotations
@@ -82,10 +82,8 @@ def cmd_flow(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     seq = seqio.load_sequence(args.in_dir)
     fields = flow.flow_sequence(seq, cfg.flow)
-    out = Path(args.out)
-    for t, f in enumerate(fields):
-        flow.save_flow(f, out / f"flow_{t:04d}.bin")
-    print(f"wrote {len(fields)} flow fields to {out}")
+    seqio.write_series(args.out, "flow", ".bin", lambda file, f: flow.save_flow(f, file), fields)
+    print(f"wrote {len(fields)} flow fields to {Path(args.out)}")
     return 0
 
 
@@ -132,6 +130,8 @@ def cmd_cpda_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if Path(args.report).suffix == ".csv":
+        args.usage_error("--report names the JSON report; the CSV report goes beside it")
     pred = seqio.load_masks(args.pred_dir)
     gt = seqio.load_masks(args.gt_dir)
     report = metrics.evaluate(pred, gt)
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred_dir")
     p.add_argument("gt_dir")
     p.add_argument("--report", required=True, help="output report JSON path")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, usage_error=p.error)
 
     p = sub.add_parser("seed-weights", help="write a reproducible CPDA weight file")
     _add_config(p)
@@ -241,7 +241,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with seqio.output_set():
+            return args.func(args)
     except (EchodynError, OSError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1

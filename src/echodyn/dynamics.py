@@ -34,7 +34,7 @@ from .errors import (
     ParameterError,
     check_shapes,
 )
-from .seqio import quantize_frame, read_csv, write_csv, write_pgm_series
+from .seqio import quantize_frame, read_csv, write_csv, write_pgm, write_series
 
 
 def _sigma_fits(sigma: float) -> bool:
@@ -286,8 +286,8 @@ def align_pedg(p: np.ndarray, t_count: int) -> np.ndarray:
 def save_edg_outputs(maps: np.ndarray, grid: SectorGrid, h: int, w: int,
                      out_dir: Path | str) -> None:
     """Per-frame PGM heatmaps (min-max normalized over the sequence) + edg.csv
-    from the (N-1) x R x TH maps; file and row t are map t. Heatmaps of an
-    older, longer run in `out_dir` are removed (`seqio.write_pgm_series`)."""
+    from the (N-1) x R x TH maps, file and row t from map t, replacing an older,
+    longer run's heatmaps (`seqio.write_series`) as the `seqio.output_set` commits."""
     out_dir = Path(out_dir)
     lo, hi = float(maps.min()), float(maps.max())
     sector_ids, inside = sector_index_map(grid, h, w)
@@ -299,7 +299,7 @@ def save_edg_outputs(maps: np.ndarray, grid: SectorGrid, h: int, w: int,
             img[inside] = (sectors.reshape(-1)[ids] - lo) / (hi - lo)
         return quantize_frame(img)
 
-    write_pgm_series(out_dir, "edg", map(heatmap, maps))
+    write_series(out_dir, "edg", ".pgm", write_pgm, map(heatmap, maps))
     write_csv(out_dir / "edg.csv", ["t", "r", "theta", "energy"],
               ([t, r, th, sectors[r, th]] for t, sectors in enumerate(maps)
                for r in range(grid.r_bins) for th in range(grid.theta_bins)))

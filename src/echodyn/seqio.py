@@ -10,9 +10,9 @@ On-disk formats are deliberately simple and bit-exact:
   with H, W >= 1. For frames, T, H and W come from meta.json, and frames
   numbered T or above are ignored; for masks, T is the number of files
   named ``mask_%04d.pgm`` and H x W the first mask's shape. One writer,
-  `write_pgm_series`, writes both (and `edg`'s ``edg_%04d.pgm`` heatmaps);
-  a series written over a longer one removes the older files numbered
-  past its own, so none of them is read back;
+  `write_series`, writes every numbered series (these two, `edg`'s
+  ``edg_%04d.pgm`` heatmaps and `flow`'s ``flow_%04d.bin``); a series
+  written over a longer one removes the older files numbered past its own;
 * ``.eds`` container: magic ``EDS1``, little-endian u32 T,H,W,ed,es,
   then T*H*W raw gray bytes.
 
@@ -26,9 +26,9 @@ bytes, not a copy: FTC1 and FLW1 arrays load as read-only float32 views,
 and `encode_f32` range-checks every array they store. `write_csv` writes
 every CSV file and `read_csv` reads every all-numeric one back: no other
 module opens a file. Every writer goes through `atomic_write`, which makes
-a missing parent directory; a failed write leaves the target as it was and
-no other file, and a written file gets the mode a plain `open()` gives
-under the current umask.
+a missing parent directory and a temp file with the mode a plain `open()`
+gives under the current umask; `output_set` renames a set's temps only if
+its body succeeds, so a failure changes no target and leaves no temp file.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import struct
 import types
 import typing
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,6 +81,7 @@ _DECORR_DISP_REF = 0.7
 # "P5", then width, height and maxval, each after whitespace and '#' comment
 # lines and ending at whitespace; one whitespace byte separates the pixels
 _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)*([^\s#]\S*)(?!\S)" * 3)
+_PENDING: ContextVar[list | None] = ContextVar("output_set", default=None)  # the open set
 
 
 @dataclass(frozen=True)
@@ -300,8 +302,34 @@ def read_csv(path: Path | str) -> tuple[list[str], np.ndarray]:
 
 
 @contextmanager
+def output_set():
+    """Yield the list of (temp, target) pairs the body's writes register (a None temp
+    removes its target) and act on them in order when the body returns; if anything
+    raises, the temps not yet renamed are removed. An inner set joins the outer one."""
+    pending = _PENDING.get()
+    if pending is not None:
+        yield pending
+        return
+    pending, done = [], 0
+    token = _PENDING.set(pending)
+    try:
+        yield pending
+        for tmp, target in pending:
+            if tmp:
+                os.replace(tmp, target)
+            else:
+                target.unlink(missing_ok=True)
+            done += 1
+    finally:
+        _PENDING.reset(token)
+        for tmp, _ in pending[done:]:
+            if tmp:
+                tmp.unlink(missing_ok=True)
+
+
+@contextmanager
 def atomic_write(path: Path | str, mode: str = "w", **open_kwargs):
-    """Open a file object for writing `path`; it is renamed into place on success.
+    """Open a file object for writing `path`; `output_set` renames it into place.
 
     A missing parent directory is created first. The temporary file is
     unique to the call and sits beside `path`, created with the mode a plain
@@ -313,13 +341,14 @@ def atomic_write(path: Path | str, mode: str = "w", **open_kwargs):
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, mode, **open_kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with output_set() as pending:
+        try:
+            with os.fdopen(fd, mode, **open_kwargs) as fh:
+                yield fh
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        pending.append((tmp, path))
 
 
 def write_json(path: Path | str, obj) -> None:
@@ -445,23 +474,24 @@ def save_sequence(seq: FrameSequence, path: Path | str) -> None:
 
     Directory layout: ``meta.json`` plus ``frame_%04d.pgm``. The `.eds`
     container drops free-form meta strings; everything else round-trips.
-    ``meta.json`` is written last, so a directory whose save failed midway
-    has none and does not load.
+    A failed save leaves an earlier one as it was; the old ``meta.json`` goes
+    first and the new one lands last, so a save killed midway does not load.
     """
     path = Path(path)
     if path.suffix == ".eds":
         _save_eds(seq, path)
         return
-    (path / "meta.json").unlink(missing_ok=True)
-    write_pgm_series(path, "frame", map(quantize_frame, seq.frames))
-    write_json(path / "meta.json", SequenceMeta(seq.t_count, *seq.shape, seq.ed_index,
-                                                seq.es_index, dict(seq.meta)))
+    with output_set() as pending:
+        pending.append((None, path / "meta.json"))
+        write_series(path, "frame", ".pgm", write_pgm, map(quantize_frame, seq.frames))
+        write_json(path / "meta.json", SequenceMeta(seq.t_count, *seq.shape, seq.ed_index,
+                                                    seq.es_index, dict(seq.meta)))
 
 
 def load_sequence(path: Path | str) -> FrameSequence:
     """Load a frame directory or a `.eds` container; frames come back in [0,1]."""
     path = Path(path)
-    if path.is_file() and path.suffix == ".eds":
+    if path.suffix == ".eds":
         return _load_eds(path)
     meta_path = path / "meta.json"
     if not meta_path.is_file():
@@ -474,26 +504,25 @@ def load_sequence(path: Path | str) -> FrameSequence:
                          meta=meta.meta)
 
 
-def write_pgm_series(path: Path | str, stem: str, images) -> None:
-    """Write the images drawn from `images` into directory `path` as
-    ``{stem}_0000.pgm``, ``{stem}_0001.pgm``, ..., then remove the files of
-    that series numbered past the last one written, so an older, longer
-    series there leaves no file behind. No other file is touched."""
+def write_series(path: Path | str, stem: str, suffix: str, write, items) -> None:
+    """Write each item drawn from `items` by `write(file, item)` into directory
+    `path` as ``{stem}_0000{suffix}``, ``{stem}_0001{suffix}``, ..., and have
+    the output set remove the files of that series numbered past the last one
+    written, so an older, longer series there leaves no file behind."""
     path = Path(path)
-    count = 0
-    for image in images:
-        write_pgm(path / f"{stem}_{count:04d}.pgm", image)
-        count += 1
-    for number, file in _pgm_series_files(path, stem):
-        if number >= count:
-            file.unlink()
+    with output_set() as pending:
+        count = 0
+        for item in items:
+            write(path / f"{stem}_{count:04d}{suffix}", item)
+            count += 1
+        pending += [(None, f) for i, f in _series_files(path, stem, suffix) if i >= count]
 
 
-def _pgm_series_files(path: Path, stem: str):
+def _series_files(path: Path, stem: str, suffix: str):
     """(i, file) for each file of directory `path` named exactly as
-    ``f"{stem}_{i:04d}.pgm"`` names it for some i >= 0."""
-    for file in path.glob(f"{stem}_*.pgm"):
-        match = re.fullmatch(rf"{stem}_([0-9]{{4}}|[1-9][0-9]{{4,}})\.pgm", file.name)
+    ``f"{stem}_{i:04d}{suffix}"`` names it for some i >= 0."""
+    for file in path.glob(f"{stem}_*{suffix}"):
+        match = re.fullmatch(rf"{stem}_([0-9]{{4}}|[1-9][0-9]{{4,}})", file.name[:-len(suffix)])
         if match:
             yield int(match[1]), file
 
@@ -531,7 +560,7 @@ def _load_eds(path: Path) -> FrameSequence:
 
 def save_masks(masks: MaskSequence, path: Path | str) -> None:
     """Write ``mask_%04d.pgm`` files, replacing any longer series there."""
-    write_pgm_series(path, "mask", masks.masks)
+    write_series(path, "mask", ".pgm", write_pgm, masks.masks)
 
 
 def load_masks(path: Path | str) -> MaskSequence:
@@ -541,7 +570,7 @@ def load_masks(path: Path | str) -> MaskSequence:
     ``mask_0001_old.pgm``, are ignored.
     """
     path = Path(path)
-    count = sum(1 for _ in _pgm_series_files(path, "mask"))
+    count = sum(1 for _ in _series_files(path, "mask", ".pgm"))
     if not count:
         raise FormatError(f"{path}: no mask_%04d.pgm files found")
     return MaskSequence(masks=_read_pgm_series(path, "mask", count, None))

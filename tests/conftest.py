@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import threading
 
 import numpy as np
@@ -17,6 +18,19 @@ from echodyn.seqio import PhantomSpec, generate_phantom
 settings.register_profile("echodyn", derandomize=True, database=None, deadline=None,
                           max_examples=30)
 settings.load_profile("echodyn")
+
+
+@pytest.fixture(autouse=True)
+def no_temp_file_left(request):
+    """Fail a test that leaves a `seqio.atomic_write` temp file (a name ending in
+    a dot and 12 hex digits) anywhere under its `tmp_path`."""
+    if "tmp_path" not in request.fixturenames:
+        yield
+        return
+    tmp_path = request.getfixturevalue("tmp_path")
+    yield
+    left = [p for p in tmp_path.rglob("*") if re.search(r"\.[0-9a-f]{12}$", p.name)]
+    assert not left, f"temp files left behind: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from echodyn import cli, dynamics, flow, metrics
+from echodyn import cli, dynamics, flow, metrics, seqio
 from echodyn.cli import PipelineConfig, main, stage_seed
 from echodyn.descriptor import SectorGrid
 from echodyn.dynamics import RbfConfig
@@ -24,7 +25,8 @@ from conftest import make_frames
 
 
 def dir_bytes(path):
-    return {p.name: p.read_bytes() for p in sorted(path.iterdir()) if p.is_file()}
+    return {str(p.relative_to(path)): p.read_bytes()
+            for p in sorted(path.rglob("*")) if p.is_file()}
 
 
 def test_stage_seed_named_streams():
@@ -109,6 +111,69 @@ def test_edg_over_a_longer_run_replaces_its_heatmaps(tmp_path):
         assert main(args + [str(tmp_path / "seq16" / "frames"), "-o", str(tmp_path / out)]) == 0
     assert dir_bytes(tmp_path / "over") == dir_bytes(tmp_path / "fresh")
     assert len(list((tmp_path / "over").glob("edg_*.pgm"))) == 14
+
+
+def test_flow_over_a_longer_run_replaces_its_fields(tmp_path):
+    # a 4-frame run into a 6-frame run's output once left flow_0003.bin and
+    # flow_0004.bin, which a glob of flow_*.bin read as this run's pairs
+    for t in (6, 4):
+        assert main(["phantom", "--t", str(t), "--size", "48", "--base-radius", "8",
+                     "-o", str(tmp_path / f"seq{t}")]) == 0
+    assert main(["flow", str(tmp_path / "seq6" / "frames"), "-o", str(tmp_path / "over")]) == 0
+    for out in ("over", "fresh"):
+        assert main(["flow", str(tmp_path / "seq4" / "frames"), "-o", str(tmp_path / out)]) == 0
+    assert dir_bytes(tmp_path / "over") == dir_bytes(tmp_path / "fresh")
+    assert sorted(p.name for p in (tmp_path / "over").iterdir()) == [
+        f"flow_{t:04d}.bin" for t in range(3)]
+
+
+_PHANTOM_SMALL = ["--size", "48", "--base-radius", "8"]
+_EDG_SMALL = ["--m-centers", "8", "--pca-k", "6", "--k2", "4", "--epochs", "20"]
+
+
+@pytest.mark.parametrize("old,new,last", [
+    (["phantom", *_PHANTOM_SMALL, "--t", "12", "-o", "{out}"],
+     ["phantom", *_PHANTOM_SMALL, "--t", "10", "--seed", "3", "-o", "{out}"], "mask_0009.pgm"),
+    (["flow", "{tmp}/a/frames", "-o", "{out}"], ["flow", "{tmp}/b/frames", "-o", "{out}"],
+     "flow_0008.bin"),
+    (["edg", "{tmp}/a/frames", *_EDG_SMALL, "-o", "{out}"],
+     ["edg", "{tmp}/b/frames", *_EDG_SMALL, "-o", "{out}"], "descriptor_model.json"),
+    (["eval", "{tmp}/a/masks", "{tmp}/a/masks", "--report", "{out}/r.json"],
+     ["eval", "{tmp}/b/masks", "{tmp}/b/masks", "--report", "{out}/r.json"], "r.csv"),
+], ids=["phantom", "flow", "edg", "eval"])
+def test_a_failed_last_write_leaves_every_output_as_it_was(tmp_path, capsys, monkeypatch,
+                                                           old, new, last):
+    # the files written before the failing one once replaced the older run's
+    assert main(["phantom", *_PHANTOM_SMALL, "--t", "12", "-o", str(tmp_path / "a")]) == 0
+    assert main(["phantom", *_PHANTOM_SMALL, "--t", "10", "--seed", "3",
+                 "-o", str(tmp_path / "b")]) == 0
+    out = tmp_path / "out"
+    assert main([a.format(tmp=tmp_path, out=out) for a in old]) == 0
+    before = dir_bytes(out)
+    real_atomic_write = seqio.atomic_write
+
+    @contextmanager
+    def failing_atomic_write(path, *args, **kwargs):
+        with real_atomic_write(path, *args, **kwargs) as fh:
+            if Path(path).name == last:
+                raise OSError("disk full")
+            yield fh
+
+    monkeypatch.setattr(seqio, "atomic_write", failing_atomic_write)
+    capsys.readouterr()
+    assert main([a.format(tmp=tmp_path, out=out) for a in new]) == 1
+    assert capsys.readouterr().err == "error [OSError]: disk full\n"
+    assert dir_bytes(out) == before
+
+
+def test_eval_report_with_a_csv_suffix_is_a_usage_error(tmp_path, capsys):
+    # the CSV report once overwrote the JSON report at the same path, and eval exited 0
+    missing = str(tmp_path / "missing")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", missing, missing, "--report", str(tmp_path / "r.csv")])
+    assert exc.value.code == 2
+    assert "--report" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_edg_static_sequence_warns(tmp_path, capsys):

@@ -28,6 +28,7 @@ from echodyn.seqio import (
     generate_phantom,
     load_masks,
     load_sequence,
+    output_set,
     phantom_radius,
     quantize_frame,
     read_csv,
@@ -273,11 +274,14 @@ def test_load_sequence_names_a_missing_frame(tmp_path, capsys):
     assert "error [FormatError]" in capsys.readouterr().err
 
 
-def test_save_sequence_failing_midway_leaves_no_meta_json(tmp_path, monkeypatch):
+def test_save_sequence_failing_midway_keeps_the_earlier_save(tmp_path, monkeypatch):
+    # the failed save once removed the earlier save's meta.json and replaced
+    # frames 0000-0002, leaving a directory that did not load
     from echodyn import seqio
 
-    seq = FrameSequence(frames=np.zeros((6, 4, 4)), ed_index=0, es_index=3)
-    save_sequence(seq, tmp_path / "d")  # an earlier, complete save is overwritten
+    earlier = FrameSequence(frames=np.zeros((6, 4, 4)), ed_index=0, es_index=3)
+    save_sequence(earlier, tmp_path / "d")
+    saved = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()}
     real_write_pgm = seqio.write_pgm
 
     def failing_write_pgm(path, data):
@@ -287,10 +291,71 @@ def test_save_sequence_failing_midway_leaves_no_meta_json(tmp_path, monkeypatch)
 
     monkeypatch.setattr(seqio, "write_pgm", failing_write_pgm)
     with pytest.raises(OSError, match="disk full"):
+        save_sequence(FrameSequence(frames=np.ones((8, 4, 4)), ed_index=1, es_index=5),
+                      tmp_path / "d")
+    assert {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()} == saved
+    loaded = load_sequence(tmp_path / "d")
+    assert np.array_equal(loaded.frames, earlier.frames)
+    assert (loaded.ed_index, loaded.es_index) == (0, 3)
+
+
+def test_a_commit_whose_second_rename_fails_leaves_frames_without_meta_json(
+        tmp_path, monkeypatch):
+    # the old meta.json goes first, so frames renamed before the failure are
+    # never read with it; the temps not yet renamed are removed
+    seq = FrameSequence(frames=np.zeros((4, 4, 4)), ed_index=0, es_index=2)
+    save_sequence(seq, tmp_path / "d")
+    real_replace, calls = os.replace, []
+
+    def failing_replace(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
         save_sequence(seq, tmp_path / "d")
-    assert not (tmp_path / "d" / "meta.json").exists()
-    with pytest.raises(FormatError):
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+        f"frame_{i:04d}.pgm" for i in range(4)]
+    with pytest.raises(FormatError, match="missing meta.json"):
         load_sequence(tmp_path / "d")
+
+
+def test_an_output_set_commits_in_order_and_an_inner_set_joins_it(tmp_path):
+    (tmp_path / "old").write_text("old")
+    with output_set() as pending:
+        write_pgm(tmp_path / "a.pgm", np.zeros((2, 2), dtype=np.uint8))
+        with output_set() as inner:
+            assert inner is pending
+            pending.append((None, tmp_path / "old"))
+            write_csv(tmp_path / "b.csv", ["x"], [[1.0]])
+        assert [target.name for _, target in pending] == ["a.pgm", "old", "b.csv"]
+        assert not (tmp_path / "a.pgm").exists() and (tmp_path / "old").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.csv"]
+    with pytest.raises(RuntimeError), output_set():
+        write_csv(tmp_path / "b.csv", ["y"], [[2.0]])
+        raise RuntimeError("later stage failed")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.csv"]
+    assert (tmp_path / "b.csv").read_bytes() == b"x\r\n1.0\r\n"
+
+
+def test_a_missing_eds_file_is_named(tmp_path, capsys):
+    # load_sequence once took a missing x.eds for a frame directory and said
+    # "x.eds: missing meta.json"
+    with pytest.raises(FileNotFoundError, match="x.eds"):
+        load_sequence(tmp_path / "x.eds")
+    assert main(["flow", str(tmp_path / "x.eds"), "-o", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [FileNotFoundError]") and "x.eds'" in err
+
+
+def test_a_directory_named_eds_is_not_read_as_frames(tmp_path):
+    seq = FrameSequence(frames=np.zeros((2, 4, 4)), ed_index=0, es_index=1)
+    save_sequence(seq, tmp_path / "d")
+    (tmp_path / "d").rename(tmp_path / "d.eds")
+    with pytest.raises(IsADirectoryError):
+        load_sequence(tmp_path / "d.eds")
 
 
 def test_phantom_radius_formula():
