@@ -19,11 +19,14 @@ C x C channels, and `save_feature_clip` rounds one frame at a time.
 of (10^6 - 1) // (27 C^2) rows (144 at C = 16), each under BLAS_SERIAL_MNK
 multiply-adds: OpenBLAS keeps such a product on the calling thread, while a
 whole 64 x 64 frame's product woke its worker thread, which was busy through
-the pass and then spun ~120 ms of the second core. It splits its output
-frames into two halves, one per thread (`halves.in_halves`), when a frame
-holds more than THREADED_CONV_VALUES values H*W*C and a block has at least
-MIN_BLOCK_ROWS rows; the output is the same bits split or not. Measured
-in-process, median of 7 calls, serial against two threads (2-vCPU x86 VM):
+the pass and then spun ~120 ms of the second core. A block has two rows or
+more, as a one-row product is a matrix-vector call, which OpenBLAS threads
+(at C >= 137 its bits followed the CPU count), and fewer than 3C columns
+where two rows of 3C pass the bound (C >= 137). Every C takes these blocks,
+and its output frames go in two halves, one per thread (`halves.in_halves`),
+when a frame holds more than THREADED_CONV_VALUES values H*W*C; the output
+is the same bits on any CPU count. Measured in-process, median of 7 calls,
+serial against two threads (2-vCPU x86 VM):
 
     C = 16, T = 64   16^2   4.6 vs  5.0 ms    20^2   7.5 vs  6.0 ms
                      24^2  10.8 vs  7.6 ms    32^2  22.7 vs 13.2 ms
@@ -32,13 +35,10 @@ in-process, median of 7 calls, serial against two threads (2-vCPU x86 VM):
     C = 4,  T = 64   24^2   3.6 vs  4.1 ms    32^2   5.7 vs  4.9 ms
 
 At 6144 values or fewer the two threads lose, or gain little, to contention
-for the GIL. Where C is 44 or more a block has under 20
-rows, and blocked products on two threads lose to one threaded OpenBLAS
-product per frame (32^2 x 16 frames: C = 40, 23 rows, 16.3 vs 18.4 ms;
-C = 48, 16 rows, 23.4 vs 22.8; C = 64, 9 rows, 38.7 vs 35.4), so the
-convolution then takes one product per frame on the calling thread. Its
-bits follow OpenBLAS's thread count: a 5 x 12 x 12 x C clip, one CPU against
-two, differed at C = 44 and 48 and matched at C = 40, 43 and 64 (0.3.31).
+for the GIL. Small blocks cost more at large C. On 16 x 32^2 x C, two CPUs,
+against one whole-frame product per frame, which OpenBLAS threaded itself:
+C = 48 38-44 vs 49-54 ms, 64 70-98 vs 70-74, 96 253-335 vs 123-133,
+160 1476-1737 vs 261-324, 200 2128-2650 vs 337-479.
 
 Weight matrices apply on the right (row vectors: y = x @ W + b).
 MLPs are two layers with ReLU after the first, linear output.
@@ -67,9 +67,6 @@ from .seqio import encode_f32, read_binary, write_binary
 # to its worker thread, which then spins for ~128 ms of the second core after
 # the call; 998,784 stays on the calling thread
 BLAS_SERIAL_MNK = 10 ** 6
-# `conv3d_same` takes row blocks, and two threads, only when a block has at
-# least this many rows (C <= 43)
-MIN_BLOCK_ROWS = 20
 # `conv3d_same` runs two threads on frames of more than this many values H*W*C
 THREADED_CONV_VALUES = 6 * 1024
 
@@ -237,15 +234,15 @@ def conv3d_same(x: np.ndarray, factor: np.ndarray, kernel: np.ndarray,
 
     One product per input frame s: x[s] * factor[s] is written into a
     zero-padded frame, and its nine (dh, dw) windows side by side, an
-    (H*W) x 9C matrix, times the kernel as 9C x 3C, taken in blocks of
-    `_block_rows(C)` rows. Column block dt of the product goes to output
-    frame s + 1 - dt, where that exists, in that frame's slot of the result:
-    each output frame u is summed as bias + prod(u-1)[dt=0] + prod(u)[dt=1] +
-    prod(u+1)[dt=2], in that order.
+    (H*W) x 9C matrix, times the kernel as 9C x 3C, taken in the blocks
+    `_block_shape(C)` sizes, none of one row. Column block dt of the product
+    goes to output frame s + 1 - dt, where that exists, in that frame's slot
+    of the result: each output frame u is summed as bias + prod(u-1)[dt=0] +
+    prod(u)[dt=1] + prod(u+1)[dt=2], in that order.
 
     The output frames go in two halves (`halves.in_halves`) when a frame has
-    more than THREADED_CONV_VALUES values and C takes row blocks; each half
-    keeps its own buffers and reads the input frames next to its own.
+    more than THREADED_CONV_VALUES values; each half keeps its own buffers
+    and reads the input frames next to its own.
     """
     t, h, w, c = x.shape
     if 0 in x.shape or factor.shape != (t, c):
@@ -255,16 +252,16 @@ def conv3d_same(x: np.ndarray, factor: np.ndarray, kernel: np.ndarray,
         raise ModelError(f"conv kernel must be {c} x {c} x 3 x 3 x 3, got {kernel.shape}")
     # rows ordered (dh, dw, c_in) like the windows, columns (dt, c_out)
     k = kernel.transpose(3, 4, 1, 2, 0).reshape(9 * c, 3 * c)
-    rows = _block_rows(c)
-    threaded = rows is not None and h * w * c > THREADED_CONV_VALUES
-    rows = rows or h * w
+    rows, cols = _block_shape(c)
+    k_blocks = [(j, k[:, j:j + cols]) for j in range(0, 3 * c, cols)]
     out = np.empty((t, h, w, c))
 
     def convolve(first: int, stop: int) -> None:
         """Output frames first..stop-1, from input frames first-1..stop."""
         pad = np.zeros((h + 2, w + 2, c))
-        windows = np.empty((h, w, 3, 3, c))
-        prod = np.empty((h, w, 3, c))
+        # a 1 x 1 frame's product takes a zero second row
+        lhs, flat = np.zeros((max(h * w, 2), 9 * c)), np.empty((max(h * w, 2), 3 * c))
+        windows, prod = lhs[:h * w].reshape(h, w, 3, 3, c), flat[:h * w].reshape(h, w, 3, c)
         if first == 0:
             out[0] = bias  # output frame 0 has no dt = 0 term
         for s in range(max(first - 1, 0), min(stop + 1, t)):
@@ -272,9 +269,10 @@ def conv3d_same(x: np.ndarray, factor: np.ndarray, kernel: np.ndarray,
             for dh in range(3):
                 for dw in range(3):
                     windows[:, :, dh, dw] = pad[dh:dh + h, dw:dw + w]
-            lhs, flat = windows.reshape(h * w, 9 * c), prod.reshape(h * w, 3 * c)
-            for r in range(0, h * w, rows):
-                np.matmul(lhs[r:r + rows], k, out=flat[r:r + rows])
+            for r in range(0, len(lhs), rows):
+                r = min(r, len(lhs) - 2)  # a last block of one row overlaps the one before
+                for j, k_j in k_blocks:
+                    np.matmul(lhs[r:r + rows], k_j, out=flat[r:r + rows, j:j + cols])
             if first < s <= stop:
                 out[s - 1] += prod[:, :, 2]
             if first <= s < stop:
@@ -282,16 +280,18 @@ def conv3d_same(x: np.ndarray, factor: np.ndarray, kernel: np.ndarray,
             if first <= s + 1 < stop:
                 np.add(bias, prod[:, :, 0], out=out[s + 1])
 
-    in_halves(convolve, t, threaded)
+    in_halves(convolve, t, h * w * c > THREADED_CONV_VALUES)
     return out
 
 
-def _block_rows(c: int) -> int | None:
-    """Rows per block of `conv3d_same`'s product at C channels: the most
-    whose (rows x 9C) @ (9C x 3C) product OpenBLAS keeps on the calling
-    thread, or None when that is under MIN_BLOCK_ROWS."""
-    rows = (BLAS_SERIAL_MNK - 1) // (27 * c * c)
-    return rows if rows >= MIN_BLOCK_ROWS else None
+def _block_shape(c: int) -> tuple[int, int]:
+    """Rows and kernel columns per block of `conv3d_same`'s product at C
+    channels: the most rows whose (rows x 9C) @ (9C x 3C) product stays under
+    BLAS_SERIAL_MNK multiply-adds, but at least two, and all 3C columns unless
+    two rows of them pass that bound (C >= 137); then the most columns that
+    two rows keep under it."""
+    rows = max(2, (BLAS_SERIAL_MNK - 1) // (27 * c * c))
+    return rows, min(3 * c, (BLAS_SERIAL_MNK - 1) // (9 * c * rows))
 
 
 def cpda_forward(clip: FeatureClip, phase: PhaseTrack, pedg: np.ndarray,

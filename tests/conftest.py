@@ -72,6 +72,12 @@ def make_frames(t, h, w, fn):
     return np.stack([np.clip(fn(xs, ys, i), 0.0, 1.0) for i in range(t)])
 
 
+def two_usable_cpus():
+    """The first two CPUs this process may run on, fewer where it has fewer."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    return cpus[:2]
+
+
 def allow_cpus(monkeypatch, cpus):
     """Let `halves.in_halves` see `cpus` as the CPUs the process may run on."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)

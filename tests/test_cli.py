@@ -21,7 +21,7 @@ from echodyn.cpda import load_feature_clip, save_feature_clip, FeatureClip, iden
 from echodyn.seqio import (FrameSequence, MaskSequence, atomic_write, from_json_dict, load_masks,
                            read_json, save_masks, save_sequence, write_json)
 
-from conftest import make_frames
+from conftest import make_frames, two_usable_cpus
 
 
 def dir_bytes(path):
@@ -226,11 +226,6 @@ def test_cpda_demo_seeded_weights_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def _two_usable_cpus():
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    return cpus[:2]
-
-
 # the CLI with the process pinned to the CPUs in argv[1], before numpy (and
 # OpenBLAS, which sizes its thread pool from the affinity it starts with) loads;
 # a preexec_fn would run Python between fork and exec in a threaded process
@@ -242,11 +237,11 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
-@pytest.mark.skipif(len(_two_usable_cpus()) < 2, reason="needs two usable CPUs")
+@pytest.mark.skipif(len(two_usable_cpus()) < 2, reason="needs two usable CPUs")
 def test_cpda_demo_and_edg_write_the_same_bytes_on_one_cpu_and_two(tmp_path):
     # in-process tests can only fake the affinity `halves` reads; OpenBLAS's
     # own thread count changes only in a process started on other CPUs
-    cpus = _two_usable_cpus()
+    cpus = two_usable_cpus()
     save_feature_clip(FeatureClip(data=np.random.default_rng(8).normal(size=(16, 32, 32, 16))),
                       tmp_path / "clip.ftc")
     for seed in (5, 6):

@@ -34,7 +34,7 @@ from echodyn.cpda import (
 from echodyn.errors import FormatError, ModelError, NumericError, ParameterError
 from echodyn.seqio import read_json, write_json
 
-from conftest import allow_cpus, record_halves
+from conftest import allow_cpus, record_halves, two_usable_cpus
 
 
 # ------------------------------------------------------------------ oracle
@@ -287,7 +287,7 @@ def test_conv3d_same_on_two_threads_is_the_one_cpu_result(monkeypatch, t):
     # also reads; T = 1 cannot split, T = 2 splits into one frame each
     rng = np.random.default_rng(80 + t)
     x = rng.normal(size=(t, 24, 20, 16))
-    assert 24 * 20 * 16 > cpda.THREADED_CONV_VALUES and cpda._block_rows(16) is not None
+    assert 24 * 20 * 16 > cpda.THREADED_CONV_VALUES and cpda._block_shape(16) == (144, 48)
     kernel = rng.normal(size=(16, 16, 3, 3, 3))
     bias = rng.normal(size=16)
     factor, x_mod = modulation(rng, x)
@@ -320,12 +320,10 @@ def test_conv3d_same_halves_under_rapid_thread_switching(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("shape", [(4, 16, 16, 16), (4, 12, 12, 44)],
-                         ids=["frame-below-the-gate", "blocks-under-20-rows"])
+@pytest.mark.parametrize("shape", [(4, 16, 16, 16)], ids=["frame-below-the-gate"])
 def test_conv3d_same_stays_on_the_calling_thread(monkeypatch, shape):
     t, h, w, c = shape
-    assert h * w * c <= cpda.THREADED_CONV_VALUES or cpda._block_rows(c) is None
-    assert cpda._block_rows(43) == cpda.MIN_BLOCK_ROWS
+    assert h * w * c <= cpda.THREADED_CONV_VALUES
     rng = np.random.default_rng(90)
     x = rng.normal(size=shape)
     kernel = rng.normal(size=(c, c, 3, 3, 3))
@@ -335,6 +333,38 @@ def test_conv3d_same_stays_on_the_calling_thread(monkeypatch, shape):
     got, threads = conv_on(monkeypatch, {0, 1}, x, factor, kernel, bias)
     assert threads == {threading.get_ident()}
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+# C = 44 took one whole-frame product per frame on the calling thread; at
+# C >= 137 a block takes two rows of part of the kernel's columns
+@pytest.mark.parametrize("shape", [(4, 12, 12, 44), (3, 29, 5, 16), (3, 7, 9, 140), (3, 1, 1, 140)],
+                         ids=["c44", "last-block-of-one-row", "column-blocks", "1x1-frames"])
+def test_conv3d_same_at_any_channel_count_is_the_direct_sum(monkeypatch, shape):
+    t, h, w, c = shape
+    rng = np.random.default_rng(91)
+    x = rng.normal(size=shape)
+    kernel = rng.normal(size=(c, c, 3, 3, 3))
+    bias = rng.normal(size=c)
+    factor, x_mod = modulation(rng, x)
+    want = direct_conv3d(x_mod, kernel, bias)
+    one, _ = conv_on(monkeypatch, {0}, x, factor, kernel, bias)
+    two, threads = conv_on(monkeypatch, {0, 1}, x, factor, kernel, bias)
+    assert len(threads) == (2 if h * w * c > cpda.THREADED_CONV_VALUES else 1)
+    assert np.array_equal(one, two)
+    np.testing.assert_allclose(two, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_block_shape_keeps_two_rows_or_more_under_the_serial_bound():
+    # a one-row product is a matrix-vector call, which OpenBLAS threads
+    for c in range(1, 1025):
+        rows, cols = cpda._block_shape(c)
+        assert rows >= 2 and rows * 9 * c * cols < cpda.BLAS_SERIAL_MNK, c
+        if c < 137:
+            assert cols == 3 * c and (rows + 1) * 27 * c * c >= cpda.BLAS_SERIAL_MNK, c
+        else:
+            assert rows == 2 and 18 * c * (cols + 1) >= cpda.BLAS_SERIAL_MNK, c
+        if c <= 43:
+            assert rows == (10 ** 6 - 1) // (27 * c * c), c
 
 
 def test_an_overflow_in_second_half_frames_is_the_same_error_on_two_threads(monkeypatch):
@@ -361,13 +391,14 @@ def test_an_overflow_in_second_half_frames_is_the_same_error_on_two_threads(monk
 
 
 _BLAS_WORKER_CPU = """
-import os, threading, time
+import os, sys, threading, time
 import numpy as np
 from echodyn.cpda import FeatureClip, cpda_forward, phase_track, seed_cpda_weights
+t, h, w, c = map(int, sys.argv[1:])
 rng = np.random.default_rng(0)
-clip = FeatureClip(data=rng.normal(size=(64, 64, 64, 16)))
-weights = seed_cpda_weights(16, seed=1)
-args = (clip, phase_track(64, 0, 32), rng.normal(size=(64, weights.k2)), weights)
+clip = FeatureClip(data=rng.normal(size=(t, h, w, c)))
+weights = seed_cpda_weights(c, seed=1)
+args = (clip, phase_track(t, 0, t // 2), rng.normal(size=(t, weights.k2)), weights)
 cpda_forward(*args)
 time.sleep(0.3)
 # the threads that exist between calls: the caller's and the BLAS workers
@@ -391,15 +422,59 @@ print((cpu_ticks() - before) * 1e3 / os.sysconf("SC_CLK_TCK"))
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs per-thread /proc stats")
 def test_cpda_forward_leaves_no_blas_worker_spinning():
     # CPU time of the threads other than the caller that live between calls,
-    # over one 64^2 x 64 x 16 forward pass and the 0.3 s after it; the halves'
-    # worker thread starts and ends within the call, so it is not counted.
-    # One 4096-row product per frame woke an OpenBLAS worker, which was busy
-    # through the pass and then spun for ~120 ms.
+    # over one forward pass and the 0.3 s after it; the halves' worker thread
+    # starts and ends within the call, so it is not counted. One 4096-row
+    # product per frame at C = 16, and one whole-frame product per frame at
+    # C >= 44, woke an OpenBLAS worker, which was busy through the pass and
+    # then spun for ~120 ms (190 ms at C = 48).
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _BLAS_WORKER_CPU], env=env, check=True,
-                          capture_output=True, text=True, timeout=120)
-    assert float(proc.stdout.strip()) < 30.0
+    for shape in ("64 64 64 16", "16 32 32 48"):
+        proc = subprocess.run([sys.executable, "-c", _BLAS_WORKER_CPU, *shape.split()], env=env,
+                              check=True, capture_output=True, text=True, timeout=120)
+        assert float(proc.stdout.strip()) < 30.0, shape
+
+
+# cpda_forward with the process pinned to the CPUs in argv[1] before numpy (and
+# OpenBLAS, which sizes its thread pool from the affinity it starts with) loads
+_PINNED_FORWARD = """
+import dataclasses, hashlib, os, sys
+os.sched_setaffinity(0, [int(c) for c in sys.argv[1].split(",")])
+import numpy as np
+from echodyn.cpda import FeatureClip, cpda_forward, phase_track, seed_cpda_weights
+from echodyn.errors import NumericError
+rng = np.random.default_rng(3)
+for h, c in ((12, 44), (12, 48), (12, 200), (7, 200), (1, 200)):
+    weights = seed_cpda_weights(c, heads=1, seed=2)
+    clip = FeatureClip(data=rng.normal(size=(5, h, h, c)))
+    out = cpda_forward(clip, phase_track(5, 0, 2), rng.normal(size=(5, weights.k2)), weights)
+    print(h, c, hashlib.blake2b(out.data.tobytes()).hexdigest())
+weights = dataclasses.replace(seed_cpda_weights(48, heads=1, seed=2),
+                              conv_kernel=np.full((48, 48, 3, 3, 3), 1e300))
+data = np.zeros((5, 32, 32, 48))
+data[:, -2:] = 1e10
+try:
+    cpda_forward(FeatureClip(data=data), phase_track(5, 0, 2), np.zeros((5, weights.k2)), weights)
+except NumericError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.skipif(len(two_usable_cpus()) < 2, reason="needs two usable CPUs")
+def test_cpda_forward_gives_the_same_bits_and_errors_on_one_cpu_and_two():
+    # at C >= 44 one whole-frame product per frame, threaded by OpenBLAS, gave
+    # bits that followed the CPU count, and an overflow in OpenBLAS's worker
+    # escaped np.errstate to surface as a non-finite clip; at C >= 137 so did a
+    # one-row product, the last of an odd H*W or a 1 x 1 frame's
+    cpus = two_usable_cpus()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    printed = [subprocess.run([sys.executable, "-c", _PINNED_FORWARD,
+                               ",".join(map(str, allowed))], env=env, check=True,
+                              capture_output=True, text=True, timeout=300).stdout
+               for allowed in (cpus[:1], cpus)]
+    assert len(printed[0].splitlines()) == 6
+    assert "the CPDA forward pass leaves the float64 range" in printed[0]
+    assert printed[0] == printed[1]
 
 
 def test_conv3d_same_rejects_mismatched_kernel():
