@@ -20,21 +20,23 @@ coarse space of flows that are constant over CELL x CELL pixel cells
 Cholesky; a frame wider than tall is solved as its transpose, so that
 band follows the shorter side). The per-pixel blocks damp the rough part
 of the error and the coarse solve the smooth part, which plain
-block-preconditioned CG removes slowly. Precision is mixed: the CG vectors and the per-pixel
-operator and preconditioner coefficients are float32, which halves the
-memory traffic of an iteration, while the flow, the dot products and the
-coarse factorization and solves are float64. A pair whose coefficients
-float32 cannot hold (a large or a very small alpha) is solved by the same
-loop in float64 (`_working_dtype`), and a system that float64 cannot hold
-either is a NumericError. Whenever the float32
-residual has fallen far enough for its rounding to stall the solve, it
-is recomputed from the flow in float64 and CG restarts from it, so more
-iterations still converge to float64 accuracy (mixed-precision iterative
-refinement). Every array has a fixed shape, the dot products are
-float64 `np.einsum` sums, which call no BLAS, and the banded
-factorization and solves use only BLAS calls that run in the calling
-thread, so the result is deterministic and bit-reproducible whatever the
-number of BLAS threads, and no BLAS worker is left spinning after a solve.
+block-preconditioned CG removes slowly. Precision is mixed: the CG
+vectors, their dot products and the per-pixel operator and preconditioner
+coefficients are float32, which halves the memory traffic of an
+iteration, while the flow and the coarse factorization and solves are
+float64. A pair whose coefficients float32 cannot hold (a large or a
+small alpha) is solved by the same loop in float64 (`_working_dtype`),
+and a system that float64 cannot hold either is a NumericError. Whenever
+the float32 residual has fallen far enough for its rounding to stall the
+solve, it is recomputed from the flow in float64 and CG restarts from it,
+so more iterations still converge to float64 accuracy (mixed-precision
+iterative refinement). Every array has a fixed shape, the dot products
+are `np.einsum` sums in the working precision, which call no BLAS and
+whose order follows only the length, and the banded factorization and
+solves use only BLAS calls that run in the calling thread, so the result
+is deterministic and bit-reproducible whatever the number of BLAS threads
+and wherever the frames lie in memory, and no BLAS worker is left
+spinning after a solve.
 Intensity gradients are taken in 8-bit units (frames in [0,1] are
 scaled by 255) so that the default regularization weight follows the
 classical byte-image parameterization.
@@ -46,10 +48,11 @@ contiguous halves when the process may run on two CPUs or more: the
 calling thread solves the first half while one worker thread solves the
 second. Every pair is solved on its own, so the flows are the same bits on
 one thread or two. The gate is measured, in ms per pair, serial against two
-threads (in-process, 17 pairs, 2-vCPU x86 VM): 48^2 1.7 vs 3.0, 96^2 3.5
-vs 4.4, 128^2 5.5 vs 5.4, 160^2 8.6 vs 6.9, 192^2 12.7 vs 8.9, 256^2 23.3
-vs 14.7; below the gate the two threads lose more to contention for the
-GIL than the second core gives. The result block, and a solve that keeps
+threads (in-process, 17 pairs, medians of 7-11 alternating rounds, 2-vCPU
+shared x86 VM): 96^2 5.0 vs 4.8 and, in a second run, 6.9 vs 7.0, 128^2
+7.5 vs 7.8 and 7.2 vs 9.8, 160^2 14.6 vs 12.6, 192^2 16.3 vs 12.7, 256^2
+40.9 vs 25.5; at and below the gate the two threads lose as much to
+contention for the GIL as the second core gives, or more. The result block, and a solve that keeps
 no float64 gradients in its loop, hold the process's peak memory near the
 serial loop's: with per-pair result arrays, two threads' churn left glibc
 holding a fragmented heap (peak RSS of a 256^2 x 18 edg benchmark run
@@ -83,10 +86,15 @@ RESTART_FALL = 1e-12
 # terms k I_x^2 + k I_y^2. On phantom pairs float32 loses 6e-8 to 6e-7 of
 # it at the default alpha, 2-14% at 1e4 and all of it from 1e6; float64
 # loses about 2e-8 at 1e5 and 2e-4 at 1e7. `_solve` also leaves float32
-# once a data term passes F32_MAX_COEF (below 89 at the default alpha; the
-# float32 loop overflows between 2e20 and 2e24).
+# once a data term passes F32_MAX_COEF (below 89 at the default alpha):
+# float32 rounds a term by up to 2^-24 of it, 0.06 at F32_MAX_COEF or 0.4%
+# of the smoothness weight 16, and a larger error perturbs the operator
+# across the gradient, where only smoothness holds the flow. Solved to
+# convergence, float32 pairs match float64 within 3e-16 up to 1e6, 2e-11
+# at 1e7 and 7e-2 at 1e8 on 32^2-256^2 pairs, and p.Ap turns negative at
+# 3e8 (then a NumericError).
 MAX_LOST = 1e-4
-F32_MAX_COEF = 1e12
+F32_MAX_COEF = 1e6
 # presmoothing wider than this flattens any frame; its Gaussian has 8 sigma + 1
 # taps (0.36 s a 256 x 256 frame at this bound)
 MAX_PRESMOOTH_SIGMA = 1000.0
@@ -325,8 +333,29 @@ def _prolong_add(coarse: np.ndarray, out: np.ndarray) -> None:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b of two flat arrays, summed in float64 by `np.einsum` (no BLAS)."""
-    return float(np.einsum("i,i->", a, b, dtype=np.float64))
+    """a . b of two flat arrays, summed by `np.einsum` in their own precision.
+
+    The sum calls no BLAS, and its order follows only the length, so the
+    bits depend neither on the thread count nor on where the arrays start.
+    In float32 it costs a quarter of the float64-accumulated sum, and the
+    float64 restarts of `_solve` recover what it rounds away.
+
+    The sums taken, r.z and p.Ap, come to at most 49/9 times the squared
+    A-norm of the error at the last (re)start (the preconditioned operator's
+    eigenvalues lie in (0, 4/3 + 1]), which is at most k sum I_t^2. Once
+    `_working_dtype` has picked float32, each data term k I_x^2, k I_y^2 is
+    at most F32_MAX_COEF, and frames in [0, 1] give |I_t| <= 255; so while
+    any gradient reaches one grey level per pixel, k <= F32_MAX_COEF and the
+    sums stay below 4e11 per pixel, far inside float32's 3.4e38. Only frames
+    flat to far below a grey level per pixel everywhere, at a tiny alpha,
+    can carry a float32 sum past that range (a 64 x 64 ramp of 3e-13 grey
+    levels per pixel at alpha 1.1e-15 does); a sum that comes out inf or
+    nan is taken again in float64. Small sums underflow instead: float32
+    products vanish below about 1e-45, so r.z reads 0.0, and the solve
+    stops as converged, once |r| falls below about 1e-22.
+    """
+    total = float(np.einsum("i,i->", a, b))
+    return total if math.isfinite(total) else float(np.einsum("i,i->", a, b, dtype=np.float64))
 
 
 def _working_dtype(diag: np.ndarray, kxx: np.ndarray, kyy: np.ndarray) -> type:
@@ -368,8 +397,11 @@ def _solve(gradients, alpha2: float, iterations: int, uv: np.ndarray) -> None:
     Precision is mixed. The Krylov vectors r, z, p, q, their scratch planes
     and the coefficients of A and M are float32, which halves the memory
     traffic of each iteration, unless float32 cannot hold the coefficients
-    (`_working_dtype`): then they are float64 too. The flow itself, both dot
-    products and the coarse factorization and solves are float64. As A is
+    (`_working_dtype`): then they are float64 too. Both dot products are
+    summed in that working precision (`_dot`). The flow itself and the coarse
+    factorization and solves are float64; the steps taken are summed in the
+    working precision and added to the flow at each restart and at the end,
+    which keeps a mixed float64 += float32 pass out of every iteration. As A is
     positive definite, p.Ap <= 0 or not finite means that even float64 cannot
     hold the system, a NumericError. The float32 residual r,
     updated by recurrence, drifts from the true residual b - A w by about
@@ -415,6 +447,7 @@ def _solve(gradients, alpha2: float, iterations: int, uv: np.ndarray) -> None:
     del coef, kxx, kyy, det, data  # the float64 planes are not needed in the loop
 
     z, p, q, tmp, rows = (np.empty_like(r) for _ in range(5))
+    steps = np.zeros_like(r)  # the sum of step p since uv last took it
     pairs = np.empty(r.size - 1, dtype=dtype)
 
     def precondition(r: np.ndarray, out: np.ndarray) -> None:
@@ -424,7 +457,10 @@ def _solve(gradients, alpha2: float, iterations: int, uv: np.ndarray) -> None:
         _prolong_add(ec.astype(dtype, copy=False).reshape(rc.shape).transpose(2, 0, 1), out)
 
     def true_residual() -> None:
-        """r = b - A w = S(w) - 16 w - k g (g . w + I_t), in float64."""
+        """Add the steps taken to w; r = b - A w = S(w) - 16 w - k g (g . w + I_t),
+        in float64."""
+        np.add(uv, steps, out=uv)
+        steps.fill(0)
         planes = np.empty_like(uv)
         res = _stencil_sum(uv, np.empty(uv.size - 1), planes, np.empty_like(uv))
         res -= np.multiply(uv, 16.0, out=planes)
@@ -444,7 +480,7 @@ def _solve(gradients, alpha2: float, iterations: int, uv: np.ndarray) -> None:
 
     rz = rz_start = start()
     for _ in range(iterations):
-        if rz == 0.0:  # converged exactly
+        if rz == 0.0:  # converged exactly, or |r| below float32's products (`_dot`)
             break
         _block_apply(diag, kxy, p, q, tmp)  # q = A p = blocks(p) - S(p)
         q -= _stencil_sum(p, pairs, rows, tmp)
@@ -452,7 +488,7 @@ def _solve(gradients, alpha2: float, iterations: int, uv: np.ndarray) -> None:
         if not 0.0 < pq < math.inf:
             raise NumericError(f"{_UNSOLVABLE}: p.Ap = {pq}")
         step = rz / pq
-        uv += np.multiply(p, step, out=tmp)
+        steps += np.multiply(p, step, out=tmp)
         r -= np.multiply(q, step, out=tmp)
         precondition(r, z)
         rz_next = _dot(rf, zf)
@@ -463,6 +499,7 @@ def _solve(gradients, alpha2: float, iterations: int, uv: np.ndarray) -> None:
             p *= rz_next / rz
             p += z
             rz = rz_next
+    uv += steps
 
 
 def flow_sequence(seq: FrameSequence, params: FlowParams = FlowParams()) -> list[FlowField]:

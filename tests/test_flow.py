@@ -566,6 +566,93 @@ def test_iterations_past_int64_is_a_parameter_error():
         FlowParams(iterations=2 ** 63)
 
 
+def spy_working_dtype(monkeypatch):
+    """The list of dtypes `_working_dtype` picks, filled as pairs are solved."""
+    chosen = []
+    working_dtype = flow._working_dtype
+    monkeypatch.setattr(flow, "_working_dtype",
+                        lambda *a: chosen.append(working_dtype(*a)) or chosen[-1])
+    return chosen
+
+
+def test_the_smallest_float32_alpha_converges_to_the_float64_flow(monkeypatch):
+    # at the old gate of 1e12 this pair's float32 solve was 150% off the float64
+    # one after 300 iterations, and p.Ap turned negative from about 3e8; the
+    # solves are compared converged, as 22 iterations leave each ~1e-4 off
+    a, b = textured_pair()
+    ix, iy, _ = hs_terms(a, b, FlowParams())
+    edge = max(np.abs(ix).max(), np.abs(iy).max()) * np.sqrt(12.0 / flow.F32_MAX_COEF)
+    params = FlowParams(alpha=edge * (1 + 1e-9), iterations=300)
+    chosen = spy_working_dtype(monkeypatch)
+    compute_flow(a, b, FlowParams(alpha=edge * (1 - 1e-9)))
+    f32 = compute_flow(a, b, params)
+    assert chosen == [np.float64, np.float32]
+    monkeypatch.setattr(flow, "_working_dtype", lambda *a: np.float64)
+    f64 = compute_flow(a, b, params)
+    assert rel_l2(f32, f64.u, f64.v) < 1e-6
+
+
+def test_a_float32_sum_past_its_range_is_taken_again_in_float64(monkeypatch):
+    # a ramp of 3e-13 grey levels per pixel, brightened by half the range, at
+    # alpha 1.1e-15: every data term stays under F32_MAX_COEF, but k sum I_t^2
+    # is 7e38, and the float32 r.z and p.Ap overflow; summed in float32 alone,
+    # p.Ap = inf was a NumericError
+    prev = np.tile(np.arange(64) * 1.2e-15, (64, 1))
+    params = FlowParams(alpha=1.1e-15, presmooth_sigma=0.0)
+    chosen = spy_working_dtype(monkeypatch)
+    dot, overflowed = flow._dot, []
+    monkeypatch.setattr(flow, "_dot", lambda a, b: overflowed.append(
+        not np.isfinite(np.einsum("i,i->", a, b))) or dot(a, b))
+    f32 = compute_flow(prev, prev + 0.5, params)
+    assert chosen == [np.float32] and any(overflowed)
+    monkeypatch.setattr(flow, "_working_dtype", lambda *a: np.float64)
+    f64 = compute_flow(prev, prev + 0.5, params)
+    assert rel_l2(f32, f64.u, f64.v) < 1e-6
+
+
+def test_a_float32_dot_past_its_range_is_the_float64_sum():
+    a = np.full(4, 1e19, dtype=np.float32)  # a . a = 4e38, past float32's 3.4e38
+    assert np.isinf(np.einsum("i,i->", a, a))
+    assert flow._dot(a, a) == float(np.einsum("i,i->", a, a, dtype=np.float64))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dot_bits_do_not_depend_on_alignment(dtype):
+    # the Krylov vectors of a 128 x 128 pair, each at every element offset
+    # within 64 bytes of float32 (and of 128 bytes of float64)
+    rng = np.random.default_rng(17)
+    a, b = (rng.standard_normal(2 * 128 * 128).astype(dtype) for _ in range(2))
+    ref = np.float64(flow._dot(a, b)).tobytes()
+
+    def placed(x, offset):
+        view = np.empty(x.size + 16, dtype=dtype)[offset:offset + x.size]
+        view[...] = x
+        return view
+
+    for offset_a in range(16):
+        for offset_b in range(16):
+            total = flow._dot(placed(a, offset_a), placed(b, offset_b))
+            assert np.float64(total).tobytes() == ref, (offset_a, offset_b)
+
+
+@pytest.mark.parametrize("iterations", [22, 40])  # 40 restarts once in float64
+def test_flow_bytes_do_not_depend_on_where_the_frames_lie(iterations):
+    seq, _ = generate_phantom(PhantomSpec(t_count=8, height=64, width=64, base_radius=12.0))
+    params = FlowParams(iterations=iterations)
+    ref = compute_flow(seq.frames[3], seq.frames[4], params)
+
+    def placed(x, offset):
+        view = np.empty(x.size + 8)[offset:offset + x.size].reshape(x.shape)
+        view[...] = x
+        return view
+
+    for offset in range(8):
+        out = placed(np.zeros((2, 64, 64)), (offset + 3) % 8)
+        f = compute_flow(placed(seq.frames[3], offset), placed(seq.frames[4], 7 - offset),
+                         params, out=out)
+        assert f.u.tobytes() == ref.u.tobytes() and f.v.tobytes() == ref.v.tobytes(), offset
+
+
 
 # ------------------------------------------------- pairs on two threads
 
