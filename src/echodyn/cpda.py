@@ -53,11 +53,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    INT64_MAX,
     ModelError,
     NumericError,
     ParameterError,
     check_float64_count,
+    check_range,
     check_shapes,
 )
 from .halves import in_halves
@@ -103,8 +103,8 @@ class PhaseTrack:
 
     def __post_init__(self):
         p = np.asarray(self.phi, dtype=np.float64)
-        if ((p < 0) | (p > 1)).any():
-            raise ParameterError("phase values must lie in [0,1]")
+        if not ((p >= 0) & (p <= 1)).all():  # NaN fails both comparisons
+            raise ParameterError(f"phase values must lie in [0,1], got {p.min()} to {p.max()}")
         object.__setattr__(self, "phi", p)
 
 
@@ -176,8 +176,7 @@ class CpdaWeights:
         d = c + d_p + d_e
         if self.heads < 1 or d % self.heads != 0:
             raise ModelError(f"heads={self.heads} must divide token width d={d}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ParameterError(f"alpha must be in [0,1], got {self.alpha}")
+        check_range("alpha", self.alpha, 0, 1)
 
     @property
     def d_model(self) -> int:
@@ -352,9 +351,8 @@ def seed_cpda_weights(channels: int, d_p: int = 8, d_e: int = 8, k2: int = 8,
     fan_in being a matrix's row count or the kernel's C * 27. A size below 1, or
     one that takes an array past INT64_MAX bytes, is a ParameterError, raised
     before any draw."""
-    if not all(1 <= n <= INT64_MAX for n in (channels, d_p, d_e, k2)):
-        raise ParameterError(f"channels, d_p, d_e and k2 must be >= 1 and fit int64, "
-                             f"got {channels}, {d_p}, {d_e}, {k2}")
+    for name, n in dict(channels=channels, d_p=d_p, d_e=d_e, k2=k2).items():
+        check_range(name, n, 1)
     shapes = _weight_shapes(channels, d_p, d_e, k2)
     for name, shape in shapes.items():
         check_float64_count(f"'{name}' {shape} for channels={channels}, d_p={d_p}, "

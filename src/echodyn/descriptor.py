@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    INT64_MAX,
     DimensionError,
     InsufficientDataError,
     ModelError,
     NumericError,
     ParameterError,
+    check_range,
     check_shapes,
 )
 from .flow import FlowField
@@ -43,11 +43,10 @@ class SectorGrid:
     r_max: float | None = None  # None = min(H, W) / 2
 
     def __post_init__(self):
-        if not (1 <= self.r_bins <= INT64_MAX and 1 <= self.theta_bins <= INT64_MAX):
-            raise ParameterError(f"r_bins and theta_bins must be >= 1 and fit int64, "
-                                 f"got {self.r_bins}, {self.theta_bins}")
-        if self.r_max is not None and not (self.r_max > 0 and math.isfinite(self.r_max)):
-            raise ParameterError(f"r_max must be > 0 and finite, got {self.r_max}")
+        check_range("r_bins", self.r_bins, 1)
+        check_range("theta_bins", self.theta_bins, 1)
+        if self.r_max is not None:
+            check_range("r_max", self.r_max, 0, math.inf, low_open=True, high_open=True)
 
     @property
     def sector_count(self) -> int:
@@ -185,8 +184,7 @@ def fit_pca(x: np.ndarray, k: int) -> PcaModel:
     if not np.isfinite(x).all():
         raise NumericError("PCA input contains non-finite values")
     n, d = x.shape
-    if not (1 <= k <= min(n - 1, d)):
-        raise ParameterError(f"k={k} out of range 1..min(N-1={n - 1}, D={d})")
+    check_range("k", k, 1, min(n - 1, d))
     mean = x.mean(axis=0)
     _, s, vt = np.linalg.svd(x - mean, full_matrices=False)
     comps = vt[:k].copy()

@@ -12,7 +12,6 @@ second time by PCA into the low-dimensional per-frame feature P_EDG.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,20 +26,15 @@ from .descriptor import (
     sector_index_map,
 )
 from .errors import (
-    INT64_MAX,
     DivergenceError,
     InsufficientDataError,
     ModelError,
     ParameterError,
+    check_range,
     check_shapes,
+    square_is_normal,
 )
 from .seqio import quantize_frame, read_csv, write_csv, write_pgm, write_series
-
-
-def _sigma_fits(sigma: float) -> bool:
-    """Whether `sigma` is > 0 with sigma * sigma a normal, finite float:
-    `rbf_response` divides by the square."""
-    return sigma > 0 and sys.float_info.min <= sigma * sigma < math.inf
 
 
 @dataclass(frozen=True)
@@ -53,17 +47,13 @@ class RbfConfig:
     fit: str = "lms"  # weight fit: "lms" (incremental) or "ls" (closed-form ridge)
 
     def __post_init__(self):
-        if not 1 <= self.m_centers <= INT64_MAX:
-            raise ParameterError(f"m_centers must be >= 1 and fit int64, got {self.m_centers}")
-        if not (self.learn_rate > 0 and math.isfinite(self.learn_rate)):
-            raise ParameterError(f"learn_rate must be > 0 and finite, got {self.learn_rate}")
-        if not 1 <= self.epochs <= INT64_MAX:
-            raise ParameterError(f"epochs must be >= 1 and fit int64, got {self.epochs}")
-        if self.sigma is not None and not _sigma_fits(self.sigma):
+        check_range("m_centers", self.m_centers, 1)
+        check_range("learn_rate", self.learn_rate, 0, math.inf, low_open=True, high_open=True)
+        check_range("epochs", self.epochs, 1)
+        if self.sigma is not None and not square_is_normal(self.sigma):
             raise ParameterError("sigma must be > 0 with sigma * sigma a normal, finite "
                                  f"float when given, got {self.sigma}")
-        if not (self.ridge >= 0 and math.isfinite(self.ridge)):
-            raise ParameterError(f"ridge must be >= 0 and finite, got {self.ridge}")
+        check_range("ridge", self.ridge, 0, math.inf, high_open=True)
         if self.fit not in ("lms", "ls"):
             raise ParameterError(f"fit must be 'lms' or 'ls', got {self.fit!r}")
 
@@ -84,7 +74,7 @@ class DynamicsModel:
         m, k = np.shape(self.centers)
         check_shapes(self, "dynamics model", f"M={m}, k={k} from 'centers'",
                      dict(weights=(m, k), residual_history=(np.size(self.residual_history),)))
-        if not _sigma_fits(self.sigma):
+        if not square_is_normal(self.sigma):
             raise ModelError("dynamics model 'sigma' must be > 0 with sigma * sigma a normal, "
                              f"finite float, got {self.sigma}")
 
@@ -98,8 +88,7 @@ def kmeans(z: np.ndarray, m: int, seed: int) -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
-    if m < 1:
-        raise ParameterError("m must be >= 1")
+    check_range("m", m, 1)
     if n < m:
         raise InsufficientDataError(f"need at least {m} points, got {n}")
 
@@ -259,10 +248,7 @@ def pedg_sequence(energies: np.ndarray, k2: int) -> tuple[np.ndarray, PcaModel]:
     e = np.asarray(energies, dtype=np.float64)
     if e.ndim != 2 or e.shape[0] < 2:
         raise InsufficientDataError(f"need at least 2 energy rows, got shape {e.shape}")
-    if not (1 <= k2 <= min(e.shape[0] - 1, e.shape[1])):
-        raise ParameterError(
-            f"k2={k2} out of range 1..min(count-1={e.shape[0] - 1}, M={e.shape[1]})"
-        )
+    check_range("k2", k2, 1, min(e.shape[0] - 1, e.shape[1]))
     model = fit_pca(e, k2)
     return project(model, e), model
 

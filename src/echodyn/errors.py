@@ -1,5 +1,11 @@
-"""Exception types shared across the pipeline, the bounds on sizes, and the
-shape check every stored model runs on its arrays."""
+"""Exception types shared across the pipeline and the checks that raise them:
+`check_range` is the one NaN-safe bound on a single parameter, whose
+ParameterError says "fit int64", "finite" or the bound the value missed. A
+record that `seqio.read_json` loads re-raises its check's error, prefixed
+with the file and the record's dotted key."""
+
+import math
+import sys
 
 import numpy as np
 
@@ -64,3 +70,21 @@ def check_float64_count(setting: str, count: int) -> None:
     if 8 * count > INT64_MAX:
         raise ParameterError(f"{setting} = {count} float64 values, "
                              f"more than {INT64_MAX} bytes")
+
+
+def check_range(name: str, value, low, high=INT64_MAX, *, low_open: bool = False,
+                high_open: bool = False) -> None:
+    """Raise ParameterError naming `name` unless low <= value <= high, with <
+    at an end whose `*_open` flag is set; NaN always fails."""
+    if not ((low < value if low_open else low <= value)
+            and (value < high if high_open else value <= high)):
+        end = ("fit int64" if high == INT64_MAX else "finite" if high == math.inf
+               else f"{'<' if high_open else '<='} {high}")
+        raise ParameterError(f"{name} must be {'>' if low_open else '>='} {low} and {end}, "
+                             f"got {value}")
+
+
+def square_is_normal(x: float) -> bool:
+    """Whether x > 0 and x * x is a normal, finite float, as a value whose
+    square the code divides by must be (flow's alpha, the RBF kernel's sigma)."""
+    return x > 0 and sys.float_info.min <= x * x < math.inf

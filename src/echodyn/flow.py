@@ -64,14 +64,13 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import INT64_MAX, DimensionError, NumericError, ParameterError
+from .errors import DimensionError, NumericError, ParameterError, check_range, square_is_normal
 from .halves import in_halves
 from .seqio import FrameSequence, encode_f32, read_binary, write_binary
 
@@ -112,15 +111,11 @@ class FlowParams:
     presmooth_sigma: float = 1.0
 
     def __post_init__(self):
-        # the solver divides by alpha * alpha, so the square must be a normal float too
-        if not (self.alpha > 0 and sys.float_info.min <= self.alpha * self.alpha < math.inf):
+        if not square_is_normal(self.alpha):
             raise ParameterError("alpha must be > 0 and finite, with alpha * alpha a normal, "
                                  f"finite float, got {self.alpha}")
-        if not 1 <= self.iterations <= INT64_MAX:
-            raise ParameterError(f"iterations must be >= 1 and fit int64, got {self.iterations}")
-        if not 0 <= self.presmooth_sigma <= MAX_PRESMOOTH_SIGMA:
-            raise ParameterError(f"presmooth_sigma must be >= 0 and finite, at most "
-                                 f"{MAX_PRESMOOTH_SIGMA}, got {self.presmooth_sigma}")
+        check_range("iterations", self.iterations, 1)
+        check_range("presmooth_sigma", self.presmooth_sigma, 0, MAX_PRESMOOTH_SIGMA)
 
 
 @dataclass(frozen=True)

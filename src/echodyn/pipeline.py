@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import descriptor, dynamics, flow, seqio
-from .errors import InsufficientDataError, ParameterError, check_float64_count
+from .errors import InsufficientDataError, ParameterError, check_float64_count, check_range
 
 STAGE_PHANTOM = "phantom"
 STAGE_KMEANS = "kmeans"
@@ -41,6 +41,11 @@ class CpdaDims:
     d_e: int = 8
     heads: int = 2
     alpha: float = 0.5
+
+    def __post_init__(self):
+        for name in ("d_p", "d_e", "heads"):
+            check_range(name, getattr(self, name), 1)
+        check_range("alpha", self.alpha, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -94,11 +99,8 @@ def _check_sizes(cfg: PipelineConfig, t_count: int, h: int, w: int) -> None:
     check_float64_count("epochs (the training history)", cfg.rbf.epochs)
     if cfg.grid.sector_count > h * w:
         raise ParameterError(f"r_bins x theta_bins = {cfg.grid.sector_count} > {h}x{w} pixels")
-    if not 1 <= cfg.pca_k <= cfg.grid.descriptor_length:
-        raise ParameterError(f"pca_k={cfg.pca_k} out of range "
-                             f"1..{cfg.grid.descriptor_length} (the descriptor length)")
-    if not 1 <= cfg.k2 <= cfg.rbf.m_centers:
-        raise ParameterError(f"k2={cfg.k2} out of range 1..{cfg.rbf.m_centers} (m_centers)")
+    check_range("pca_k", cfg.pca_k, 1, cfg.grid.descriptor_length)
+    check_range("k2", cfg.k2, 1, cfg.rbf.m_centers)
     t_min = max(cfg.pca_k + 2, cfg.rbf.m_centers + 1, cfg.k2 + 3)
     if t_count < t_min:
         raise InsufficientDataError(

@@ -52,14 +52,14 @@ import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
 
 from .errors import (
-    INT64_MAX,
     DimensionError,
+    EchodynError,
     FormatError,
     GeometryError,
     InsufficientDataError,
     NumericError,
-    ParameterError,
     check_float64_count,
+    check_range,
 )
 
 LABEL_BACKGROUND = 0
@@ -167,24 +167,15 @@ class PhantomSpec:
     seed: int = 7
 
     def __post_init__(self):
-        if not 2 <= self.t_count <= INT64_MAX:
-            raise ParameterError(f"t_count must be >= 2 and fit int64, got {self.t_count}")
+        check_range("t_count", self.t_count, 2)
         for name in ("height", "width", "cycles"):
-            if not 1 <= getattr(self, name) <= INT64_MAX:
-                raise ParameterError(
-                    f"{name} must be >= 1 and fit int64, got {getattr(self, name)}")
+            check_range(name, getattr(self, name), 1)
         check_float64_count("t_count x cycles x height x width (the frames)",
                             self.t_count * self.cycles * self.height * self.width)
-        if not (0.0 <= self.contraction_fraction < 0.9):
-            raise ParameterError(
-                f"contraction_fraction must be in [0, 0.9), got {self.contraction_fraction}"
-            )
+        check_range("contraction_fraction", self.contraction_fraction, 0, 0.9, high_open=True)
         # below 1 px the ventricle is a pixel at most; near 0 its ellipse test overflows
-        if not 1.0 <= self.base_radius < math.inf:
-            raise ParameterError(f"base_radius must be >= 1 px and finite, got {self.base_radius}")
-        if not (self.speckle_sigma >= 0 and math.isfinite(self.speckle_sigma)):
-            raise ParameterError(
-                f"speckle_sigma must be >= 0 and finite, got {self.speckle_sigma}")
+        check_range("base_radius", self.base_radius, 1, math.inf, high_open=True)
+        check_range("speckle_sigma", self.speckle_sigma, 0, math.inf, high_open=True)
 
 
 def quantize_frame(frame: np.ndarray) -> np.ndarray:
@@ -386,7 +377,10 @@ def from_json_dict(cls, raw, error: type[Exception] = FormatError, context: str 
     object's missing and unexpected keys come before the problems inside its values.
     """
     problems: list[str] = []
-    obj = _decode(cls, raw, "", problems)
+    try:
+        obj = _decode(cls, raw, "", problems)
+    except EchodynError as exc:  # a record's own check, named by key in `_decode`
+        raise type(exc)(context + str(exc)) from exc
     if problems:
         raise error(context + ", ".join(problems))
     return obj
@@ -432,7 +426,10 @@ def _decode(tp, value, key: str, problems: list[str]):
                 problems.append(f"'{prefix}{name}' must be finite" if _non_finite(value[name])
                                 else f"'{prefix}{name}' must be {type_name}, "
                                      f"got {reprlib.repr(value[name])}")
-        return tp(**kwargs) if len(problems) == start else _BAD
+        try:
+            return tp(**kwargs) if len(problems) == start else _BAD
+        except EchodynError as exc:  # the record's own check: name it by its dotted key
+            raise type(exc)(f"'{key}': {exc}" if key else str(exc)) from exc
     if isinstance(tp, types.UnionType):
         for arm in typing.get_args(tp):
             out = _decode(arm, value, key, problems)

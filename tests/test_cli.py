@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,13 +15,15 @@ import pytest
 
 from echodyn import cli, dynamics, flow, metrics, seqio
 from echodyn.cli import PipelineConfig, main, stage_seed
-from echodyn.descriptor import SectorGrid
-from echodyn.dynamics import RbfConfig
+from echodyn.descriptor import SectorGrid, fit_pca
+from echodyn.dynamics import RbfConfig, kmeans, pedg_sequence
 from echodyn.flow import FlowParams
-from echodyn.errors import ParameterError
-from echodyn.cpda import load_feature_clip, save_feature_clip, FeatureClip, identity_conv_kernel, seed_cpda_weights
-from echodyn.seqio import (FrameSequence, MaskSequence, atomic_write, from_json_dict, load_masks,
-                           read_json, save_masks, save_sequence, write_json)
+from echodyn.errors import INT64_MAX, ParameterError
+from echodyn.cpda import (load_feature_clip, save_feature_clip, FeatureClip, PhaseTrack,
+                          identity_conv_kernel, seed_cpda_weights)
+from echodyn.pipeline import CpdaDims
+from echodyn.seqio import (FrameSequence, MaskSequence, PhantomSpec, atomic_write, from_json_dict,
+                           load_masks, read_json, save_masks, save_sequence, write_json)
 
 from conftest import make_frames, two_usable_cpus
 
@@ -517,6 +521,39 @@ def test_non_finite_config_value_exits_before_flow(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text,needle", [
+    ('{"grid": {"r_bins": 0}, "flow": {"alpha": -1}}',
+     "'grid': r_bins must be >= 1 and fit int64, got 0"),
+    # each passed with exit 0
+    ('{"cpda": {"heads": 0, "alpha": 7}}', "'cpda': heads must be >= 1 and fit int64, got 0"),
+    ('{"cpda": {"alpha": 7}}', "'cpda': alpha must be >= 0 and <= 1, got 7"),
+], ids=["grid", "cpda-heads", "cpda-alpha"])
+def test_config_record_check_names_the_file_and_key(tmp_path, capsys, monkeypatch, text,
+                                                    needle):
+    src = tmp_path / "seq"
+    assert main(["phantom", "--t", "4", "--size", "64", "--base-radius", "12",
+                 "-o", str(src)]) == 0
+    monkeypatch.setattr(flow, "flow_sequence", lambda *a, **k: pytest.fail("flow ran"))
+    (tmp_path / "c.json").write_text(text)
+    assert main(["edg", str(src / "frames"), "--config", str(tmp_path / "c.json"),
+                 "-o", str(tmp_path / "e")]) == 1
+    err = capsys.readouterr().err
+    assert f"error [ParameterError]: {tmp_path / 'c.json'}: {needle}" in err
+    assert not (tmp_path / "e").exists()
+
+
+def test_weight_file_check_names_the_file(tmp_path, capsys):
+    save_feature_clip(FeatureClip(data=np.zeros((3, 4, 4, 2))), tmp_path / "c.ftc")
+    write_json(tmp_path / "w.json", seed_cpda_weights(channels=2, seed=1))
+    payload = json.loads((tmp_path / "w.json").read_text())
+    (tmp_path / "w.json").write_text(json.dumps({**payload, "alpha": 2.0}))
+    assert main(["cpda-demo", str(tmp_path / "c.ftc"), "--weights", str(tmp_path / "w.json"),
+                 "--ed", "0", "--es", "1", "-o", str(tmp_path / "o.ftc")]) == 1
+    err = capsys.readouterr().err
+    assert (f"error [ParameterError]: {tmp_path / 'w.json'}: alpha must be >= 0 and <= 1, "
+            "got 2.0") in err
+
+
 @pytest.mark.parametrize("make", [
     lambda nan: FlowParams(alpha=nan),
     lambda nan: FlowParams(presmooth_sigma=nan),
@@ -525,8 +562,32 @@ def test_non_finite_config_value_exits_before_flow(tmp_path, capsys, monkeypatch
     lambda nan: RbfConfig(ridge=nan),
     lambda nan: RbfConfig(ridge=-1.0),
     lambda nan: SectorGrid(r_max=nan),
+    lambda nan: FlowParams(iterations=nan),
+    lambda nan: RbfConfig(m_centers=nan),
+    lambda nan: RbfConfig(epochs=nan),
+    lambda nan: SectorGrid(r_bins=nan),
+    lambda nan: SectorGrid(theta_bins=nan),
+    lambda nan: PhantomSpec(t_count=nan),
+    lambda nan: PhantomSpec(height=nan),
+    lambda nan: PhantomSpec(width=nan),
+    lambda nan: PhantomSpec(cycles=nan),
+    lambda nan: PhantomSpec(contraction_fraction=nan),
+    lambda nan: CpdaDims(d_p=nan),
+    lambda nan: CpdaDims(d_e=nan),
+    lambda nan: CpdaDims(heads=nan),
+    lambda nan: CpdaDims(alpha=nan),
+    lambda nan: seed_cpda_weights(channels=nan),
+    lambda nan: dataclasses.replace(seed_cpda_weights(channels=2), alpha=nan),
+    lambda nan: kmeans(np.zeros((4, 2)), nan, seed=0),
+    lambda nan: fit_pca(np.eye(4), nan),
+    lambda nan: pedg_sequence(np.eye(4), nan),
+    # cpda_forward failed later with "attention input contains non-finite values"
+    lambda nan: PhaseTrack(phi=np.array([0.1, nan])),
 ], ids=["alpha", "presmooth_sigma", "learn_rate", "sigma", "ridge-nan", "ridge-negative",
-        "r_max"])
+        "r_max", "iterations", "m_centers", "epochs", "r_bins", "theta_bins", "t_count",
+        "height", "width", "cycles", "contraction_fraction", "cpda-d_p", "cpda-d_e",
+        "cpda-heads", "cpda-alpha", "channels", "weights-alpha", "kmeans-m", "pca-k",
+        "pedg-k2", "phase"])
 def test_parameter_checks_reject_nan(make):
     with pytest.raises(ParameterError):
         make(float("nan"))
@@ -541,17 +602,46 @@ def test_non_finite_flag_value_exits_1(tmp_path, capsys):
     assert "presmooth_sigma must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("make,field", [
-    (lambda inf: FlowParams(alpha=inf), "alpha"),
-    (lambda inf: FlowParams(presmooth_sigma=inf), "presmooth_sigma"),
-    (lambda inf: RbfConfig(learn_rate=inf), "learn_rate"),
-    (lambda inf: RbfConfig(sigma=inf), "sigma"),
-    (lambda inf: RbfConfig(ridge=inf), "ridge"),
-    (lambda inf: SectorGrid(r_max=inf), "r_max"),
-], ids=["alpha", "presmooth_sigma", "learn_rate", "sigma", "ridge", "r_max"])
-def test_parameter_checks_reject_infinity(make, field):
-    with pytest.raises(ParameterError, match=f"^{field} must be .* finite"):
+# the message names the field and how its range ends: "finite" for a float
+# with no upper bound, "fit int64" for a size or count, else the bound itself
+@pytest.mark.parametrize("make,field,end", [
+    (lambda inf: FlowParams(alpha=inf), "alpha", "finite"),
+    (lambda inf: FlowParams(presmooth_sigma=inf), "presmooth_sigma", "<= 1000.0"),
+    (lambda inf: RbfConfig(learn_rate=inf), "learn_rate", "finite"),
+    (lambda inf: RbfConfig(sigma=inf), "sigma", "finite"),
+    (lambda inf: RbfConfig(ridge=inf), "ridge", "finite"),
+    (lambda inf: SectorGrid(r_max=inf), "r_max", "finite"),
+    (lambda inf: FlowParams(iterations=inf), "iterations", "fit int64"),
+    (lambda inf: RbfConfig(epochs=inf), "epochs", "fit int64"),
+    (lambda inf: SectorGrid(theta_bins=inf), "theta_bins", "fit int64"),
+    (lambda inf: PhantomSpec(cycles=inf), "cycles", "fit int64"),
+    (lambda inf: PhantomSpec(contraction_fraction=inf), "contraction_fraction", "< 0.9"),
+    (lambda inf: CpdaDims(d_p=inf), "d_p", "fit int64"),
+    (lambda inf: CpdaDims(d_e=inf), "d_e", "fit int64"),
+    (lambda inf: CpdaDims(heads=inf), "heads", "fit int64"),
+    (lambda inf: CpdaDims(alpha=inf), "alpha", "<= 1"),
+    (lambda inf: dataclasses.replace(seed_cpda_weights(channels=2), alpha=inf), "alpha", "<= 1"),
+], ids=["alpha", "presmooth_sigma", "learn_rate", "sigma", "ridge", "r_max", "iterations",
+        "epochs", "theta_bins", "cycles", "contraction_fraction", "cpda-d_p", "cpda-d_e",
+        "cpda-heads", "cpda-alpha", "weights-alpha"])
+def test_parameter_checks_reject_infinity(make, field, end):
+    with pytest.raises(ParameterError, match=f"^{field} must be .*{end}"):
         make(float("inf"))
+
+
+@pytest.mark.parametrize("make,field,inside,outside", [
+    (lambda x: CpdaDims(alpha=x), "alpha", 1.0, math.nextafter(1.0, 2.0)),
+    (lambda x: PhantomSpec(contraction_fraction=x), "contraction_fraction",
+     math.nextafter(0.9, 0.0), 0.9),
+    (lambda x: SectorGrid(r_max=x), "r_max", 5e-324, 0.0),
+    (lambda x: RbfConfig(ridge=x), "ridge", sys.float_info.max, math.inf),
+    (lambda x: RbfConfig(epochs=x), "epochs", INT64_MAX, INT64_MAX + 1),
+], ids=["closed", "open", "open-low", "open-inf", "int64"])
+def test_parameter_checks_take_each_end_and_reject_the_next_value(make, field, inside,
+                                                                  outside):
+    make(inside)
+    with pytest.raises(ParameterError, match=f"^{field} must be .*, got {outside}$"):
+        make(outside)
 
 
 def test_infinite_flag_value_exits_before_any_solve(tmp_path, capsys, monkeypatch):
@@ -709,7 +799,8 @@ def test_atomic_write_follows_the_umask_at_write_time(tmp_path):
     ["--channels", "0"], ["--channels", "2", "--k2", "0"], ["--channels", "2", "--d-e", "0"],
     ["--channels", "2", "--d-p", "-1", "--heads", "1"],
     ["--channels", "2", "--k2", "-2", "--heads", "1"],
-], ids=["channels-0", "k2-0", "d_e-0", "d_p-neg", "k2-neg"])
+    ["--channels", "4", "--heads", "0"],  # was "ModelError: heads=0 must divide token width d=20"
+], ids=["channels-0", "k2-0", "d_e-0", "d_p-neg", "k2-neg", "heads-0"])
 def test_seed_weights_size_below_one_exits_1(tmp_path, capsys, flags):
     assert main(["seed-weights", *flags, "-o", str(tmp_path / "w.json")]) == 1
     err = capsys.readouterr().err

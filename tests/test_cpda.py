@@ -805,7 +805,8 @@ def test_weights_reject_an_empty_size(name):
 def test_seed_weights_reject_a_size_below_one_before_drawing(sizes):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # channels=0 once divided by zero
-        with pytest.raises(ParameterError, match="channels, d_p, d_e and k2 must be >= 1"):
+        name, value = next(iter(sizes.items()))
+        with pytest.raises(ParameterError, match=f"^{name} must be >= 1 .* got {value}$"):
             seed_cpda_weights(**{"channels": 2, **sizes, "seed": 0})
 
 

@@ -429,5 +429,5 @@ def test_feature_model_json_rejects_misshapen_arrays(tmp_path, edit, needle):
 @pytest.mark.parametrize("field", ["r_bins", "theta_bins"])
 def test_grid_bins_past_int64_are_rejected(field):
     # 10**30 escaped as an OverflowError after a RuntimeWarning
-    with pytest.raises(ParameterError, match="r_bins and theta_bins must be >= 1 and fit int64"):
+    with pytest.raises(ParameterError, match=f"{field} must be >= 1 and fit int64"):
         SectorGrid(**{field: 10 ** 30})

@@ -54,9 +54,10 @@ def test_shortest_sequence_runs_and_one_frame_less_fails_before_flow(
 
 
 @pytest.mark.parametrize("cfg,needle", [
-    (small_config(3, 8, 20), "k2=20"),
-    (small_config(3, 8, 0), "k2=0"),
-    (PipelineConfig(grid=SectorGrid(r_bins=1, theta_bins=1), pca_k=7), "pca_k=7"),
+    (small_config(3, 8, 20), "k2 must be >= 1 and <= 8, got 20"),
+    (small_config(3, 8, 0), "k2 must be >= 1 and <= 8, got 0"),
+    (PipelineConfig(grid=SectorGrid(r_bins=1, theta_bins=1), pca_k=7),
+     "pca_k must be >= 1 and <= 6, got 7"),
     # more sectors than the 48 x 48 frame has pixels; r_bins = 2**62 ran flow
     # on every pair, then escaped as an OverflowError
     (PipelineConfig(grid=SectorGrid(r_bins=49, theta_bins=48)), "r_bins x theta_bins"),

@@ -527,6 +527,6 @@ def test_phantom_sizes_past_int64_are_rejected(name):
 @pytest.mark.parametrize("radius", [0.999, 1e-300])
 def test_phantom_radius_below_one_pixel_is_rejected(radius):
     # 1e-300 overflowed the ellipse test with a RuntimeWarning
-    with pytest.raises(ParameterError, match="base_radius must be >= 1 px"):
+    with pytest.raises(ParameterError, match="base_radius must be >= 1 and finite"):
         PhantomSpec(base_radius=radius)
     PhantomSpec(base_radius=1.0)
